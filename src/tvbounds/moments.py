@@ -308,12 +308,6 @@ def bound_report(pair: MomentPair1D) -> BoundReport1D:
     )
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class MomentsND:
     """Mean vector and covariance matrix of a distribution on d-space.
@@ -328,29 +322,36 @@ class MomentsND:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError("mean must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("mean must be finite")
         d = mean.size
-        cov = np.asarray(self.covariance, dtype=float)
+        cov = np.array(self.covariance, dtype=float)
         if cov.shape != (d, d):
             raise ValueError(f"covariance must have shape ({d}, {d}), got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
+        if not np.isfinite(cov).all():
             raise ValueError("covariance must be finite")
-        if float(np.max(np.abs(cov - cov.T))) > COV_SYMMETRY_TOL:
-            raise ValueError(
-                f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}"
-            )
-        sym = 0.5 * (cov + cov.T)
-        min_eig = float(sym[0, 0]) if d == 1 else float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < -COV_PSD_TOL * (1.0 + float(np.max(np.diag(sym)))):
+        if d == 1:
+            # a 1x1 matrix is symmetric and its own eigenvalue
+            min_eig = max_diag = float(cov[0, 0])
+        else:
+            if float(np.max(np.abs(cov - cov.T))) > COV_SYMMETRY_TOL:
+                raise ValueError(
+                    f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}"
+                )
+            cov = 0.5 * (cov + cov.T)
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+            max_diag = float(np.max(np.diag(cov)))
+        if min_eig < -COV_PSD_TOL * (1.0 + max_diag):
             raise ValueError(
                 f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
             )
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "covariance", _readonly(sym))
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self) -> int:

@@ -3,11 +3,15 @@ check of the d-dimensional trace bound.
 
 ``minimize_tv_on_grid`` minimizes the TV distance over all pairs of
 distributions supported on a finite grid subject to exact mean and raw
-second-moment equality on both sides.  Its optimum is an upper bound on the
-true infimum over all distributions; when the support of the tight witness
-is folded into the grid the optimum collapses onto the closed-form bound,
-which is what the ``verify`` path certifies.  The moment constraints are
-genuine equalities, not bands, so "optimum equals bound" is a sharp test.
+second-moment equality on both sides.  The program is written through the
+common part of the two distributions: ``p = w + u`` and ``q = w + v`` with
+``w, u, v >= 0``, minimizing ``sum u``.  Only the six moment rows constrain
+it, so the simplex works on a 6-row tableau whatever the grid size.  Its
+optimum is an upper bound on the true infimum over all distributions; when
+the support of the tight witness is folded into the grid the optimum
+collapses onto the closed-form bound, which is what the ``verify`` path
+certifies.  The moment constraints are genuine equalities, not bands, so
+"optimum equals bound" is a sharp test.
 
 The d-dimensional routine never solves an LP: it draws random discrete
 pairs, computes their exact moments and exact TV, and counts violations of
@@ -119,66 +123,39 @@ class LPStandardForm:
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
-    variable_names: tuple[str, ...]
     grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.constraint_matrix.shape != (self.rhs.size, self.objective.size):
             raise ValueError("inconsistent LP dimensions")
-        if len(self.variable_names) != self.objective.size:
-            raise ValueError("one name per variable required")
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     """Encode grid-supported TV minimization under exact moment equality.
 
-    Variables are the two probability vectors ``p_i``, ``q_i``, the
-    deviation magnitudes ``t_i`` and one slack per linking inequality
-    (``t_i >= p_i - q_i`` and ``t_i >= q_i - p_i`` rewritten as equalities).
-    The objective is ``(1/2) sum t_i``; six equality rows pin total mass,
-    mean and raw second moment of both sides.  Upper bounds ``p_i <= 1``
-    are implied by non-negativity and the mass row.
+    The variables are three blocks over the grid: the common part ``w``
+    and the two excesses ``u`` and ``v``, so that ``p = w + u`` and
+    ``q = w + v``.  Six equality rows pin total mass, mean and raw second
+    moment of ``p`` (on ``w + u``) and of ``q`` (on ``w + v``); the
+    objective is ``sum u``.  Any grid pair is feasible with
+    ``w = min(p, q)``, where ``sum u = 1 - sum min(p, q) = TV(p, q)``, and
+    every feasible point has ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.
+    The optimum is therefore the minimal TV over grid pairs.  Upper bounds
+    such as ``p_i <= 1`` are implied by non-negativity and the mass rows.
     """
     x = np.asarray(grid, dtype=float).reshape(-1)
     n = x.size
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    ncols = 5 * n
-    nrows = 6 + 2 * n
-    A = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
-    P, Q, T, SP, SM = 0, n, 2 * n, 3 * n, 4 * n
-
+    powers = np.vstack([np.ones(n), x, x * x])
+    zeros = np.zeros((3, n))
+    A = np.block([[powers, powers, zeros], [powers, zeros, powers]])
     mp, vp = pair.p_side.mean, pair.p_side.variance
     mq, vq = pair.q_side.mean, pair.q_side.variance
-    A[0, P : P + n] = 1.0
-    A[1, P : P + n] = x
-    A[2, P : P + n] = x * x
-    b[0:3] = (1.0, mp, mp * mp + vp)
-    A[3, Q : Q + n] = 1.0
-    A[4, Q : Q + n] = x
-    A[5, Q : Q + n] = x * x
-    b[3:6] = (1.0, mq, mq * mq + vq)
-
-    for i in range(n):
-        r = 6 + 2 * i
-        # p_i - q_i - t_i + sp_i = 0   (t_i >= p_i - q_i)
-        A[r, P + i] = 1.0
-        A[r, Q + i] = -1.0
-        A[r, T + i] = -1.0
-        A[r, SP + i] = 1.0
-        # q_i - p_i - t_i + sm_i = 0   (t_i >= q_i - p_i)
-        A[r + 1, P + i] = -1.0
-        A[r + 1, Q + i] = 1.0
-        A[r + 1, T + i] = -1.0
-        A[r + 1, SM + i] = 1.0
-
-    c = np.zeros(ncols)
-    c[T : T + n] = 0.5
-    names = tuple(
-        f"{tag}_{i}" for tag in ("p", "q", "t", "sp", "sm") for i in range(n)
-    )
-    return LPStandardForm(c, A, b, names, grid=tuple(float(v) for v in x))
+    b = np.array([1.0, mp, mp * mp + vp, 1.0, mq, mq * mq + vq])
+    c = np.zeros(3 * n)
+    c[n : 2 * n] = 1.0
+    return LPStandardForm(c, A, b, grid=tuple(float(v) for v in x))
 
 
 class OracleStatus(enum.Enum):
@@ -225,8 +202,9 @@ def solve(lp: LPStandardForm) -> OracleResult:
 
     An optimal solve yields the minimal TV (clamped to [0, 1] against
     terminal rounding) and, when the program carries its grid, the two
-    optimizing distributions with zero-probability atoms compacted.  The
-    optimizers must certify their own moment constraints at
+    optimizing distributions ``p = w + u`` and ``q = w + v`` read from the
+    blocks ``formulate`` lays out, with zero-probability atoms compacted.
+    The optimizers must certify their own moment constraints at
     ``ORACLE_MOMENT_TOL``; if they cannot, the result is demoted to
     ``NUMERIC_FAILURE`` rather than trusted.
     """
@@ -241,8 +219,9 @@ def solve(lp: LPStandardForm) -> OracleResult:
     if lp.grid is None:
         return OracleResult(OracleStatus.OPTIMAL, tv, None, None, res.iterations)
     n = len(lp.grid)
-    p_opt = _extract_dist(res.x[0:n], lp.grid)
-    q_opt = _extract_dist(res.x[n : 2 * n], lp.grid)
+    w, u, v = res.x[0:n], res.x[n : 2 * n], res.x[2 * n : 3 * n]
+    p_opt = _extract_dist(w + u, lp.grid)
+    q_opt = _extract_dist(w + v, lp.grid)
     if p_opt is None or q_opt is None:
         return OracleResult(
             OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations

@@ -1,14 +1,13 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` on a dense tableau.  Phase 1
-starts from a crash basis built out of the unit columns already present in
-``A`` (artificial variables are added only for the rows no unit column
-covers) and drives the artificials to zero; Phase 2 optimizes the real
-objective.  Pivoting uses Dantzig's rule for speed with Bland's rule as the
-anti-cycling fallback: a run of degenerate pivots switches column selection
-to smallest-index until the objective moves again, which rules out cycling
-while staying fully deterministic.  Each call owns a private tableau, so
-independent solves can run concurrently.
+starts from one artificial variable per row and drives the artificials to
+zero; Phase 2 optimizes the real objective.  Pivoting uses Dantzig's rule
+for speed with Bland's rule as the anti-cycling fallback: a run of
+degenerate pivots switches column selection to smallest-index until the
+objective moves again, which rules out cycling while staying fully
+deterministic.  Each call owns a private tableau, so independent solves
+can run concurrently.
 """
 
 from __future__ import annotations
@@ -110,58 +109,38 @@ def solve_dense(c, A, b) -> SimplexResult:
     A[negative] *= -1.0
     b[negative] *= -1.0
 
-    # crash basis: reuse unit columns of A, add artificials for the rest
-    basis = np.full(m, -1, dtype=int)
-    nnz_per_col = np.count_nonzero(A, axis=0)
-    for j in range(n):
-        if nnz_per_col[j] != 1:
-            continue
-        i = int(np.argmax(A[:, j] != 0.0))
-        if basis[i] == -1 and A[i, j] == 1.0:
-            basis[i] = j
-    artificial_rows = np.flatnonzero(basis == -1)
-    n_art = artificial_rows.size
-    ncols = n + n_art
-
+    # phase 1 starts from one artificial per row
+    ncols = n + m
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :n] = A
+    T[:m, n:ncols] = np.eye(m)
     T[:m, -1] = b
-    for k, i in enumerate(artificial_rows):
-        T[i, n + k] = 1.0
-        basis[i] = n + k
+    T[m, :n] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    basis = np.arange(n, ncols)
 
     max_iterations = 50 * (m + ncols)
-    iterations = 0
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[n:] = 1.0
-        T[m, :ncols] = cost1
-        T[m, -1] = 0.0
-        for i in range(m):
-            if cost1[basis[i]] != 0.0:
-                T[m, :] -= T[i, :]
-        status, iterations = _pivot_loop(T, basis, m, ncols, iterations, max_iterations)
-        if status != "optimal":
-            return SimplexResult(status, None, None, iterations)
-        if -T[m, -1] > PHASE1_TOL:
-            return SimplexResult("infeasible", None, None, iterations)
-        # basic artificials sit at zero; pivot them onto real columns,
-        # or drop their row entirely when it has become vacuous
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= n:
-                candidates = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-                if candidates.size:
-                    _apply_pivot(T, basis, i, int(candidates[0]))
-                    iterations += 1
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = T[keep + [m], :]
-            basis = basis[keep]
-            m = len(keep)
+    status, iterations = _pivot_loop(T, basis, m, ncols, 0, max_iterations)
+    if status != "optimal":
+        return SimplexResult(status, None, None, iterations)
+    if -T[m, -1] > PHASE1_TOL:
+        return SimplexResult("infeasible", None, None, iterations)
+    # basic artificials sit at zero; pivot them onto real columns,
+    # or drop their row entirely when it has become vacuous
+    drop: list[int] = []
+    for i in range(m):
+        if basis[i] >= n:
+            candidates = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+            if candidates.size:
+                _apply_pivot(T, basis, i, int(candidates[0]))
+                iterations += 1
+            else:
+                drop.append(i)
+    if drop:
+        keep = [i for i in range(m) if i not in drop]
+        T = T[keep + [m], :]
+        basis = basis[keep]
+        m = len(keep)
 
     # phase 2 on the real objective, artificial columns stripped
     T = np.hstack([T[:, :n], T[:, -1:]])

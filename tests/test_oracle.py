@@ -78,20 +78,24 @@ def test_formulate_shapes_and_content():
     grid = np.array([-1.0, 0.0, 1.0])
     lp = formulate(pair(0.25, 0.5, 0.0, 0.25), grid)
     n = 3
-    assert lp.constraint_matrix.shape == (6 + 2 * n, 5 * n)
-    assert lp.objective.size == 5 * n
-    assert lp.rhs.size == 6 + 2 * n
-    assert len(lp.variable_names) == 5 * n
-    assert lp.variable_names[0] == "p_0"
-    assert lp.variable_names[n] == "q_0"
-    # objective: half the sum of the deviation variables, nothing else
-    assert np.all(lp.objective[2 * n : 3 * n] == 0.5)
+    W, U, V = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    A = lp.constraint_matrix
+    assert A.shape == (6, 3 * n)
+    assert lp.objective.size == 3 * n
+    assert lp.rhs.size == 6
+    # objective: the mass of the p-side excess u, nothing else
+    assert np.all(lp.objective[U] == 1.0)
     assert np.count_nonzero(lp.objective) == n
-    # moment rows see only their own block
-    np.testing.assert_allclose(lp.rhs[:6], [1.0, 0.25, 0.3125, 1.0, 0.0, 0.0625])
-    np.testing.assert_allclose(lp.constraint_matrix[1, :n], grid)
-    np.testing.assert_allclose(lp.constraint_matrix[5, n : 2 * n], grid * grid)
-    assert np.all(lp.constraint_matrix[6:, :] * 1 == lp.constraint_matrix[6:, :])
+    np.testing.assert_allclose(lp.rhs, [1.0, 0.25, 0.3125, 1.0, 0.0, 0.0625])
+    # p = w + u carries rows 0-2 and q = w + v rows 3-5; u never meets q
+    # and v never meets p
+    for k, power in enumerate((np.ones(n), grid, grid * grid)):
+        np.testing.assert_array_equal(A[k, W], power)
+        np.testing.assert_array_equal(A[k, U], power)
+        assert np.all(A[k, V] == 0.0)
+        np.testing.assert_array_equal(A[3 + k, W], power)
+        np.testing.assert_array_equal(A[3 + k, V], power)
+        assert np.all(A[3 + k, U] == 0.0)
     assert lp.grid == (-1.0, 0.0, 1.0)
 
 
@@ -131,7 +135,6 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
         objective=np.array([-1.0, 0.0]),
         constraint_matrix=np.array([[1.0, -1.0]]),
         rhs=np.array([0.0]),
-        variable_names=("x", "y"),
     )
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
@@ -207,6 +210,69 @@ def test_soundness_floor_random_configs():
         result = minimize_tv_on_grid(this, include_witness_points=False)
         assert result.status is OracleStatus.OPTIMAL
         assert result.tv_min >= tv_lower_bound_1d(this) - 1e-8
+
+
+def _sweep_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mp = rng.uniform(-2, 2)
+        sp, sq = rng.uniform(0.2, 2, size=2)
+        yield pair(mp, sp, 0.0, sq)
+
+
+def test_seeded_sweep_has_no_numeric_failure():
+    # broad enough to reach the inputs on which a badly conditioned grid LP
+    # stalls or lands on a wrong vertex; no solve may fall back on
+    # certification to catch it
+    failures = []
+    for this in _sweep_pairs(42, 200):
+        bound = tv_lower_bound_1d(this)
+        seeded = minimize_tv_on_grid(this)
+        plain = minimize_tv_on_grid(this, include_witness_points=False)
+        if seeded.status is not OracleStatus.OPTIMAL:
+            failures.append(("witness grid", this, seeded.status))
+        elif abs(seeded.tv_min - bound) > 1e-6:
+            failures.append(("witness grid", this, seeded.tv_min, bound))
+        if plain.status is not OracleStatus.OPTIMAL:
+            failures.append(("plain grid", this, plain.status))
+        elif plain.tv_min < bound - 1e-8:
+            failures.append(("plain grid", this, plain.tv_min, bound))
+    assert not failures, failures
+
+
+def test_plain_grid_optimum_matches_reference_lp():
+    # the textbook formulation, min (1/2) sum t with t >= |p - q|, built here
+    # from the grid alone and solved by HiGHS
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for this in _sweep_pairs(43, 30):
+        grid = build_grid(GridSpec.default_for(this))
+        n = grid.size
+        eye, zero = np.eye(n), np.zeros((3, n))
+        powers = np.vstack([np.ones(n), grid, grid**2])
+        a_eq = np.block([[powers, zero, zero], [zero, powers, zero]])
+        b_eq = [
+            1.0,
+            this.p_side.mean,
+            this.p_side.mean**2 + this.p_side.stddev**2,
+            1.0,
+            this.q_side.mean,
+            this.q_side.mean**2 + this.q_side.stddev**2,
+        ]
+        a_ub = np.block([[eye, -eye, -eye], [-eye, eye, -eye]])
+        cost = np.concatenate([np.zeros(2 * n), np.full(n, 0.5)])
+        reference = linprog(
+            cost,
+            A_ub=a_ub,
+            b_ub=np.zeros(2 * n),
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert reference.status == 0, reference.message
+        result = minimize_tv_on_grid(this, include_witness_points=False)
+        assert result.status is OracleStatus.OPTIMAL
+        assert abs(result.tv_min - reference.fun) <= 1e-9, (this, result.tv_min)
 
 
 # ------------------------------------------------------------ simplex engine
