@@ -286,6 +286,10 @@ def test_translation_invariance_bit_exact(mp, sp, mq, sq, shift):
 def test_scale_covariance(mp, sp, mq, sq, t):
     base = pair(mp, sp, mq, sq)
     scaled = pair(t * mp, t * sp, t * mq, t * sq)
+    # t * m can round two distinct means onto one float (0.5 * 5e-324 == 0.0);
+    # the scaled pair then has equal means and is no longer the base pair
+    # scaled, so the property does not apply to it
+    assume((gap(scaled) == 0.0) == (gap(base) == 0.0))
     assert tv_lower_bound_1d(scaled) == pytest.approx(
         tv_lower_bound_1d(base), rel=1e-12, abs=1e-300
     )
