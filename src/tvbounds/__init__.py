@@ -4,6 +4,9 @@ The one-dimensional bound is tight and ships with constructors for the
 discrete pairs that attain it; an embedded linear-programming oracle
 re-derives the bound numerically as an independent check.  A trace bound
 covers distributions on d-space.
+
+Only the d-dimensional bound (:mod:`tvbounds.nd`), the oracle and its
+simplex import numpy; their names are resolved here on first use.
 """
 
 from .discrete import DiscreteDist, MomentSummary, check_moments, tv_distance
@@ -18,9 +21,7 @@ from .errors import (
 from .moments import (
     BoundReport1D,
     MomentPair1D,
-    MomentPairND,
     Moments1D,
-    MomentsND,
     SiblingBranch,
     anchored_tv,
     bound_report,
@@ -28,19 +29,7 @@ from .moments import (
     radical_v,
     sibling_branch_tv,
     tv_lower_bound_1d,
-    tv_lower_bound_nd,
     two_point_tv,
-)
-from .oracle import (
-    GridSpec,
-    LPStandardForm,
-    OracleResult,
-    OracleStatus,
-    build_grid,
-    check_nd_bound_random,
-    formulate,
-    minimize_tv_on_grid,
-    solve,
 )
 from .witness import (
     WitnessKind,
@@ -52,6 +41,37 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+#: Names whose modules import numpy, by the module that defines them.  They
+#: are loaded on first access, so that the one-dimensional closed forms and
+#: witnesses, and the CLI commands built on them, never import numpy.
+_LAZY = {
+    "MomentsND": ".nd",
+    "MomentPairND": ".nd",
+    "tv_lower_bound_nd": ".nd",
+    "GridSpec": ".oracle",
+    "LPStandardForm": ".oracle",
+    "OracleResult": ".oracle",
+    "OracleStatus": ".oracle",
+    "build_grid": ".oracle",
+    "check_nd_bound_random": ".oracle",
+    "formulate": ".oracle",
+    "minimize_tv_on_grid": ".oracle",
+    "solve": ".oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module, __name__), name)
+    # bind it, so later lookups no longer reach this hook
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BadParameterError",

@@ -18,21 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from . import _LAZY
 from .errors import TVBoundError
-from .moments import (
-    MomentPair1D,
-    MomentPairND,
-    MomentsND,
-    bound_report,
-    tv_lower_bound_1d,
-    tv_lower_bound_nd,
-)
-from .oracle import (
-    GridSpec,
-    OracleStatus,
-    check_nd_bound_random,
-    minimize_tv_on_grid,
-)
+from .moments import MomentPair1D, bound_report, tv_lower_bound_1d
 from .witness import (
     construct_anchored_witness,
     construct_tight_witness,
@@ -41,6 +29,19 @@ from .witness import (
 )
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
+
+
+def __getattr__(name: str) -> Any:
+    # The handlers that need numpy-side names import them when they run,
+    # so the other commands never load numpy.  The names still resolve
+    # here, through the package's table, and are bound on first access as
+    # a module-level import binds them: a caller that swaps one out and
+    # back, such as a tracer, then restores the original, not a forwarder.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 #: |tv_min - bound| at or below this certifies the grid optimum as tight.
 VERIFY_TIGHT_TOL = 1e-6
@@ -218,6 +219,8 @@ def _cmd_sequence(params: Mapping[str, Any]) -> int:
 
 
 def _cmd_verify(params: Mapping[str, Any]) -> int:
+    from .oracle import GridSpec, OracleStatus, minimize_tv_on_grid
+
     pair = _pair_from(params)
     lo, hi = params["grid_lo"], params["grid_hi"]
     if (lo is None) != (hi is None):
@@ -264,21 +267,31 @@ def _cmd_verify(params: Mapping[str, Any]) -> int:
     return code
 
 
-def _load_nd_pair(path: str) -> MomentPairND:
+def _load_nd_pair(path: str):
+    from .nd import MomentPairND, MomentsND
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CLIError(f"cannot read moments file {path!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CLIError(
+            f"moments file must hold a JSON object, got {type(payload).__name__}"
+        )
     try:
         p = MomentsND(payload["mean_p"], payload["cov_p"])
         q = MomentsND(payload["mean_q"], payload["cov_q"])
     except KeyError as exc:
         raise CLIError(f"moments file is missing key {exc}") from exc
+    except TypeError as exc:
+        raise CLIError(f"moments file holds a non-numeric field: {exc}") from exc
     return MomentPairND(p, q)
 
 
 def _cmd_nd_bound(params: Mapping[str, Any]) -> int:
+    from .nd import tv_lower_bound_nd
+
     pair = _load_nd_pair(params["path"])
     a = pair.p_side.mean - pair.q_side.mean
     _emit_json(
@@ -294,6 +307,8 @@ def _cmd_nd_bound(params: Mapping[str, Any]) -> int:
 
 
 def _cmd_nd_check(params: Mapping[str, Any]) -> int:
+    from .oracle import check_nd_bound_random
+
     dims = params["dims"]
     atoms = params["atoms"] if params["atoms"] is not None else dims + 4
     violations = check_nd_bound_random(dims, atoms, params["trials"], params["seed"])

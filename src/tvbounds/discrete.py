@@ -95,14 +95,15 @@ class DiscreteDist:
     def moments(self) -> MomentSummary:
         """Exact first two moments via compensated summation.
 
-        The variance is the raw second moment minus the squared mean,
-        clamped at 0 when rounding pushes it negative.
+        ``second_moment`` is the raw ``E[x^2]``.  The variance is summed
+        about the mean in a second pass, because ``E[x^2] - mean^2``
+        cancels catastrophically once the mean is large against the spread.
         """
         mean = math.fsum(p * x for x, p in zip(self.support, self.probs))
         second = math.fsum(p * x * x for x, p in zip(self.support, self.probs))
-        variance = second - mean * mean
-        if variance < 0.0:
-            variance = 0.0
+        variance = math.fsum(
+            p * (x - mean) ** 2 for x, p in zip(self.support, self.probs)
+        )
         return MomentSummary(mean, second, variance)
 
     def compact(self) -> "DiscreteDist":

@@ -27,14 +27,8 @@ import numpy as np
 
 from .discrete import DiscreteDist, check_moments
 from .errors import BadParameterError
-from .moments import (
-    MomentPair1D,
-    MomentPairND,
-    Moments1D,
-    MomentsND,
-    gap,
-    tv_lower_bound_nd,
-)
+from .moments import MomentPair1D, Moments1D, gap
+from .nd import MomentPairND, MomentsND, tv_lower_bound_nd
 from .simplex import SimplexResult, solve_dense
 from .witness import construct_tight_witness
 
@@ -155,7 +149,7 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     b = np.array([1.0, mp, mp * mp + vp, 1.0, mq, mq * mq + vq])
     c = np.zeros(3 * n)
     c[n : 2 * n] = 1.0
-    return LPStandardForm(c, A, b, grid=tuple(float(v) for v in x))
+    return LPStandardForm(c, A, b, grid=tuple(x.tolist()))
 
 
 class OracleStatus(enum.Enum):
@@ -194,7 +188,9 @@ def _extract_dist(raw: np.ndarray, grid: tuple[float, ...]) -> DiscreteDist | No
     if abs(total - 1.0) > 1e-9:
         return None
     w = w / total
-    return DiscreteDist(grid, tuple(float(v) for v in w)).compact()
+    # only the atoms that carry mass: the grid has n points, an optimizer a few
+    kept = np.flatnonzero(w)
+    return DiscreteDist(tuple(grid[i] for i in kept.tolist()), tuple(w[kept].tolist()))
 
 
 def solve(lp: LPStandardForm) -> OracleResult:
@@ -203,7 +199,7 @@ def solve(lp: LPStandardForm) -> OracleResult:
     An optimal solve yields the minimal TV (clamped to [0, 1] against
     terminal rounding) and, when the program carries its grid, the two
     optimizing distributions ``p = w + u`` and ``q = w + v`` read from the
-    blocks ``formulate`` lays out, with zero-probability atoms compacted.
+    blocks ``formulate`` lays out, keeping only the atoms that carry mass.
     The optimizers must certify their own moment constraints at
     ``ORACLE_MOMENT_TOL``; if they cannot, the result is demoted to
     ``NUMERIC_FAILURE`` rather than trusted.

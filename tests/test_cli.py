@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +241,19 @@ def test_nd_bound_from_file(capsys, tmp_path):
     assert report["trace_p"] == 2.0
 
 
-def test_nd_bound_rejects_malformed_file(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        '"x"',
+        '{"mean_p": {"a": 1}, "cov_p": [[1.0]], "mean_q": [0.0], "cov_q": [[1.0]]}',
+    ],
+    ids=["not-json", "top-level-list", "top-level-string", "object-field"],
+)
+def test_nd_bound_rejects_malformed_file(capsys, tmp_path, text):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text(text)
     code, _, err = run_cli(capsys, "nd-bound", str(path))
     assert code == 1 and "error:" in err
 
@@ -432,3 +446,75 @@ def test_negative_stddev_is_invalid_input(capsys):
 def test_bad_bool_is_invalid_input(capsys):
     code, _, err = run_cli(capsys, "verify", *PAIR_FLAGS, "--include-witness", "maybe")
     assert code == 1 and "error:" in err
+
+
+# ----------------------------------------------------------- import boundary
+
+# Runs in a fresh interpreter: the commands given first must not load any
+# module in NUMPY_SIDE; the ones given second then load what they need.
+_COLD_RUN = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import tvbounds
+import tvbounds.cli
+
+NUMPY_SIDE = ("numpy", "tvbounds.nd", "tvbounds.oracle", "tvbounds.simplex")
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = tvbounds.cli.main(argv)
+    return [code, out.getvalue()]
+
+
+one_d, numpy_side = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+results = [run(argv) for argv in one_d]
+loaded = [name for name in NUMPY_SIDE if name in sys.modules]
+results += [run(argv) for argv in numpy_side]
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+
+def test_one_d_commands_never_import_numpy(capsys, tmp_path):
+    import tvbounds
+    from tvbounds import cli, nd, oracle
+
+    nd_path = tmp_path / "moments.json"
+    nd_path.write_text(
+        json.dumps(
+            {"mean_p": [1.0, 0.0], "cov_p": [[2.0, 0.5], [0.5, 1.0]],
+             "mean_q": [0.0, 0.0], "cov_q": [[1.0, 0.0], [0.0, 1.0]]}
+        )
+    )
+    one_d = [
+        ["bound", *PAIR_FLAGS],
+        ["witness", *PAIR_FLAGS],
+        ["two-point", *PAIR_FLAGS],
+        ["case-c", *PAIR_FLAGS, "--q-param", "0.3"],
+        ["sequence", "--sp", "2", "--sq", "1", "--k", "10"],
+        ["sweep", "--param", "sp", "--start", "0.5", "--stop", "2", "--step", "0.5",
+         "--mp", "1", "--mq", "0", "--sq", "1"],
+    ]
+    numpy_side = [
+        ["verify", *PAIR_FLAGS, "--grid-n", "21"],
+        ["nd-bound", str(nd_path)],
+        ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, json.dumps(one_d), json.dumps(numpy_side)],
+        env=dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    cold = json.loads(proc.stdout)
+    assert cold["loaded"] == []
+    for argv, (code, out) in zip(one_d + numpy_side, cold["results"]):
+        assert run_cli(capsys, *argv)[:2] == (code, out), argv[0]
+
+    for name in tvbounds.__all__:
+        assert getattr(tvbounds, name) is not None
+    assert cli.minimize_tv_on_grid is oracle.minimize_tv_on_grid
+    assert cli.check_nd_bound_random is oracle.check_nd_bound_random
+    assert cli.MomentsND is nd.MomentsND
+    assert cli.tv_lower_bound_nd is nd.tv_lower_bound_nd

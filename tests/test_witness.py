@@ -345,6 +345,30 @@ def test_tight_witness_against_reference_oracles():
             assert var == pytest.approx(s * s, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e5, 1e6, 1e7])
+def test_witnesses_round_trip_at_large_mean_offsets(offset):
+    # With both means far above the spread, a variance taken as
+    # E[x^2] - mean^2 cancels, and every constructor used to refuse its
+    # own witness.  The gap stays above 1e-2 in size: below about 1e-3 the
+    # anchored construction refuses at every offset, 0 included, which is
+    # a defect of its own.
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        sp, sq = rng.uniform(0.1, 3.0, size=2)
+        mp = offset + rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 3.0)
+        mq = offset
+        this = pair(mp, sp, mq, sq)
+        for w in (
+            construct_tight_witness(this),
+            construct_two_point(this),
+            construct_anchored_witness(this),
+        ):
+            for dist, m, s in ((w.p_dist, mp, sp), (w.q_dist, mq, sq)):
+                mean, var = ref_moments(dist.support, dist.probs)
+                assert abs(mean - m) <= 1e-9 * (1.0 + abs(m))
+                assert abs(var - s * s) <= 1e-9 * (1.0 + s * s)
+
+
 def test_two_point_tv_consistent_with_radical(subtests=None):
     rng = np.random.default_rng(37)
     for _ in range(100):
