@@ -264,12 +264,16 @@ def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
         # v collapses onto other + a^2 and the ratio is identically 1
         return 1.0
     a2 = a * a
-    denom = _radical_poly(a, sp, sq) + (own - other) + a2
-    if denom <= 0.0:
-        # reachable only when the squared gap underflows; use the exact
-        # small-gap limit of the ratio
-        return min(1.0, max(0.0, 1.0 - own / other))
-    return min(1.0, 2.0 * a2 / denom)
+    v = _radical_poly(a, sp, sq)
+    excess = other - own
+    if excess >= 0.0:
+        # v - excess cancels at small gaps.  With v^2 - excess^2 = a^2 k and
+        # k = 2 (own + other) + a^2 the ratio is 2 (v + excess) / (v + excess
+        # + k): no difference, a denominator of at least k, and the small-gap
+        # limit 1 - own / other
+        s = v + excess
+        return min(1.0, 2.0 * s / (s + 2.0 * (own + other) + a2))
+    return min(1.0, 2.0 * a2 / (v - excess + a2))
 
 
 def bound_report(pair: MomentPair1D) -> BoundReport1D:

@@ -15,7 +15,10 @@ certifies.  The moment constraints are genuine equalities, not bands, so
 
 The d-dimensional routine never solves an LP: it draws random discrete
 pairs, computes their exact moments and exact TV, and counts violations of
-the trace bound evaluated at those computed moments.
+the trace bound evaluated at those computed moments.  It works on all
+trials at once, as numpy stacks over a leading trial axis, and validates
+every trial's moments through ``nd.validate_moments``, the checks
+``MomentsND`` makes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 from .discrete import DiscreteDist, check_moments
 from .errors import BadParameterError
 from .moments import MomentPair1D, Moments1D, gap
-from .nd import MomentPairND, MomentsND, tv_lower_bound_nd
+from .nd import trace_bound, validate_moments
+# unused here, but benchmarks/spans.py traces the n-d layer under these names
+from .nd import MomentsND, tv_lower_bound_nd  # noqa: F401
 from .simplex import SimplexResult, solve_dense
 from .witness import construct_tight_witness
 
@@ -266,6 +271,12 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     the trace bound at those computed moments.  A correct implementation
     returns 0 for any seed; every violation beyond ``ND_CHECK_TOL`` counts.
     Fully reproducible for a fixed seed.
+
+    The draws come in one batch, and so does the rest: the moments of both
+    sides of every trial are stacks of shape ``(2, trials, d)`` and
+    ``(2, trials, d, d)``, checked by ``validate_moments`` exactly as
+    ``MomentsND`` checks one matrix (a failed check raises ``ValueError``),
+    and the bound is ``trace_bound``, which ``tv_lower_bound_nd`` also uses.
     """
     if not 1 <= int(d) <= 4:
         raise BadParameterError(f"d must be in [1, 4], got {d}")
@@ -278,17 +289,14 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     points = rng.normal(size=(trials, atoms, d))
     pw = rng.dirichlet(np.ones(atoms), size=trials)
     qw = rng.dirichlet(np.ones(atoms), size=trials)
-    violations = 0
-    for t in range(trials):
-        X = points[t]
-        p = pw[t]
-        q = qw[t]
-        tv = 0.5 * float(np.abs(p - q).sum())
-        mean_p = p @ X
-        mean_q = q @ X
-        cp = (X - mean_p).T @ ((X - mean_p) * p[:, None])
-        cq = (X - mean_q).T @ ((X - mean_q) * q[:, None])
-        pair = MomentPairND(MomentsND(mean_p, cp), MomentsND(mean_q, cq))
-        if tv < tv_lower_bound_nd(pair) - ND_CHECK_TOL:
-            violations += 1
-    return violations
+    tv = 0.5 * np.abs(pw - qw).sum(axis=1)
+    # both sides at once: axis 0 is the side (p, q), axis 1 the trial
+    weights = np.stack([pw, qw])
+    means = (weights[:, :, None, :] @ points)[:, :, 0, :]
+    centred = points - means[:, :, None, :]
+    covs = np.swapaxes(centred, -1, -2) @ (centred * weights[..., None])
+    covs = validate_moments(means, covs)
+    traces = np.einsum("stii->st", covs)
+    a = means[0] - means[1]
+    bound = trace_bound(np.einsum("ti,ti->t", a, a), traces[0], traces[1])
+    return int(np.count_nonzero(tv < bound - ND_CHECK_TOL))

@@ -26,6 +26,7 @@ from tvbounds import (
     tv_lower_bound_nd,
     two_point_tv,
 )
+from tvbounds.nd import validate_moments
 
 from conftest import ref_moments
 
@@ -389,6 +390,65 @@ def test_momentsnd_symmetrizes_roundoff():
     m = MomentsND([0, 0], [[1.0, 0.5 + wobble], [0.5 - wobble, 1.0]])
     assert m.covariance[0, 1] == m.covariance[1, 0]
     assert m.trace == pytest.approx(2.0)
+
+
+_GOOD_2D = [[2.0, 0.3], [0.3, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "mean,bad",
+    [
+        ([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]]),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([np.nan, 0.0], _GOOD_2D),
+        ([0.0], [[-1.0]]),
+        ([0.0], [[np.inf]]),
+    ],
+    ids=["asymmetric", "indefinite", "nan", "inf", "nan-mean", "negative-1x1", "inf-1x1"],
+)
+def test_validate_moments_stack_raises_what_momentsnd_raises(mean, bad):
+    # a stack of shape (2, 3, d, d) with one bad matrix, as the n-d check
+    # stacks (side, trial); the error is the one that matrix gives alone
+    with pytest.raises(ValueError) as alone:
+        MomentsND(mean, bad)
+    d = len(mean)
+    means = np.zeros((2, 3, d))
+    covs = np.tile(np.eye(d), (2, 3, 1, 1))
+    means[1, 2] = mean
+    covs[1, 2] = bad
+    with pytest.raises(ValueError) as stacked:
+        validate_moments(means, covs)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_validate_moments_stack_names_first_indefinite_matrix():
+    first = [[1.0, 2.0], [2.0, 1.0]]
+    second = [[1.0, 3.0], [3.0, 1.0]]
+    with pytest.raises(ValueError) as alone:
+        MomentsND([0.0, 0.0], first)
+    with pytest.raises(ValueError) as stacked:
+        validate_moments(np.zeros((3, 2)), np.array([_GOOD_2D, first, second]))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_validate_moments_stack_matches_momentsnd_covariances():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 4):
+        roots = rng.normal(size=(5, d, d))
+        covs = roots @ np.swapaxes(roots, -1, -2)
+        # round-off sized asymmetry that the check repairs
+        covs[:, 0, -1] += 1e-13
+        means = rng.normal(size=(5, d))
+        checked = validate_moments(means, covs)
+        for mean, cov, got in zip(means, covs, checked):
+            np.testing.assert_array_equal(got, MomentsND(mean, cov).covariance)
+
+
+def test_validate_moments_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        validate_moments(np.zeros((3, 2)), np.zeros((3, 3, 3)))
 
 
 def test_moments1d_validation():

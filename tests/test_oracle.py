@@ -11,6 +11,8 @@ from tvbounds import (
     LPStandardForm,
     Moments1D,
     MomentPair1D,
+    MomentPairND,
+    MomentsND,
     OracleStatus,
     build_grid,
     check_moments,
@@ -20,7 +22,9 @@ from tvbounds import (
     minimize_tv_on_grid,
     solve,
     tv_lower_bound_1d,
+    tv_lower_bound_nd,
 )
+import tvbounds.oracle as oracle
 from tvbounds.simplex import solve_dense
 
 
@@ -338,3 +342,42 @@ def test_nd_check_deterministic():
 def test_nd_check_parameter_validation(d, atoms, trials):
     with pytest.raises(BadParameterError):
         check_nd_bound_random(d, atoms, trials, 0)
+
+
+def _loop_margins(d, atoms, trials, seed):
+    """tv - bound for every trial, the way one trial at a time works it out:
+    a validated ``MomentsND`` per side and ``tv_lower_bound_nd``, on the
+    draws ``check_nd_bound_random`` makes for the same arguments."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(trials, atoms, d))
+    pw = rng.dirichlet(np.ones(atoms), size=trials)
+    qw = rng.dirichlet(np.ones(atoms), size=trials)
+    margins = []
+    for X, p, q in zip(points, pw, qw):
+        tv = 0.5 * float(np.abs(p - q).sum())
+        mean_p, mean_q = p @ X, q @ X
+        cp = (X - mean_p).T @ ((X - mean_p) * p[:, None])
+        cq = (X - mean_q).T @ ((X - mean_q) * q[:, None])
+        pair_nd = MomentPairND(MomentsND(mean_p, cp), MomentsND(mean_q, cq))
+        margins.append(tv - tv_lower_bound_nd(pair_nd))
+    return margins
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra_atoms", [2, 4])
+@pytest.mark.parametrize("seed", [5, 77, 2026])
+def test_nd_check_agrees_with_per_trial_loop(d, extra_atoms, seed, monkeypatch):
+    atoms, trials = d + extra_atoms, 120
+    margins = _loop_margins(d, atoms, trials, seed)
+    violations = sum(m < -oracle.ND_CHECK_TOL for m in margins)
+    assert check_nd_bound_random(d, atoms, trials, seed) == violations
+    # the lowest margin agrees to 1e-12: no trial sits further below it,
+    # and one sits within 1e-12 of it
+    lowest = min(margins)
+    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest - 1e-12))
+    assert check_nd_bound_random(d, atoms, trials, seed) == 0
+    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest + 1e-12))
+    assert check_nd_bound_random(d, atoms, trials, seed) >= 1
+    # a tolerance of -1 makes every trial a violation, so the counter is live
+    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -1.0)
+    assert check_nd_bound_random(d, atoms, trials, seed) == trials

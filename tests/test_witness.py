@@ -229,6 +229,36 @@ def test_anchored_errors():
             construct_anchored_witness(pair(1, 1, 0, 1), bad)
 
 
+def test_anchored_witness_round_trips_at_small_gaps():
+    # When the anchored side has the smaller variance, the textbook
+    # denominator v + (own - other) + a^2 cancels as the gap shrinks; the
+    # witness must still meet its own moments for gaps down to 1e-8.
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        a = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-8), math.log(3.0)))
+        sp, sq = rng.uniform(0.1, 3.0, size=2)
+        this = pair(a, sp, 0.0, sq)
+        w = construct_anchored_witness(this)
+        assert w.claimed_tv == anchored_tv(this, "p")
+        for dist, m, s in ((w.p_dist, a, sp), (w.q_dist, 0.0, sq)):
+            mean, var = ref_moments(dist.support, dist.probs)
+            assert abs(mean - m) <= 1e-9 * (1.0 + abs(m))
+            assert abs(var - s * s) <= 1e-9 * (1.0 + s * s)
+
+
+def test_anchored_tv_small_gap_limit():
+    # a gap whose square underflows lands on the a -> 0 limit 1 - own/other,
+    # which is 0 when the two variances agree
+    assert anchored_tv(pair(1e-170, 0.5, 0.0, 1.5), "p") == pytest.approx(
+        1.0 - 0.25 / 2.25, rel=1e-15
+    )
+    assert anchored_tv(pair(1e-170, 1.5, 0.0, 0.5), "q") == pytest.approx(
+        1.0 - 0.25 / 2.25, rel=1e-15
+    )
+    assert anchored_tv(pair(1e-170, 1.0, 0.0, 1.0), "p") == 0.0
+    assert anchored_tv(pair(1e-170, 1.5, 0.0, 0.5), "p") == 0.0
+
+
 # ---------------------------------------------------------------- orderings
 
 
@@ -349,9 +379,8 @@ def test_tight_witness_against_reference_oracles():
 def test_witnesses_round_trip_at_large_mean_offsets(offset):
     # With both means far above the spread, a variance taken as
     # E[x^2] - mean^2 cancels, and every constructor used to refuse its
-    # own witness.  The gap stays above 1e-2 in size: below about 1e-3 the
-    # anchored construction refuses at every offset, 0 included, which is
-    # a defect of its own.
+    # own witness.  The gap stays above 1e-2 in size; small gaps have a
+    # test of their own, test_anchored_witness_round_trips_at_small_gaps.
     rng = np.random.default_rng(2026)
     for _ in range(100):
         sp, sq = rng.uniform(0.1, 3.0, size=2)
