@@ -138,12 +138,13 @@ def _scaled_triple(pair: MomentPair1D) -> tuple[float, float, float]:
 
 
 def _radical_poly(a: float, sp: float, sq: float) -> float:
-    # the radicand is a sum of non-negative terms, evaluated exactly as
-    # written with no algebraic re-factoring: no cancellation can occur
+    # the radicand is a sum of non-negative terms, so the sum cannot cancel;
+    # the variance difference is taken as (sq - sp)(sq + sp), which keeps
+    # the relative accuracy of the stddevs where vq - vp of the rounded
+    # squares would cancel for close stddevs
     a2 = a * a
-    vp = sp * sp
-    vq = sq * sq
-    return math.sqrt((vq - vp) ** 2 + 2.0 * a2 * (vp + vq) + a2 * a2)
+    dv = (sq - sp) * (sq + sp)
+    return math.sqrt(dv * dv + 2.0 * a2 * (sp * sp + sq * sq) + a2 * a2)
 
 
 def radical_v(pair: MomentPair1D) -> float:
@@ -251,21 +252,23 @@ def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
             raise DegenerateVarianceError(
                 "p-anchored value needs a positive stddev on the q side"
             )
-        own, other = sp * sp, sq * sq
+        own_sd, other_sd = sp, sq
     elif anchor == "q":
         if pair.p_side.stddev == 0.0:
             raise DegenerateVarianceError(
                 "q-anchored value needs a positive stddev on the p side"
             )
-        own, other = sq * sq, sp * sp
+        own_sd, other_sd = sq, sp
     else:
         raise BadParameterError(f"anchor must be 'p' or 'q', got {anchor!r}")
+    own, other = own_sd * own_sd, other_sd * other_sd
     if own == 0.0:
         # v collapses onto other + a^2 and the ratio is identically 1
         return 1.0
     a2 = a * a
     v = _radical_poly(a, sp, sq)
-    excess = other - own
+    # factored as in _radical_poly, so close stddevs do not cancel
+    excess = (other_sd - own_sd) * (other_sd + own_sd)
     if excess >= 0.0:
         # v - excess cancels at small gaps.  With v^2 - excess^2 = a^2 k and
         # k = 2 (own + other) + a^2 the ratio is 2 (v + excess) / (v + excess

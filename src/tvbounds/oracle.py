@@ -103,10 +103,11 @@ def build_grid(spec: GridSpec) -> np.ndarray:
     )
     pts.sort(kind="stable")
     tol = GRID_DEDUP_REL * (1.0 + float(np.max(np.abs(pts))))
-    kept = [float(pts[0])]
-    for x in pts[1:]:
-        if float(x) - kept[-1] > tol:
-            kept.append(float(x))
+    values = pts.tolist()
+    kept = values[:1]
+    for x in values[1:]:
+        if x - kept[-1] > tol:
+            kept.append(x)
     return np.array(kept)
 
 
@@ -146,9 +147,13 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     n = x.size
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    powers = np.vstack([np.ones(n), x, x * x])
-    zeros = np.zeros((3, n))
-    A = np.block([[powers, powers, zeros], [powers, zeros, powers]])
+    # rows 0-2 carry the powers 1, x, x^2 of the grid on the w and u
+    # blocks, rows 3-5 on the w and v blocks
+    A = np.zeros((6, 3 * n))
+    A[0, :n] = 1.0
+    A[1, :n] = x
+    A[2, :n] = x * x
+    A[0:3, n : 2 * n] = A[3:6, :n] = A[3:6, 2 * n :] = A[0:3, :n]
     mp, vp = pair.p_side.mean, pair.p_side.variance
     mq, vq = pair.q_side.mean, pair.q_side.variance
     b = np.array([1.0, mp, mp * mp + vp, 1.0, mq, mq * mq + vq])

@@ -8,6 +8,12 @@ degenerate pivots switches column selection to smallest-index until the
 objective moves again, which rules out cycling while staying fully
 deterministic.  Each call owns a private tableau, so independent solves
 can run concurrently.
+
+The programs the grid oracle hands over have six rows and hundreds of
+columns, so a pivot costs little arithmetic and the kernel keeps its NumPy
+calls few: the entering column comes from one ``argmin`` over the reduced
+costs, the ratio test runs in plain Python over the m rows, and the update
+is one row scale plus one rank-1 update of the whole tableau.
 """
 
 from __future__ import annotations
@@ -35,20 +41,22 @@ class SimplexResult(NamedTuple):
     iterations: int
 
 
-def _apply_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row, :] /= T[row, col]
-    factors = T[:, col].copy()
+def _apply_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update."""
+    prow = T[row]
+    prow /= prow[col]
+    factors = T[:, col : col + 1].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
+    T -= factors * prow
     # keep the basic column an exact unit vector
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    prow[col] = 1.0
     basis[row] = col
 
 
 def _pivot_loop(
     T: np.ndarray,
-    basis: np.ndarray,
+    basis: list[int],
     m: int,
     ncols: int,
     iterations: int,
@@ -57,26 +65,36 @@ def _pivot_loop(
     """Run pivots until the tableau's bottom row shows optimality."""
     bland = False
     stalled = 0
+    # views into T, which every pivot updates in place
+    reduced = T[m, :ncols]
+    rhs = T[:m, -1]
     while True:
-        reduced = T[m, :ncols]
         if bland:
-            eligible = np.flatnonzero(reduced < -OPT_TOL)
+            eligible = (reduced < -OPT_TOL).nonzero()[0]
             if eligible.size == 0:
                 return "optimal", iterations
             col = int(eligible[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -OPT_TOL:
                 return "optimal", iterations
-        direction = T[:m, col]
-        rows = np.flatnonzero(direction > PIVOT_TOL)
-        if rows.size == 0:
+        # ratio test over the m rows: smallest rhs / entry among entries
+        # above PIVOT_TOL; the smallest basis index among ties keeps the
+        # walk deterministic
+        row = -1
+        best = 0.0
+        entries = T[:m, col].tolist()
+        for i, (entry, value) in enumerate(zip(entries, rhs.tolist())):
+            if entry > PIVOT_TOL:
+                ratio = value / entry
+                if (
+                    row < 0
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[row])
+                ):
+                    row, best = i, ratio
+        if row < 0:
             return "unbounded", iterations
-        ratios = T[rows, -1] / direction[rows]
-        best = float(ratios.min())
-        tied = rows[ratios == best]
-        # smallest basis index among ties keeps the walk deterministic
-        row = int(tied[np.argmin(basis[tied])]) if tied.size > 1 else int(tied[0])
         _apply_pivot(T, basis, row, col)
         iterations += 1
         if iterations >= max_iterations:
@@ -95,7 +113,8 @@ def solve_dense(c, A, b) -> SimplexResult:
 
     Deterministic: the same inputs always produce bit-identical results.
     The iteration budget is ``50 * (rows + columns)`` counted across both
-    phases, after which the solve reports ``iteration_limit``.
+    phases, after which the solve reports ``iteration_limit``.  Raises
+    ``ValueError`` on inconsistent dimensions or a non-finite coefficient.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
@@ -103,6 +122,10 @@ def solve_dense(c, A, b) -> SimplexResult:
     m, n = A.shape
     if b.size != m or c.size != n:
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        # a NaN fails every ratio test and pivot comparison, so the walk
+        # would run to the iteration budget on garbage
+        raise ValueError("LP coefficients must be finite")
 
     # orient every row so the right-hand side is non-negative
     negative = b < 0.0
@@ -117,7 +140,7 @@ def solve_dense(c, A, b) -> SimplexResult:
     T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
-    basis = np.arange(n, ncols)
+    basis = list(range(n, ncols))
 
     max_iterations = 50 * (m + ncols)
     status, iterations = _pivot_loop(T, basis, m, ncols, 0, max_iterations)
@@ -130,7 +153,7 @@ def solve_dense(c, A, b) -> SimplexResult:
     drop: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+            candidates = (np.abs(T[i, :n]) > PIVOT_TOL).nonzero()[0]
             if candidates.size:
                 _apply_pivot(T, basis, i, int(candidates[0]))
                 iterations += 1
@@ -139,7 +162,7 @@ def solve_dense(c, A, b) -> SimplexResult:
     if drop:
         keep = [i for i in range(m) if i not in drop]
         T = T[keep + [m], :]
-        basis = basis[keep]
+        basis = [basis[i] for i in keep]
         m = len(keep)
 
     # phase 2 on the real objective, artificial columns stripped

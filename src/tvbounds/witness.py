@@ -293,6 +293,9 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
         If either standard deviation is zero.
     BadParameterError
         If ``q_param`` is not strictly inside (0, 1).
+    WitnessConstructionError
+        If the anchored value underflows to 0 (a gap whose square
+        underflows), which leaves the exclusive atom no finite position.
     """
     a = gap(pair)
     if a == 0.0:
@@ -307,6 +310,13 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     if not 0.0 < q_param < 1.0:
         raise BadParameterError(f"q_param must be in (0, 1), got {q_param}")
     p = anchored_tv(pair, "p")
+    if p == 0.0:
+        # the squared gap underflows; the exclusive atom a / p + mq would
+        # sit at infinity
+        raise WitnessConstructionError(
+            f"anchored value underflows to 0 at mean gap {a!r}; "
+            "the exclusive atom has no finite position"
+        )
     x3 = (a + p * mq) / p
     x1 = mq + sq * math.sqrt(q_param / (1.0 - q_param))
     x2 = mq - sq * math.sqrt((1.0 - q_param) / q_param)

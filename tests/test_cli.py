@@ -143,6 +143,16 @@ def test_case_c_rejects_bad_q_param(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_case_c_underflowed_anchored_value_is_an_error(capsys):
+    # the squared gap underflows, so the anchored value is 0
+    code, out, err = run_cli(
+        capsys, "case-c", "--mp", "1e-170", "--sp", "1", "--mq", "0", "--sq", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "underflows to 0" in err
+
+
 def test_sequence_output(capsys):
     code, payload = run_json(
         capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "10"
@@ -215,6 +225,16 @@ def test_verify_infeasible_grid_fails_verification(capsys):
     )
     assert code == 2
     assert payload["verdict"] == "infeasible"
+
+
+def test_verify_overflowing_grid_is_an_error(capsys):
+    # the grid reaches 1e160, whose square overflows in the second-moment row
+    args = ("--mp", "1e160", "--sp", "1", "--mq", "0", "--sq", "1")
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, "verify", *args, "--include-witness", "false")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_verify_rejects_half_grid_range(capsys):

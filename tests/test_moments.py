@@ -171,6 +171,41 @@ def test_anchored_swap_symmetry():
         assert anchored_tv(fwd, "q") == anchored_tv(rev, "p")
 
 
+def _decimal_reference(a, sp, sq):
+    """radical_v, two_point_tv and both anchored values at 60 digits, from
+    the exact values of the float inputs."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a2, vp, vq = Decimal(a) ** 2, Decimal(sp) ** 2, Decimal(sq) ** 2
+        v = ((vq - vp) ** 2 + 2 * a2 * (vp + vq) + a2 * a2).sqrt()
+        return v, a2 / v, 2 * a2 / (v + vp - vq + a2), 2 * a2 / (v + vq - vp + a2)
+
+
+def test_close_stddevs_match_decimal_reference():
+    # close stddevs at small gaps, where a variance difference taken from
+    # the rounded squares cancels (relative errors up to 6.8e-13)
+    from decimal import Decimal
+
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        sp = rng.uniform(0.3, 2.0)
+        step = math.exp(rng.uniform(math.log(2e-4), math.log(5e-4)))
+        a = math.exp(rng.uniform(math.log(3e-7), math.log(5e-4)))
+        sq = sp + rng.choice((-1.0, 1.0)) * step
+        a *= rng.choice((-1.0, 1.0))
+        this = pair(a, sp, 0.0, sq)
+        got = (
+            radical_v(this),
+            two_point_tv(this),
+            anchored_tv(this, "p"),
+            anchored_tv(this, "q"),
+        )
+        for value, want in zip(got, _decimal_reference(a, sp, sq)):
+            assert abs(Decimal(value) - want) <= Decimal("1e-14") * want, (a, sp, sq)
+
+
 # ----------------------------------------------------------------- report
 
 

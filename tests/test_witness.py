@@ -259,6 +259,16 @@ def test_anchored_tv_small_gap_limit():
     assert anchored_tv(pair(1e-170, 1.5, 0.0, 0.5), "p") == 0.0
 
 
+@pytest.mark.parametrize("sp,sq", [(1.0, 1.0), (1.5, 0.5)])
+def test_anchored_witness_refuses_underflowed_value(sp, sq):
+    # the anchored value is 0 here, so the exclusive atom a / p + mq has no
+    # finite position: a specific refusal, not a ZeroDivisionError
+    this = pair(1e-170, sp, 0.0, sq)
+    assert anchored_tv(this, "p") == 0.0
+    with pytest.raises(WitnessConstructionError, match="underflows to 0"):
+        construct_anchored_witness(this)
+
+
 # ---------------------------------------------------------------- orderings
 
 
