@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from . import _LAZY
 from .errors import TVBoundError
@@ -63,8 +62,7 @@ class CLIError(ValueError):
     """Invalid command line or input file; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A parsed invocation: the command name plus its flag values."""
 
     command: str

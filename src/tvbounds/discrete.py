@@ -5,15 +5,21 @@ witnesses and LP solutions.  Moment and TV arithmetic on it is exact up to
 compensated summation (``math.fsum``), which keeps the advertised round-trip
 tolerances reachable even on supports spanning several orders of magnitude.
 All values are immutable after construction and every operation is pure.
+
+The records follow the package's two idioms: ``MomentSummary``, which
+checks nothing, is a ``typing.NamedTuple``; ``DiscreteDist`` validates, so
+it is a ``__slots__`` subclass of :class:`~tvbounds.moments.FrozenRecord`
+that checks in its ``__init__`` and refuses assignment afterwards.  Neither
+idiom imports more of the standard library than ``typing``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .moments import Moments1D
+from .moments import FrozenRecord, Moments1D
 
 __all__ = ["DiscreteDist", "MomentSummary", "tv_distance", "check_moments"]
 
@@ -27,8 +33,7 @@ def _merge_tol(points) -> float:
     return SUPPORT_MERGE_REL * (1.0 + max(abs(x) for x in points))
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """Mean, raw second moment and variance of a discrete distribution."""
 
     mean: float
@@ -36,8 +41,7 @@ class MomentSummary:
     variance: float
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+class DiscreteDist(FrozenRecord):
     """A probability distribution with finitely many atoms on the real line.
 
     Construction sorts the atoms, merges support points closer than
@@ -48,12 +52,11 @@ class DiscreteDist:
     strips them on demand.
     """
 
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
+    __slots__ = ("support", "probs")
 
-    def __post_init__(self) -> None:
-        support = [float(x) for x in self.support]
-        probs = [float(p) for p in self.probs]
+    def __init__(self, support: tuple[float, ...], probs: tuple[float, ...]) -> None:
+        support = [float(x) for x in support]
+        probs = [float(p) for p in probs]
         if len(support) != len(probs):
             raise ValueError(
                 f"support has {len(support)} points but probs has {len(probs)}"
@@ -101,9 +104,10 @@ class DiscreteDist:
         """
         mean = math.fsum(p * x for x, p in zip(self.support, self.probs))
         second = math.fsum(p * x * x for x, p in zip(self.support, self.probs))
-        variance = math.fsum(
-            p * (x - mean) ** 2 for x, p in zip(self.support, self.probs)
-        )
+        # squared by a product: float ** raises OverflowError where the
+        # product overflows to inf, which the moment checks then reject
+        deviations = [x - mean for x in self.support]
+        variance = math.fsum(p * (d * d) for d, p in zip(deviations, self.probs))
         return MomentSummary(mean, second, variance)
 
     def compact(self) -> "DiscreteDist":

@@ -12,7 +12,6 @@ the tight bound, which makes them useful consistency diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -43,16 +42,52 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Moments1D:
+class FrozenRecord:
+    """Base of the immutable records that validate their fields.
+
+    A subclass lists its fields in ``__slots__`` and checks them in a plain
+    ``__init__``, which stores them with ``object.__setattr__``; afterwards
+    every assignment or deletion raises ``AttributeError``.  Records compare,
+    hash and print by the values of their fields, in slot order.  Records
+    without checks are ``typing.NamedTuple`` classes instead.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__, so a copy or unpickled record is checked
+        return type(self), self._values()
+
+
+class Moments1D(FrozenRecord):
     """Mean and standard deviation of a distribution on the real line."""
 
-    mean: float
-    stddev: float
+    __slots__ = ("mean", "stddev")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", _finite("mean", self.mean))
-        object.__setattr__(self, "stddev", _finite("stddev", self.stddev))
+    def __init__(self, mean: float, stddev: float) -> None:
+        object.__setattr__(self, "mean", _finite("mean", mean))
+        object.__setattr__(self, "stddev", _finite("stddev", stddev))
         if self.stddev < 0.0:
             raise ValueError(f"stddev must be non-negative, got {self.stddev}")
 
@@ -61,8 +96,7 @@ class Moments1D:
         return self.stddev * self.stddev
 
 
-@dataclass(frozen=True)
-class MomentPair1D:
+class MomentPair1D(NamedTuple):
     """Moment constraints for a pair of distributions on the real line."""
 
     p_side: Moments1D
@@ -85,8 +119,7 @@ class SiblingBranch(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True)
-class BoundReport1D:
+class BoundReport1D(NamedTuple):
     """Tight bound plus the dominating stationary diagnostics for one pair.
 
     ``attained`` is False exactly when the means agree but the standard

@@ -8,11 +8,10 @@ layer that needs numpy; the one-dimensional closed forms live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .moments import FrozenRecord
 
 __all__ = [
     "MomentsND",
@@ -77,25 +76,25 @@ def trace_bound(gap_norm_sq, trace_p, trace_q):
     return gap_norm_sq / np.where(gap_norm_sq == 0.0, 1.0, spread + gap_norm_sq)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentsND:
+class MomentsND(FrozenRecord):
     """Mean vector and covariance matrix of a distribution on d-space.
 
     The covariance must be symmetric within ``COV_SYMMETRY_TOL`` (entrywise,
     absolute) and positive semidefinite up to a scaled eigenvalue tolerance,
     as ``validate_moments`` checks.  User-supplied matrices routinely carry
     round-off, so the symmetrized average with the transpose is what gets
-    stored and tested.
+    stored and tested.  Compares by identity: its fields are arrays.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
+    __slots__ = ("mean", "covariance")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
+    def __init__(self, mean, covariance) -> None:
+        mean = np.array(mean, dtype=float)
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError("mean must be a non-empty 1-D vector")
-        cov = validate_moments(mean, np.array(self.covariance, dtype=float))
+        cov = validate_moments(mean, np.array(covariance, dtype=float))
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -110,18 +109,23 @@ class MomentsND:
         return float(np.trace(self.covariance))
 
 
-@dataclass(frozen=True, eq=False)
-class MomentPairND:
-    """Moment constraints for a pair of distributions on d-space."""
+class MomentPairND(FrozenRecord):
+    """Moment constraints for a pair of distributions on d-space.
 
-    p_side: MomentsND
-    q_side: MomentsND
+    Compares by identity, like the ``MomentsND`` sides it holds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p_side.dim != self.q_side.dim:
+    __slots__ = ("p_side", "q_side")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, p_side: MomentsND, q_side: MomentsND) -> None:
+        if p_side.dim != q_side.dim:
             raise DimensionMismatchError(
-                f"sides have dimensions {self.p_side.dim} and {self.q_side.dim}"
+                f"sides have dimensions {p_side.dim} and {q_side.dim}"
             )
+        object.__setattr__(self, "p_side", p_side)
+        object.__setattr__(self, "q_side", q_side)
 
     @property
     def dim(self) -> int:

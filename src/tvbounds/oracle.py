@@ -24,13 +24,13 @@ every trial's moments through ``nd.validate_moments``, the checks
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .discrete import DiscreteDist, check_moments
 from .errors import BadParameterError
-from .moments import MomentPair1D, Moments1D, gap
+from .moments import FrozenRecord, MomentPair1D, Moments1D, gap
 from .nd import trace_bound, validate_moments
 # unused here, but benchmarks/spans.py traces the n-d layer under these names
 from .nd import MomentsND, tv_lower_bound_nd  # noqa: F401
@@ -57,28 +57,26 @@ ORACLE_MOMENT_TOL = 1e-7
 ND_CHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(FrozenRecord):
     """A uniform grid on [lo, hi] with optional extra points merged in."""
 
-    lo: float
-    hi: float
-    count: int
-    extra_points: tuple[float, ...] = ()
+    __slots__ = ("lo", "hi", "count", "extra_points")
 
-    def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __init__(
+        self, lo: float, hi: float, count: int, extra_points: tuple[float, ...] = ()
+    ) -> None:
+        lo = float(lo)
+        hi = float(hi)
         if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
             raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
-        if int(self.count) < 2:
-            raise ValueError(f"count must be >= 2, got {self.count}")
-        extras = tuple(float(x) for x in self.extra_points)
+        if int(count) < 2:
+            raise ValueError(f"count must be >= 2, got {count}")
+        extras = tuple(float(x) for x in extra_points)
         if any(not np.isfinite(x) for x in extras):
             raise ValueError("extra points must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", int(count))
         object.__setattr__(self, "extra_points", extras)
 
     @classmethod
@@ -111,23 +109,31 @@ def build_grid(spec: GridSpec) -> np.ndarray:
     return np.array(kept)
 
 
-@dataclass(frozen=True, eq=False)
-class LPStandardForm:
+class LPStandardForm(FrozenRecord):
     """``min objective . x  s.t.  constraint_matrix x = rhs, x >= 0``.
 
     ``grid`` carries the support the probability variables live on so that
     a solve can hand back the optimizers as distributions; it plays no role
-    in the algebra.
+    in the algebra.  Compares by identity: its fields are arrays.
     """
 
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    rhs: np.ndarray
-    grid: tuple[float, ...] | None = None
+    __slots__ = ("objective", "constraint_matrix", "rhs", "grid")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.constraint_matrix.shape != (self.rhs.size, self.objective.size):
+    def __init__(
+        self,
+        objective: np.ndarray,
+        constraint_matrix: np.ndarray,
+        rhs: np.ndarray,
+        grid: tuple[float, ...] | None = None,
+    ) -> None:
+        if constraint_matrix.shape != (rhs.size, objective.size):
             raise ValueError("inconsistent LP dimensions")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraint_matrix", constraint_matrix)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "grid", grid)
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
@@ -168,8 +174,7 @@ class OracleStatus(enum.Enum):
     NUMERIC_FAILURE = "numeric_failure"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Outcome of one grid minimization."""
 
     status: OracleStatus

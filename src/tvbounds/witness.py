@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .discrete import DiscreteDist, check_moments, tv_distance
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     WitnessConstructionError,
 )
 from .moments import (
+    FrozenRecord,
     MomentPair1D,
     Moments1D,
     anchored_tv,
@@ -60,25 +60,29 @@ class WitnessKind(enum.Enum):
     VANISHING_SEQUENCE = "vanishing_sequence"
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(FrozenRecord):
     """Two distributions on a shared support with a verified TV value."""
 
-    p_dist: DiscreteDist
-    q_dist: DiscreteDist
-    claimed_tv: float
-    kind: WitnessKind
+    __slots__ = ("p_dist", "q_dist", "claimed_tv", "kind")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.claimed_tv <= 1.0:
+    def __init__(
+        self,
+        p_dist: DiscreteDist,
+        q_dist: DiscreteDist,
+        claimed_tv: float,
+        kind: WitnessKind,
+    ) -> None:
+        if not 0.0 <= claimed_tv <= 1.0:
+            raise WitnessConstructionError(f"claimed TV {claimed_tv!r} is outside [0, 1]")
+        actual = tv_distance(p_dist, q_dist)
+        if abs(actual - claimed_tv) > TV_MATCH_TOL:
             raise WitnessConstructionError(
-                f"claimed TV {self.claimed_tv!r} is outside [0, 1]"
+                f"claimed TV {claimed_tv!r} but the atoms give {actual!r}"
             )
-        actual = tv_distance(self.p_dist, self.q_dist)
-        if abs(actual - self.claimed_tv) > TV_MATCH_TOL:
-            raise WitnessConstructionError(
-                f"claimed TV {self.claimed_tv!r} but the atoms give {actual!r}"
-            )
+        object.__setattr__(self, "p_dist", p_dist)
+        object.__setattr__(self, "q_dist", q_dist)
+        object.__setattr__(self, "claimed_tv", claimed_tv)
+        object.__setattr__(self, "kind", kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,9 +261,12 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     # p = 1/2 + s (sp^2 - sq^2 - a^2) / (2v) and q = p + a|a|/v; whichever of
     # each mass and its complement is small is computed by the equivalent
     # product form (v^2 minus the squared numerator factors through 4 a^2
-    # times the matching variance) to keep its relative error at machine level
-    p, one_minus_p = _stable_mass(s * (sp * sp - sq * sq - a * a), v, a * sp)
-    q, one_minus_q = _stable_mass(s * (sp * sp - sq * sq + a * a), v, a * sq)
+    # times the matching variance) to keep its relative error at machine level.
+    # The variance difference is factored as in moments._radical_poly, so
+    # close stddevs do not cancel
+    dv = (sp - sq) * (sp + sq)
+    p, one_minus_p = _stable_mass(s * (dv - a * a), v, a * sp)
+    q, one_minus_q = _stable_mass(s * (dv + a * a), v, a * sq)
     if p <= 0.0 or one_minus_p <= 0.0:
         raise WitnessConstructionError(
             f"two-point mass parameter {p!r} leaves no room for a second atom"

@@ -131,6 +131,20 @@ def test_two_point_output(capsys):
     assert payload["tv"] == pytest.approx(1 / math.sqrt(5), rel=1e-12)
 
 
+def test_two_point_close_stddevs_small_gap(capsys):
+    # masses taken from the rounded squares sp*sp - sq*sq cancelled here and
+    # summed to 1 - 1.9e-12, outside the distribution's tolerance
+    args = ("--mp", "1.7659622276859974", "--sp", "0.4778810938725085",
+            "--mq", "1.765962237876515", "--sq", "0.4778832817022429")
+    code, payload = run_json(capsys, "two-point", *args)
+    assert code == 0
+    p = DiscreteDist.from_json_dict(payload["p"])
+    q = DiscreteDist.from_json_dict(payload["q"])
+    assert tv_distance(p, q) == pytest.approx(payload["tv"], abs=1e-12)
+    assert check_moments(p, Moments1D(float(args[1]), float(args[3])), 1e-9)
+    assert check_moments(q, Moments1D(float(args[5]), float(args[7])), 1e-9)
+
+
 def test_case_c_output(capsys):
     code, payload = run_json(capsys, "case-c", *PAIR_FLAGS, "--q-param", "0.5")
     assert code == 0
@@ -235,6 +249,17 @@ def test_verify_overflowing_grid_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_overflowing_witness_moments_are_an_error(capsys, command):
+    # the witness atoms' squared deviations overflow, so the moment check
+    # rejects the pair; squaring with ** raised OverflowError instead
+    args = ("--mp", "1e200", "--sp", "1", "--mq", "0", "--sq", "1")
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: three_point witness: p side moments")
 
 
 def test_verify_rejects_half_grid_range(capsys):
@@ -476,10 +501,15 @@ _COLD_RUN = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 
+# modules a site hook loaded before the package are not the package's cost
+before = set(sys.modules)
+
 import tvbounds
 import tvbounds.cli
 
 NUMPY_SIDE = ("numpy", "tvbounds.nd", "tvbounds.oracle", "tvbounds.simplex")
+# record-class machinery that costs the 1-D commands more than the package
+HEAVY = ("dataclasses", "inspect")
 
 
 def run(argv):
@@ -492,6 +522,7 @@ def run(argv):
 one_d, numpy_side = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 results = [run(argv) for argv in one_d]
 loaded = [name for name in NUMPY_SIDE if name in sys.modules]
+loaded += [name for name in HEAVY if name in sys.modules and name not in before]
 results += [run(argv) for argv in numpy_side]
 print(json.dumps({"loaded": loaded, "results": results}))
 """

@@ -188,6 +188,12 @@ def test_check_moments_examples():
     assert check_moments(DiscreteDist.delta(0.0), Moments1D(0.0, 0.0), 1e-9)
 
 
+def test_overflowing_variance_is_inf_and_fails_the_check():
+    dist = DiscreteDist((-1e200, 1e200), (0.5, 0.5))
+    assert dist.moments().variance == math.inf
+    assert not check_moments(dist, Moments1D(0.0, 1.0), 1e-9)
+
+
 def test_check_moments_requires_positive_tol():
     with pytest.raises(ValueError):
         check_moments(DiscreteDist.delta(0.0), Moments1D(0.0, 0.0), 0.0)

@@ -18,6 +18,7 @@ from tvbounds import (
     MomentsND,
     anchored_tv,
     bound_report,
+    construct_two_point,
     gap,
     radical_v,
     sibling_branch_tv,
@@ -172,20 +173,35 @@ def test_anchored_swap_symmetry():
 
 
 def _decimal_reference(a, sp, sq):
-    """radical_v, two_point_tv and both anchored values at 60 digits, from
-    the exact values of the float inputs."""
+    """radical_v, two_point_tv, both anchored values and the two-point
+    masses (p side, then q side, each on the lower atom first) at 60
+    digits, from the exact values of the float inputs."""
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
         ctx.prec = 60
         a2, vp, vq = Decimal(a) ** 2, Decimal(sp) ** 2, Decimal(sq) ** 2
         v = ((vq - vp) ** 2 + 2 * a2 * (vp + vq) + a2 * a2).sqrt()
-        return v, a2 / v, 2 * a2 / (v + vp - vq + a2), 2 * a2 / (v + vq - vp + a2)
+        # the lower atom's masses: 1/2 + s (vp - vq -+ a^2) / (2v), s = sign(a)
+        s = 1 if a > 0 else -1
+        p = Decimal("0.5") + s * (vp - vq - a2) / (2 * v)
+        q = Decimal("0.5") + s * (vp - vq + a2) / (2 * v)
+        return (
+            v,
+            a2 / v,
+            2 * a2 / (v + vp - vq + a2),
+            2 * a2 / (v + vq - vp + a2),
+            p,
+            1 - p,
+            q,
+            1 - q,
+        )
 
 
 def test_close_stddevs_match_decimal_reference():
     # close stddevs at small gaps, where a variance difference taken from
-    # the rounded squares cancels (relative errors up to 6.8e-13)
+    # the rounded squares cancels (relative errors up to 6.8e-13 in the
+    # closed forms and 3e-13 in the two-point masses)
     from decimal import Decimal
 
     rng = np.random.default_rng(29)
@@ -196,14 +212,19 @@ def test_close_stddevs_match_decimal_reference():
         sq = sp + rng.choice((-1.0, 1.0)) * step
         a *= rng.choice((-1.0, 1.0))
         this = pair(a, sp, 0.0, sq)
+        witness = construct_two_point(this)
         got = (
             radical_v(this),
             two_point_tv(this),
             anchored_tv(this, "p"),
             anchored_tv(this, "q"),
+            *witness.p_dist.probs,
+            *witness.q_dist.probs,
         )
-        for value, want in zip(got, _decimal_reference(a, sp, sq)):
-            assert abs(Decimal(value) - want) <= Decimal("1e-14") * want, (a, sp, sq)
+        want = _decimal_reference(a, sp, sq)
+        assert len(got) == len(want)
+        for value, ref in zip(got, want):
+            assert abs(Decimal(value) - ref) <= Decimal("1e-14") * ref, (a, sp, sq)
 
 
 # ----------------------------------------------------------------- report
