@@ -164,59 +164,38 @@ def _pair_from(params: Mapping[str, Any]) -> MomentPair1D:
     )
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _input(params: Mapping[str, Any]) -> dict:
+    return {
+        "mean_p": params["mp"],
+        "stddev_p": params["sp"],
+        "mean_q": params["mq"],
+        "stddev_q": params["sq"],
+    }
 
 
-def _cmd_bound(params: Mapping[str, Any]) -> int:
-    report = bound_report(_pair_from(params))
-    _emit_json(
-        {
-            "input": {
-                "mean_p": params["mp"],
-                "stddev_p": params["sp"],
-                "mean_q": params["mq"],
-                "stddev_q": params["sq"],
-            },
-            "gap_a": report.gap_a,
-            "radical_v": report.radical_v,
-            "tight_bound": report.tight_bound,
-            "attained": report.attained,
-            "two_point_tv": report.two_point_tv,
-            "sibling_branch_tv": report.sibling_branch_tv,
-            "sibling_branch_valid": report.sibling_branch_valid,
-            "anchored_p_tv": report.anchored_p_tv,
-            "anchored_q_tv": report.anchored_q_tv,
-        }
-    )
-    return 0
+def _cmd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
+    return {"input": _input(params), **bound_report(_pair_from(params))._asdict()}, 0
 
 
-def _cmd_witness(params: Mapping[str, Any]) -> int:
-    _emit_json(construct_tight_witness(_pair_from(params)).to_json_dict())
-    return 0
+def _cmd_witness(params: Mapping[str, Any]) -> tuple[dict, int]:
+    return construct_tight_witness(_pair_from(params)).to_json_dict(), 0
 
 
-def _cmd_two_point(params: Mapping[str, Any]) -> int:
-    _emit_json(construct_two_point(_pair_from(params)).to_json_dict())
-    return 0
+def _cmd_two_point(params: Mapping[str, Any]) -> tuple[dict, int]:
+    return construct_two_point(_pair_from(params)).to_json_dict(), 0
 
 
-def _cmd_case_c(params: Mapping[str, Any]) -> int:
+def _cmd_case_c(params: Mapping[str, Any]) -> tuple[dict, int]:
     pair = _pair_from(params)
-    _emit_json(construct_anchored_witness(pair, params["q_param"]).to_json_dict())
-    return 0
+    return construct_anchored_witness(pair, params["q_param"]).to_json_dict(), 0
 
 
-def _cmd_sequence(params: Mapping[str, Any]) -> int:
-    witness = construct_vanishing_sequence(
-        params["m"], params["sp"], params["sq"], params["k"]
-    )
-    _emit_json(witness.to_json_dict())
-    return 0
+def _cmd_sequence(params: Mapping[str, Any]) -> tuple[dict, int]:
+    args = (params["m"], params["sp"], params["sq"], params["k"])
+    return construct_vanishing_sequence(*args).to_json_dict(), 0
 
 
-def _cmd_verify(params: Mapping[str, Any]) -> int:
+def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
     from .oracle import GridSpec, OracleStatus, minimize_tv_on_grid
 
     pair = _pair_from(params)
@@ -242,27 +221,19 @@ def _cmd_verify(params: Mapping[str, Any]) -> int:
     else:
         verdict, code = "sound", 0
 
-    _emit_json(
-        {
-            "input": {
-                "mean_p": params["mp"],
-                "stddev_p": params["sp"],
-                "mean_q": params["mq"],
-                "stddev_q": params["sq"],
-            },
-            "grid": {
-                "lo": spec.lo,
-                "hi": spec.hi,
-                "count": spec.count,
-                "include_witness": include,
-            },
-            "tight_bound": bound,
-            "oracle": result.to_json_dict(),
-            "gap_to_bound": None if result.tv_min is None else result.tv_min - bound,
-            "verdict": verdict,
-        }
-    )
-    return code
+    return {
+        "input": _input(params),
+        "grid": {
+            "lo": spec.lo,
+            "hi": spec.hi,
+            "count": spec.count,
+            "include_witness": include,
+        },
+        "tight_bound": bound,
+        "oracle": result.to_json_dict(),
+        "gap_to_bound": None if result.tv_min is None else result.tv_min - bound,
+        "verdict": verdict,
+    }, code
 
 
 def _load_nd_pair(path: str):
@@ -287,39 +258,33 @@ def _load_nd_pair(path: str):
     return MomentPairND(p, q)
 
 
-def _cmd_nd_bound(params: Mapping[str, Any]) -> int:
+def _cmd_nd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
     from .nd import tv_lower_bound_nd
 
     pair = _load_nd_pair(params["path"])
     a = pair.p_side.mean - pair.q_side.mean
-    _emit_json(
-        {
-            "dimension": pair.dim,
-            "gap_norm_sq": float(a @ a),
-            "trace_p": pair.p_side.trace,
-            "trace_q": pair.q_side.trace,
-            "bound": tv_lower_bound_nd(pair),
-        }
-    )
-    return 0
+    return {
+        "dimension": pair.dim,
+        "gap_norm_sq": float(a @ a),
+        "trace_p": pair.p_side.trace,
+        "trace_q": pair.q_side.trace,
+        "bound": tv_lower_bound_nd(pair),
+    }, 0
 
 
-def _cmd_nd_check(params: Mapping[str, Any]) -> int:
+def _cmd_nd_check(params: Mapping[str, Any]) -> tuple[dict, int]:
     from .oracle import check_nd_bound_random
 
     dims = params["dims"]
     atoms = params["atoms"] if params["atoms"] is not None else dims + 4
     violations = check_nd_bound_random(dims, atoms, params["trials"], params["seed"])
-    _emit_json(
-        {
-            "dims": dims,
-            "atoms": atoms,
-            "trials": params["trials"],
-            "seed": params["seed"],
-            "violations": violations,
-        }
-    )
-    return 2 if violations > 0 else 0
+    return {
+        "dims": dims,
+        "atoms": atoms,
+        "trials": params["trials"],
+        "seed": params["seed"],
+        "violations": violations,
+    }, 2 if violations > 0 else 0
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
@@ -331,51 +296,28 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _cmd_sweep(params: Mapping[str, Any]) -> int:
+def _cmd_sweep(params: Mapping[str, Any]) -> tuple[dict | str, int]:
     swept = params["param"]
-    fixed = {}
     for name in ("mp", "sp", "mq", "sq"):
-        if name == swept:
-            continue
-        if params[name] is None:
+        if name != swept and params[name] is None:
             raise CLIError(f"--{name} is required when sweeping --{swept}")
-        fixed[name] = params[name]
 
     rows = []
     for value in _sweep_values(params["start"], params["stop"], params["step"]):
-        scalars = dict(fixed)
-        scalars[swept] = value
-        report = bound_report(
-            MomentPair1D.from_scalars(
-                scalars["mp"], scalars["sp"], scalars["mq"], scalars["sq"]
-            )
-        )
-        rows.append(
-            {
-                "swept_value": value,
-                "gap_a": report.gap_a,
-                "radical_v": report.radical_v,
-                "tight_bound": report.tight_bound,
-                "two_point_tv": report.two_point_tv,
-                "anchored_p_tv": report.anchored_p_tv,
-                "anchored_q_tv": report.anchored_q_tv,
-            }
-        )
+        report = bound_report(_pair_from({**params, swept: value}))._asdict()
+        row = {"swept_value": value, **report}
+        rows.append({col: row[col] for col in _SWEEP_COLUMNS})
 
     if params["format"] == "json":
-        _emit_json({"param": swept, "rows": rows})
-        return 0
-    out = [",".join(_SWEEP_COLUMNS)]
+        return {"param": swept, "rows": rows}, 0
+    lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
-        out.append(
-            ",".join(
-                "" if row[col] is None else repr(row[col]) for col in _SWEEP_COLUMNS
-            )
-        )
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0
+        lines.append(",".join("" if cell is None else repr(cell) for cell in row.values()))
+    return "\n".join(lines) + "\n", 0
 
 
+# Each handler returns its report and the exit code; ``run`` prints the
+# report: a dict as indented JSON, a string (sweep's CSV) as it is.
 _HANDLERS = {
     "bound": _cmd_bound,
     "witness": _cmd_witness,
@@ -390,8 +332,12 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one parsed command; returns the process exit code."""
-    return _HANDLERS[config.command](config.params)
+    """Execute one parsed command and print its report; returns the exit code."""
+    report, code = _HANDLERS[config.command](config.params)
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(report)
+    return code
 
 
 def main(argv=None) -> int:

@@ -185,13 +185,20 @@ def radical_v(pair: MomentPair1D) -> float:
 
     Computes ``sqrt((vq - vp)^2 + 2 a^2 (vp + vq) + a^4)`` with ``a`` the
     mean gap and ``vp``, ``vq`` the variances.  Zero if and only if the
-    means agree and the standard deviations coincide (up to the
-    representable range; the value scales quadratically with the inputs).
+    means agree and the standard deviations coincide.  The value scales
+    quadratically with the inputs and raises ``BadParameterError`` once it
+    overflows, at a mean gap or stddev above about 1.34e154.
     """
     a_s, sp_s, sq_s, shift = _scaled_quantities(pair)
     if shift == 0:
         return _radical_poly(a_s, sp_s, sq_s)
-    return math.ldexp(_radical_poly(a_s, sp_s, sq_s), -2 * shift)
+    try:
+        return math.ldexp(_radical_poly(a_s, sp_s, sq_s), -2 * shift)
+    except OverflowError:
+        raise BadParameterError(
+            "radical_v overflows the float range: it grows as the square of "
+            "the mean gap and stddevs, which must stay below about 1.34e154"
+        ) from None
 
 
 def tv_lower_bound_1d(pair: MomentPair1D) -> float:

@@ -158,7 +158,10 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     A = np.zeros((6, 3 * n))
     A[0, :n] = 1.0
     A[1, :n] = x
-    A[2, :n] = x * x
+    # a square that overflows leaves inf in the row, which solve_dense
+    # rejects with a specific error; numpy need not warn about it as well
+    with np.errstate(over="ignore"):
+        A[2, :n] = x * x
     A[0:3, n : 2 * n] = A[3:6, :n] = A[3:6, 2 * n :] = A[0:3, :n]
     mp, vp = pair.p_side.mean, pair.p_side.variance
     mq, vq = pair.q_side.mean, pair.q_side.variance

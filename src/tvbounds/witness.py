@@ -117,6 +117,17 @@ def _stable_mass(signed: float, v: float, scale: float) -> tuple[float, float]:
     return m, complement
 
 
+def _nonzero(value: float, what: str, a: float) -> float:
+    # an exclusive atom sits at a distance proportional to 1 / value, so a
+    # value that underflowed to 0 leaves it no finite position
+    if value == 0.0:
+        raise WitnessConstructionError(
+            f"{what} underflows to 0 at mean gap {a!r}; "
+            "the exclusive atom has no finite position"
+        )
+    return value
+
+
 def _checked(
     kind: WitnessKind,
     p_atoms: list[tuple[float, float]],
@@ -157,6 +168,8 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     GapZeroError
         If the means agree; the infimum 0 has no minimizer then and the
         vanishing sequence is the right object.
+    WitnessConstructionError
+        If the bound or the gap-to-spread ratio underflows to 0.
     """
     a = gap(pair)
     if a == 0.0:
@@ -170,7 +183,7 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     if sp > 0.0 and sq > 0.0:
         # one shared formula for both signs of the gap
         s = math.copysign(1.0, a)
-        t = abs(a) / (sp + sq)
+        t = _nonzero(abs(a) / (sp + sq), "gap-to-spread ratio", a)
         x1 = mp - s * sp * t
         x2 = mp + s * sp / t
         x3 = mq - s * sq / t
@@ -182,6 +195,7 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             pair.p_side,
             pair.q_side,
         )
+    _nonzero(p, "tight bound", a)
     if sp > 0.0:
         # q side is a point mass; the second p atom is pinned by the moments
         x2 = mq + a / p
@@ -221,7 +235,8 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     twin describes the same pair and is not exposed.  When the first side is
     a point mass the generic formulas degenerate, so the construction runs
     with the sides switched and swaps the result back; with both sides
-    point masses the pair is written down directly.
+    point masses the pair is written down directly, and with one a value
+    that underflows to 0 raises ``WitnessConstructionError``.
     """
     a = gap(pair)
     if a == 0.0:
@@ -238,6 +253,8 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
             pair.p_side,
             pair.q_side,
         )
+    if sp == 0.0 or sq == 0.0:
+        _nonzero(claimed, "two-point value", a)
     if sp == 0.0:
         mirrored = construct_two_point(pair.swapped())
         return WitnessPair(
@@ -316,14 +333,7 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     q_param = float(q_param)
     if not 0.0 < q_param < 1.0:
         raise BadParameterError(f"q_param must be in (0, 1), got {q_param}")
-    p = anchored_tv(pair, "p")
-    if p == 0.0:
-        # the squared gap underflows; the exclusive atom a / p + mq would
-        # sit at infinity
-        raise WitnessConstructionError(
-            f"anchored value underflows to 0 at mean gap {a!r}; "
-            "the exclusive atom has no finite position"
-        )
+    p = _nonzero(anchored_tv(pair, "p"), "anchored value", a)
     x3 = (a + p * mq) / p
     x1 = mq + sq * math.sqrt(q_param / (1.0 - q_param))
     x2 = mq - sq * math.sqrt((1.0 - q_param) / q_param)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,42 @@ def test_case_c_underflowed_anchored_value_is_an_error(capsys):
     assert err.startswith("error: ") and "underflows to 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--mp", "0", "--sp", "1", "--mq", "1e-170", "--sq", "0"),
+        ("witness", "--mp", "1e-170", "--sp", "0", "--mq", "0", "--sq", "1"),
+        ("two-point", "--mp", "1e-170", "--sp", "0", "--mq", "0", "--sq", "1"),
+        ("verify", "--mp", "1e-170", "--sp", "0", "--mq", "0", "--sq", "1"),
+    ],
+    ids=["witness-q-point-mass", "witness-p-point-mass", "two-point", "verify"],
+)
+def test_underflowed_bound_with_a_point_mass_is_an_error(capsys, argv):
+    # one stddev is 0 and the squared gap underflows, so the bound is 0;
+    # the constructors divided by it and raised ZeroDivisionError
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "underflows to 0" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--mp", "1e200", "--sp", "1", "--mq", "0", "--sq", "1"),
+        ("two-point", "--mp", "1e200", "--sp", "1", "--mq", "0", "--sq", "1"),
+        ("sweep", "--param", "sp", "--start", "1", "--stop", "2", "--step", "1",
+         "--mp", "1e200", "--mq", "0", "--sq", "1"),
+    ],
+    ids=["bound", "two-point", "sweep"],
+)
+def test_overflowing_radical_is_an_error(capsys, argv):
+    # radical_v passes the float range at a gap of about 1.34e154
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: radical_v overflows") and err.count("\n") == 1
+
+
 def test_sequence_output(capsys):
     code, payload = run_json(
         capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "10"
@@ -242,13 +279,16 @@ def test_verify_infeasible_grid_fails_verification(capsys):
 
 
 def test_verify_overflowing_grid_is_an_error(capsys):
-    # the grid reaches 1e160, whose square overflows in the second-moment row
+    # the grid reaches 1e160, whose square overflows in the second-moment row;
+    # that must reach stderr as the one error line, not also as a numpy
+    # RuntimeWarning with its source line, so warnings are errors here
     args = ("--mp", "1e160", "--sp", "1", "--mq", "0", "--sq", "1")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "verify", *args, "--include-witness", "false")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "finite" in err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["witness", "verify"])

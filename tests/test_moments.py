@@ -72,6 +72,16 @@ def test_radical_zero_iff_identical_moments():
     assert radical_v(pair(2.1, 1.5, 2, 1.5)) > 0.0
 
 
+@pytest.mark.parametrize("sp,sq", [(1.0, 1.0), (0.0, 0.0)])
+def test_radical_overflow_is_a_specific_error(sp, sq):
+    # v grows as a^2, which passes the float range at a gap of about 1.34e154
+    assert math.isfinite(radical_v(pair(1e154, sp, 0.0, sq)))
+    with pytest.raises(BadParameterError, match="overflows"):
+        radical_v(pair(1.35e154, sp, 0.0, sq))
+    with pytest.raises(BadParameterError, match="overflows"):
+        bound_report(pair(0.0, sp, 1e200, sq))
+
+
 # ------------------------------------------------------------------ 1-D bound
 
 
@@ -342,9 +352,12 @@ def test_translation_invariance_bit_exact(mp, sp, mq, sq, shift):
 @settings(deadline=None)
 def test_scale_covariance(mp, sp, mq, sq, t):
     base = pair(mp, sp, mq, sq)
-    scaled = pair(t * mp, t * sp, t * mq, t * sq)
-    # t * m can round two distinct means onto one float (0.5 * 5e-324 == 0.0);
-    # the scaled pair then has equal means and is no longer the base pair
+    # the formulas see only the gap, so the gap itself is scaled: t * mp -
+    # t * mq cancels for close means and is not t times the gap (mp=1.0,
+    # mq=0.99999, t=0.75 puts the bound off by 7.4e-12 relative)
+    scaled = pair(t * gap(base), t * sp, 0.0, t * sq)
+    # t * a can round a distinct gap onto 0.0 (0.5 * 5e-324 == 0.0); the
+    # scaled pair then has equal means and is no longer the base pair
     # scaled, so the property does not apply to it
     assume((gap(scaled) == 0.0) == (gap(base) == 0.0))
     assert tv_lower_bound_1d(scaled) == pytest.approx(

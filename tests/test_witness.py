@@ -269,6 +269,28 @@ def test_anchored_witness_refuses_underflowed_value(sp, sq):
         construct_anchored_witness(this)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 1.0, 1e-170, 0.0), (1e-170, 0.0, 0.0, 1.0), (5e-324, 1e300, 0.0, 1e300)],
+    ids=["q-point-mass", "p-point-mass", "ratio-underflows"],
+)
+def test_tight_witness_refuses_underflowed_bound(args):
+    # the bound (or the gap-to-spread ratio) is 0, and the constructor
+    # divided by it: a specific refusal, not a ZeroDivisionError
+    assert tv_lower_bound_1d(pair(*args)) == 0.0
+    with pytest.raises(WitnessConstructionError, match="underflows to 0"):
+        construct_tight_witness(pair(*args))
+
+
+@pytest.mark.parametrize(
+    "args", [(1e-170, 0.0, 0.0, 1.0), (1e-170, 1.0, 0.0, 0.0)], ids=["mirrored", "direct"]
+)
+def test_two_point_refuses_underflowed_value(args):
+    assert two_point_tv(pair(*args)) == 0.0
+    with pytest.raises(WitnessConstructionError, match="underflows to 0 at mean gap 1e-170"):
+        construct_two_point(pair(*args))
+
+
 # ---------------------------------------------------------------- orderings
 
 
