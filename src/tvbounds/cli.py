@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Mapping, NamedTuple
 
@@ -46,6 +47,10 @@ def __getattr__(name: str) -> Any:
 VERIFY_TIGHT_TOL = 1e-6
 #: tv_min below bound by more than this flags a genuine violation.
 VERIFY_SOUND_TOL = 1e-8
+
+#: Most rows one ``sweep`` prints; a longer range is refused before any
+#: row is built.
+SWEEP_MAX_ROWS = 100_000
 
 _SWEEP_COLUMNS = (
     "swept_value",
@@ -288,12 +293,22 @@ def _cmd_nd_check(params: Mapping[str, Any]) -> tuple[dict, int]:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise CLIError(
+            f"--start, --stop and --step must be finite, got {start}, {stop}, {step}"
+        )
     if step <= 0.0:
         raise CLIError(f"--step must be positive, got {step}")
     if stop < start:
         raise CLIError("--stop must not be less than --start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    # rows - 1, as a float: inf when stop - start overflows
+    span = (stop - start) / step + 1e-9
+    if not span < SWEEP_MAX_ROWS:
+        raise CLIError(
+            f"the range from --start {start} to --stop {stop} by --step {step} "
+            f"has more than SWEEP_MAX_ROWS = {SWEEP_MAX_ROWS} rows"
+        )
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _cmd_sweep(params: Mapping[str, Any]) -> tuple[dict | str, int]:

@@ -24,6 +24,7 @@ every trial's moments through ``nd.validate_moments``, the checks
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -67,12 +68,12 @@ class GridSpec(FrozenRecord):
     ) -> None:
         lo = float(lo)
         hi = float(hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
         if int(count) < 2:
             raise ValueError(f"count must be >= 2, got {count}")
         extras = tuple(float(x) for x in extra_points)
-        if any(not np.isfinite(x) for x in extras):
+        if not all(map(math.isfinite, extras)):
             raise ValueError("extra points must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -96,17 +97,16 @@ class GridSpec(FrozenRecord):
 
 def build_grid(spec: GridSpec) -> np.ndarray:
     """Sorted, deduplicated union of the uniform grid and the extra points."""
-    pts = np.concatenate(
-        [np.linspace(spec.lo, spec.hi, spec.count), np.asarray(spec.extra_points)]
-    )
-    pts.sort(kind="stable")
-    tol = GRID_DEDUP_REL * (1.0 + float(np.max(np.abs(pts))))
-    values = pts.tolist()
+    values = np.linspace(spec.lo, spec.hi, spec.count).tolist()
+    if spec.extra_points:
+        values = sorted(values + list(spec.extra_points))
+    # the largest magnitude sits at one end of the sorted values
+    tol = GRID_DEDUP_REL * (1.0 + max(abs(values[0]), abs(values[-1])))
     kept = values[:1]
     for x in values[1:]:
         if x - kept[-1] > tol:
             kept.append(x)
-    return np.array(kept)
+    return np.fromiter(kept, dtype=float, count=len(kept))
 
 
 class LPStandardForm(FrozenRecord):
@@ -196,19 +196,33 @@ class OracleResult(NamedTuple):
         }
 
 
-def _extract_dist(raw: np.ndarray, grid: tuple[float, ...]) -> DiscreteDist | None:
-    """Turn an LP probability block into a distribution, or None if the
-    block is too corrupted to certify."""
-    if float(raw.min(initial=0.0)) < -1e-9:
+def _extract_pair(
+    x: np.ndarray, grid: tuple[float, ...]
+) -> tuple[DiscreteDist, DiscreteDist] | None:
+    """The optimizers ``p = w + u`` and ``q = w + v`` of an LP solution laid
+    out as ``formulate`` does, or None if they are too corrupted to certify.
+
+    Both sides go through the same steps at once, as the rows of one (2, n)
+    array: no mass may lie below -1e-9, and each side, with its negative
+    entries clamped to 0, must total within 1e-9 of 1 and is divided by
+    its total.
+    """
+    blocks = x.reshape(3, -1)
+    # rows u + w and v + w: float addition commutes exactly
+    raw = blocks[1:] + blocks[0]
+    if float(raw.min()) < -1e-9:
         return None
-    w = np.where(raw < 0.0, 0.0, raw)
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
+    np.maximum(raw, 0.0, out=raw)
+    totals = raw.sum(axis=1)
+    if any(abs(total - 1.0) > 1e-9 for total in totals.tolist()):
         return None
-    w = w / total
+    raw /= totals[:, None]
     # only the atoms that carry mass: the grid has n points, an optimizer a few
-    kept = np.flatnonzero(w)
-    return DiscreteDist(tuple(grid[i] for i in kept.tolist()), tuple(w[kept].tolist()))
+    side, kept = raw.nonzero()
+    atoms: tuple[list, list] = ([], [])
+    for s, i, prob in zip(side.tolist(), kept.tolist(), raw[side, kept].tolist()):
+        atoms[s].append((grid[i], prob))
+    return tuple(DiscreteDist(*zip(*side_atoms)) for side_atoms in atoms)
 
 
 def solve(lp: LPStandardForm) -> OracleResult:
@@ -225,33 +239,23 @@ def solve(lp: LPStandardForm) -> OracleResult:
     res: SimplexResult = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
     if res.status == "infeasible":
         return OracleResult(OracleStatus.INFEASIBLE, None, None, None, res.iterations)
+    failed = OracleResult(OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations)
     if res.status != "optimal":
-        return OracleResult(
-            OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations
-        )
+        return failed
     tv = min(1.0, max(0.0, res.objective))
     if lp.grid is None:
         return OracleResult(OracleStatus.OPTIMAL, tv, None, None, res.iterations)
-    n = len(lp.grid)
-    w, u, v = res.x[0:n], res.x[n : 2 * n], res.x[2 * n : 3 * n]
-    p_opt = _extract_dist(w + u, lp.grid)
-    q_opt = _extract_dist(w + v, lp.grid)
-    if p_opt is None or q_opt is None:
-        return OracleResult(
-            OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations
-        )
-    # recover the moment targets from the equality rows
-    mean_p, mean_q = float(lp.rhs[1]), float(lp.rhs[4])
-    var_p = max(0.0, float(lp.rhs[2]) - mean_p * mean_p)
-    var_q = max(0.0, float(lp.rhs[5]) - mean_q * mean_q)
-    ok = check_moments(
-        p_opt, Moments1D(mean_p, var_p**0.5), ORACLE_MOMENT_TOL
-    ) and check_moments(q_opt, Moments1D(mean_q, var_q**0.5), ORACLE_MOMENT_TOL)
-    if not ok:
-        return OracleResult(
-            OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations
-        )
-    return OracleResult(OracleStatus.OPTIMAL, tv, p_opt, q_opt, res.iterations)
+    optimizers = _extract_pair(res.x, lp.grid)
+    if optimizers is None:
+        return failed
+    # recover the moment targets from the equality rows: rows 1 and 2 hold
+    # the mean and raw second moment of p, rows 4 and 5 those of q
+    rhs = lp.rhs.tolist()
+    for dist, mean, second in zip(optimizers, rhs[1::3], rhs[2::3]):
+        target = Moments1D(mean, max(0.0, second - mean * mean) ** 0.5)
+        if not check_moments(dist, target, ORACLE_MOMENT_TOL):
+            return failed
+    return OracleResult(OracleStatus.OPTIMAL, tv, *optimizers, res.iterations)
 
 
 def minimize_tv_on_grid(

@@ -13,7 +13,14 @@ The programs the grid oracle hands over have six rows and hundreds of
 columns, so a pivot costs little arithmetic and the kernel keeps its NumPy
 calls few: the entering column comes from one ``argmin`` over the reduced
 costs, the ratio test runs in plain Python over the m rows, and the update
-is one row scale plus one rank-1 update of the whole tableau.
+is one row scale plus one rank-1 update of the whole tableau.  The rank-1
+term is a BLAS product of the pivot column and the pivot row (inner
+dimension 1, so every entry is one rounded multiply, as ``np.outer``
+gives) written into a buffer allocated once per solve, then subtracted in
+place.  Phase 2 runs on the phase-1 tableau: the artificial columns stay
+and keep being updated, but only the first ``n`` columns are priced, and
+since every entry updates on its own the real columns and the right-hand
+side carry the same values as on a tableau with the artificials stripped.
 """
 
 from __future__ import annotations
@@ -41,13 +48,18 @@ class SimplexResult(NamedTuple):
     iterations: int
 
 
-def _apply_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update."""
+def _apply_pivot(
+    T: np.ndarray, buf: np.ndarray, basis: list[int], row: int, col: int
+) -> None:
+    """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update
+    formed in ``buf``, a C-contiguous array of ``T``'s shape."""
     prow = T[row]
     prow /= prow[col]
-    factors = T[:, col : col + 1].copy()
-    factors[row] = 0.0
-    T -= factors * prow
+    # the pivot column, zeroed in the pivot row, holds the multiples of the
+    # pivot row to subtract; the column itself is rewritten below
+    T[row, col] = 0.0
+    np.dot(T[:, col : col + 1], prow[None, :], out=buf)
+    T -= buf
     # keep the basic column an exact unit vector
     T[:, col] = 0.0
     prow[col] = 1.0
@@ -56,6 +68,7 @@ def _apply_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 def _pivot_loop(
     T: np.ndarray,
+    buf: np.ndarray,
     basis: list[int],
     m: int,
     ncols: int,
@@ -95,7 +108,7 @@ def _pivot_loop(
                     row, best = i, ratio
         if row < 0:
             return "unbounded", iterations
-        _apply_pivot(T, basis, row, col)
+        _apply_pivot(T, buf, basis, row, col)
         iterations += 1
         if iterations >= max_iterations:
             return "iteration_limit", iterations
@@ -116,34 +129,35 @@ def solve_dense(c, A, b) -> SimplexResult:
     phases, after which the solve reports ``iteration_limit``.  Raises
     ``ValueError`` on inconsistent dimensions or a non-finite coefficient.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float).reshape(-1)
-    c = np.array(c, dtype=float).reshape(-1)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    c = np.asarray(c, dtype=float).reshape(-1)
     m, n = A.shape
     if b.size != m or c.size != n:
         raise ValueError("inconsistent LP dimensions")
-    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        # a NaN fails every ratio test and pivot comparison, so the walk
-        # would run to the iteration budget on garbage
-        raise ValueError("LP coefficients must be finite")
 
-    # orient every row so the right-hand side is non-negative
-    negative = b < 0.0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
-
-    # phase 1 starts from one artificial per row
+    # the tableau holds copies, so the caller's arrays are never written to
     ncols = n + m
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :n] = A
-    T[:m, n:ncols] = np.eye(m)
     T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
+    if not (np.isfinite(T).all() and np.isfinite(c).all()):
+        # a NaN fails every ratio test and pivot comparison, so the walk
+        # would run to the iteration budget on garbage
+        raise ValueError("LP coefficients must be finite")
+    # orient every row so the right-hand side is non-negative
+    for i, value in enumerate(b.tolist()):
+        if value < 0.0:
+            T[i] *= -1.0
+    # phase 1 starts from one artificial per row
+    T[:m, n:ncols] = np.eye(m)
+    T[m, :n] = -T[:m, :n].sum(axis=0)
+    T[m, -1] = -T[:m, -1].sum()
     basis = list(range(n, ncols))
+    buf = np.empty_like(T)
 
     max_iterations = 50 * (m + ncols)
-    status, iterations = _pivot_loop(T, basis, m, ncols, 0, max_iterations)
+    status, iterations = _pivot_loop(T, buf, basis, m, ncols, 0, max_iterations)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
     if -T[m, -1] > PHASE1_TOL:
@@ -155,24 +169,25 @@ def solve_dense(c, A, b) -> SimplexResult:
         if basis[i] >= n:
             candidates = (np.abs(T[i, :n]) > PIVOT_TOL).nonzero()[0]
             if candidates.size:
-                _apply_pivot(T, basis, i, int(candidates[0]))
+                _apply_pivot(T, buf, basis, i, int(candidates[0]))
                 iterations += 1
             else:
                 drop.append(i)
     if drop:
         keep = [i for i in range(m) if i not in drop]
         T = T[keep + [m], :]
+        buf = buf[: len(keep) + 1]
         basis = [basis[i] for i in keep]
         m = len(keep)
 
-    # phase 2 on the real objective, artificial columns stripped
-    T = np.hstack([T[:, :n], T[:, -1:]])
+    # phase 2 on the real objective and the same tableau: the artificial
+    # columns stay, but only the first n columns are priced, and the bottom
+    # row past them is never read again
     T[m, :n] = c
-    T[m, -1] = 0.0
-    for i in range(m):
-        if c[basis[i]] != 0.0:
-            T[m, :] -= c[basis[i]] * T[i, :]
-    status, iterations = _pivot_loop(T, basis, m, n, iterations, max_iterations)
+    for i, cost in enumerate(c[basis].tolist()):
+        if cost != 0.0:
+            T[m, :] -= cost * T[i, :]
+    status, iterations = _pivot_loop(T, buf, basis, m, n, iterations, max_iterations)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
 

@@ -26,6 +26,8 @@ from .moments import (
     FrozenRecord,
     MomentPair1D,
     Moments1D,
+    _radical_poly,
+    _scaled_quantities,
     anchored_tv,
     gap,
     radical_v,
@@ -46,6 +48,8 @@ __all__ = [
 TV_MATCH_TOL = 1e-12
 #: Relative agreement required between declared and recomputed moments.
 MOMENT_MATCH_TOL = 1e-9
+#: Power of two the two-point masses are evaluated at (see construct_two_point).
+_MASS_SCALE = 2.0**249
 
 
 class WitnessKind(enum.Enum):
@@ -273,17 +277,33 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
             pair.p_side,
             pair.q_side,
         )
-    v = radical_v(pair)
+    # refuses, with BadParameterError, a pair whose radical overflows
+    radical_v(pair)
     s = math.copysign(1.0, a)
     # p = 1/2 + s (sp^2 - sq^2 - a^2) / (2v) and q = p + a|a|/v; whichever of
     # each mass and its complement is small is computed by the equivalent
     # product form (v^2 minus the squared numerator factors through 4 a^2
     # times the matching variance) to keep its relative error at machine level.
-    # The variance difference is factored as in moments._radical_poly, so
-    # close stddevs do not cancel
-    dv = (sp - sq) * (sp + sq)
-    p, one_minus_p = _stable_mass(s * (dv - a * a), v, a * sp)
-    q, one_minus_q = _stable_mass(s * (dv + a * a), v, a * sq)
+    # The masses are ratios of forms of degree 2 and 4 in the gap and
+    # stddevs, so they are evaluated on the three scaled by one power of
+    # two: bit-identical wherever no intermediate leaves the normal range.
+    # _scaled_quantities puts the largest in [0.5, 1), and _MASS_SCALE lifts
+    # it to [2^248, 2^249), where no degree-4 product overflows and
+    # underflow waits for gap-to-stddev ratios near 1e-229 (unscaled, it
+    # starts at 1e-154 for inputs near 1, and at any ratio for inputs near
+    # 1e-153).  The variance difference is factored as in
+    # moments._radical_poly, so close stddevs do not cancel
+    a_s, sp_s, sq_s, _ = _scaled_quantities(pair)
+    a_s, sp_s, sq_s = a_s * _MASS_SCALE, sp_s * _MASS_SCALE, sq_s * _MASS_SCALE
+    v = _radical_poly(a_s, sp_s, sq_s)
+    if v == 0.0:
+        # equal stddevs and a gap whose square underflows even when scaled:
+        # the masses differ from 1/2 by far less than an ulp
+        p = one_minus_p = q = one_minus_q = 0.5
+    else:
+        dv = (sp_s - sq_s) * (sp_s + sq_s)
+        p, one_minus_p = _stable_mass(s * (dv - a_s * a_s), v, a_s * sp_s)
+        q, one_minus_q = _stable_mass(s * (dv + a_s * a_s), v, a_s * sq_s)
     if p <= 0.0 or one_minus_p <= 0.0:
         raise WitnessConstructionError(
             f"two-point mass parameter {p!r} leaves no room for a second atom"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tvbounds import DiscreteDist, Moments1D, check_moments, tv_distance
-from tvbounds.cli import main
+from tvbounds.cli import SWEEP_MAX_ROWS, main
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +185,29 @@ def test_underflowed_bound_with_a_point_mass_is_an_error(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "underflows to 0" in err
     assert err.count("\n") == 1
+
+
+def test_two_point_underflowed_radical_prints_the_half_half_pair(capsys):
+    # equal stddevs, and the squared gap underflows: the radical is 0
+    code, payload = run_json(
+        capsys, "two-point", "--mp", "0", "--sp", "1", "--mq", "1e-320", "--sq", "1"
+    )
+    assert code == 0
+    assert payload["p"] == payload["q"] == {"support": [-1.0, 1.0], "probs": [0.5, 0.5]}
+
+
+def test_two_point_at_tiny_scale_is_an_error(capsys):
+    # all inputs near 1e-153, where the unscaled mass products underflow
+    code, out, err = run_cli(
+        capsys,
+        "two-point",
+        "--mp", "1.8964864346998233e-153",
+        "--sp", "5.189758418810336e-154",
+        "--mq", "1.0594429288851018e-153",
+        "--sq", "3.882824847705252e-154",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -506,6 +529,38 @@ def test_sweep_rejects_bad_step(capsys):
         "1",
     )
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--start", "1e308", "--stop", "inf", "--step", "3e307"),
+        ("--start", "nan", "--stop", "1", "--step", "1"),
+        ("--start", "0", "--stop", "1", "--step", "inf"),
+        # finite flags whose row count overflows: stop - start is inf
+        ("--start=-1e308", "--stop", "1e308", "--step", "1"),
+        # one row more than the cap: refused before any row is built
+        ("--start", "0", "--stop", str(SWEEP_MAX_ROWS), "--step", "1"),
+        # (stop - start) / step + 1e-9 rounds to exactly the cap: one row more
+        ("--start", "0", "--stop", repr(SWEEP_MAX_ROWS - 1e-9), "--step", "1"),
+        ("--start", "0", "--stop", "1e300", "--step", "1e-300"),
+    ],
+    ids=[
+        "inf-stop",
+        "nan-start",
+        "inf-step",
+        "overflowing-count",
+        "cap-plus-one",
+        "cap-plus-one-by-rounding",
+        "huge-count",
+    ],
+)
+def test_sweep_refuses_non_finite_or_oversized_range(capsys, bounds):
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "mp", *bounds, "--sp", "1", "--mq", "0", "--sq", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------ error handling

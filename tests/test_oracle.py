@@ -1,6 +1,7 @@
 """Grid LP verifier: formulation, simplex behavior, bound certification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from tvbounds import (
 )
 import tvbounds.oracle as oracle
 from tvbounds.simplex import solve_dense
+
+from test_simplex import _ref_solve_dense
 
 
 def pair(mp, sp, mq, sq):
@@ -54,6 +57,77 @@ def test_build_grid_merges_extras():
 def test_build_grid_dedupes_coincident_extras():
     grid = build_grid(GridSpec(0, 1, 2, (0.0, 1.0, 0.5)))
     assert grid.tolist() == [0.0, 0.5, 1.0]
+
+
+# `build_grid` as it stood before it built its values as a Python list:
+# numpy concatenation, a stable numpy sort and the tolerance from the largest
+# magnitude over the whole array.
+
+
+def _ref_build_grid(spec):
+    pts = np.concatenate(
+        [np.linspace(spec.lo, spec.hi, spec.count), np.asarray(spec.extra_points)]
+    )
+    pts.sort(kind="stable")
+    tol = oracle.GRID_DEDUP_REL * (1.0 + float(np.max(np.abs(pts))))
+    values = pts.tolist()
+    kept = values[:1]
+    for x in values[1:]:
+        if x - kept[-1] > tol:
+            kept.append(x)
+    return np.array(kept)
+
+
+def _assert_same_grid(spec):
+    got, want = build_grid(spec), _ref_build_grid(spec)
+    assert got.dtype == want.dtype
+    # bytes, so that -0.0 and 0.0 count as different
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # a chain of extras, each within tol of the last, spanning more than tol
+        GridSpec(-1.0, 1.0, 5, tuple(0.1 + k * 0.6e-12 for k in range(8))),
+        GridSpec(-1.0, 1.0, 5, (0.5, 0.5 + 1e-12, 0.5 + 2.5e-12, 0.5 - 1e-12)),
+        # extras outside [lo, hi], on both sides
+        GridSpec(0.0, 1.0, 4, (-3.0, 7.5, -1e-9, 1.0 + 1e-9)),
+        # -0.0 next to 0.0, from the extras and from the uniform grid
+        GridSpec(-1.0, 1.0, 3, (-0.0, 0.0)),
+        GridSpec(-1.0, 1.0, 3, (0.0, -0.0)),
+        GridSpec(-0.0, 1.0, 2, (0.0,)),
+        GridSpec(-1.0, 0.0, 5, (-0.0,)),
+        # offsets where the uniform points merge under the tolerance
+        GridSpec(1e6, 1e6 + 1e-5, 121),
+        GridSpec(-1e7 - 3.0, -1e7 + 3.0, 121, (-1e7, -1e7 + 1e-6)),
+        GridSpec(1e16, 1e16 + 64.0, 121, (1e16 + 2.0,)),
+        GridSpec(1e300, 1.0000000000001e300, 9),
+        # subnormal span: the uniform step underflows to 0
+        GridSpec(0.0, 5e-324, 4),
+    ],
+)
+def test_build_grid_matches_reference_on_adversarial_specs(spec):
+    _assert_same_grid(spec)
+
+
+def test_build_grid_matches_reference_on_random_specs():
+    rng = random.Random(17)
+    for _ in range(400):
+        offset = rng.choice([0.0, 1.0, -1e3, 1e6, -1e8, 1e12])
+        scale = 10.0 ** rng.uniform(-9, 3)
+        lo = offset + rng.uniform(-3, 0) * scale
+        # at the larger offsets a small span rounds away: keep hi above lo
+        hi = max(lo + rng.uniform(1e-3, 3) * scale, math.nextafter(lo, math.inf))
+        extras = []
+        for _ in range(rng.randrange(7)):
+            # on the grid, off it, outside it, or a near-copy of an earlier one
+            x = rng.choice(
+                [lo + rng.uniform(-0.5, 1.5) * (hi - lo), lo, hi, 0.0, -0.0]
+                + [e + rng.uniform(-2, 2) * 1e-12 * (1 + abs(e)) for e in extras]
+            )
+            extras.append(x)
+        _assert_same_grid(GridSpec(lo, hi, rng.randrange(2, 130), tuple(extras)))
 
 
 def test_grid_spec_validation():
@@ -280,6 +354,85 @@ def test_plain_grid_optimum_matches_reference_lp():
 
 
 # ------------------------------------------------------------ simplex engine
+
+
+def _lattice_pairs(seed, pool=149, lattice=(1, 12, 44)):
+    """The pairs of the benchmark's ``verify_grid`` workload: a rank-1
+    lattice over (mean_p, sd_p, sd_q), shifted at random by ``seed``."""
+    rng = random.Random(seed)
+    shift = [rng.random() for _ in lattice]
+    for i in range(pool):
+        u, v, w = (((i * g % pool) / pool + s) % 1.0 for g, s in zip(lattice, shift))
+        yield pair(-2.0 + 4.0 * u, 0.2 + 1.8 * v, 0.0, 0.2 + 1.8 * w)
+
+
+def _ref_minimize(p, include_witness_points):
+    """``minimize_tv_on_grid`` on the reference ``build_grid`` and the
+    reference simplex kernel, with the extraction and certification as they
+    stood before both sides went through one pass."""
+    spec = GridSpec.default_for(p)
+    if include_witness_points:
+        w = oracle.construct_tight_witness(p)
+        spec = spec.with_extra(w.p_dist.support + w.q_dist.support)
+    lp = formulate(p, _ref_build_grid(spec))
+    res = _ref_solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
+    if res.status == "infeasible":
+        return oracle.OracleResult(OracleStatus.INFEASIBLE, None, None, None, res.iterations)
+    failed = oracle.OracleResult(
+        OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations
+    )
+    if res.status != "optimal":
+        return failed
+    n = len(lp.grid)
+    dists = []
+    for raw in (res.x[:n] + res.x[n : 2 * n], res.x[:n] + res.x[2 * n :]):
+        if float(raw.min(initial=0.0)) < -1e-9:
+            return failed
+        w = np.where(raw < 0.0, 0.0, raw)
+        total = float(w.sum())
+        if abs(total - 1.0) > 1e-9:
+            return failed
+        w = w / total
+        kept = np.flatnonzero(w)
+        dists.append(
+            oracle.DiscreteDist(
+                tuple(lp.grid[i] for i in kept.tolist()), tuple(w[kept].tolist())
+            )
+        )
+    for dist, row in zip(dists, (1, 4)):
+        mean = float(lp.rhs[row])
+        var = max(0.0, float(lp.rhs[row + 1]) - mean * mean)
+        if not check_moments(dist, Moments1D(mean, var**0.5), oracle.ORACLE_MOMENT_TOL):
+            return failed
+    tv = min(1.0, max(0.0, res.objective))
+    return oracle.OracleResult(OracleStatus.OPTIMAL, tv, *dists, res.iterations)
+
+
+def test_extract_pair_clamps_and_refuses():
+    grid = (-1.0, 0.0, 1.0)
+    # the w, u and v blocks; p = w + u holds -5e-10 at x = 1, within -1e-9,
+    # which is clamped to 0 and dropped with the other empty atoms
+    x = np.array([0.25, 0.25, 0.0, 0.5, 0.0, -5e-10, 0.0, 0.5, 0.0])
+    p, q = oracle._extract_pair(x, grid)
+    assert (p.support, p.probs) == ((-1.0, 0.0), (0.75, 0.25))
+    assert (q.support, q.probs) == ((-1.0, 0.0), (0.25, 0.75))
+    # mass below -1e-9 on either side, or a total off 1 by more than 1e-9
+    x[5] = -2e-9
+    assert oracle._extract_pair(x, grid) is None
+    x[5] = 0.0
+    x[7] = 0.5 + 2e-9
+    assert oracle._extract_pair(x, grid) is None
+
+
+@pytest.mark.parametrize("include_witness_points", [True, False])
+def test_oracle_result_equals_reference_on_benchmark_lattice(include_witness_points):
+    # compared with ==: the same statuses, TVs, iteration counts and atoms
+    statuses = set()
+    for p in _lattice_pairs(seed=3):
+        got = minimize_tv_on_grid(p, include_witness_points=include_witness_points)
+        assert got == _ref_minimize(p, include_witness_points)
+        statuses.add(got.status)
+    assert OracleStatus.OPTIMAL in statuses
 
 
 def test_simplex_small_equality_program():

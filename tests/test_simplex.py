@@ -1,11 +1,15 @@
 """The dense simplex's pivot kernel against a reference copy of the NumPy
 kernel it replaced.
 
-The kernel does its ratio test in plain Python and one rank-1 update per
-pivot, with every floating-point operation of the reference kept, so the two
-must agree bit for bit: same status, same iteration count, same objective
-and the same ``x``, compared with ``==`` and ``array_equal``, not with a
-tolerance.
+The kernel does its ratio test in plain Python, forms each rank-1 update as
+a BLAS product into a buffer, and runs phase 2 on the phase-1 tableau; the
+reference uses ``np.outer``, array ratio tests and a phase-2 tableau with
+the artificial columns stripped.  Every entry still goes through the same
+floating-point operations, so the two must agree by value: same status,
+same iteration count, same objective and the same ``x``, compared with
+``==`` and ``array_equal``, not with a tolerance.  Only the sign of a zero
+may differ, because a BLAS product can return +0.0 where ``np.outer``
+returns -0.0, and ``==`` treats the two as equal.
 """
 
 import numpy as np

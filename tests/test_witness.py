@@ -291,6 +291,31 @@ def test_two_point_refuses_underflowed_value(args):
         construct_two_point(pair(*args))
 
 
+def test_two_point_equal_stddevs_with_underflowed_radical():
+    # equal stddevs and a gap whose square underflows even in scaled units,
+    # so the radical is 0: the masses are 1/2 to far below an ulp, where the
+    # generic formula divided by the radical and raised ZeroDivisionError
+    this = pair(0.0, 1.0, 1e-320, 1.0)
+    w = construct_two_point(this)
+    assert w.p_dist.support == w.q_dist.support == (-1.0, 1.0)
+    assert w.p_dist.probs == w.q_dist.probs == (0.5, 0.5)
+    assert w.claimed_tv == two_point_tv(this)
+
+
+def test_two_point_at_tiny_scale_refuses_without_dividing_by_zero():
+    # every input near 1e-153: unscaled, v * (v - signed) underflows to 0;
+    # in scaled units the masses are finite, and the refusal that remains is
+    # DiscreteDist merging atoms closer than its 1e-12 absolute floor
+    this = pair(
+        1.8964864346998233e-153,
+        5.189758418810336e-154,
+        1.0594429288851018e-153,
+        3.882824847705252e-154,
+    )
+    with pytest.raises(WitnessConstructionError):
+        construct_two_point(this)
+
+
 # ---------------------------------------------------------------- orderings
 
 
