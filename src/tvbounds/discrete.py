@@ -33,6 +33,15 @@ def _merge_tol(points) -> float:
     return SUPPORT_MERGE_REL * (1.0 + max(abs(x) for x in points))
 
 
+def _sum_nonnegative(terms) -> float:
+    # fsum raises OverflowError when finite terms sum past the float range;
+    # with no negative term that sum is +inf, which the moment checks reject
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 class MomentSummary(NamedTuple):
     """Mean, raw second moment and variance of a discrete distribution."""
 
@@ -103,11 +112,11 @@ class DiscreteDist(FrozenRecord):
         cancels catastrophically once the mean is large against the spread.
         """
         mean = math.fsum(p * x for x, p in zip(self.support, self.probs))
-        second = math.fsum(p * x * x for x, p in zip(self.support, self.probs))
+        second = _sum_nonnegative(p * x * x for x, p in zip(self.support, self.probs))
         # squared by a product: float ** raises OverflowError where the
         # product overflows to inf, which the moment checks then reject
         deviations = [x - mean for x in self.support]
-        variance = math.fsum(p * (d * d) for d, p in zip(deviations, self.probs))
+        variance = _sum_nonnegative(p * (d * d) for d, p in zip(deviations, self.probs))
         return MomentSummary(mean, second, variance)
 
     def compact(self) -> "DiscreteDist":

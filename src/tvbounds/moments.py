@@ -108,9 +108,6 @@ class MomentPair1D(NamedTuple):
     ) -> "MomentPair1D":
         return cls(Moments1D(mean_p, sd_p), Moments1D(mean_q, sd_q))
 
-    def swapped(self) -> "MomentPair1D":
-        return MomentPair1D(self.q_side, self.p_side)
-
 
 class SiblingBranch(NamedTuple):
     """Value and side-condition flag of the alternate sign branch."""
@@ -152,7 +149,8 @@ def _scaled_quantities(pair: MomentPair1D) -> tuple[float, float, float, int]:
     far as the exponent range allows).  All the bound formulas are ratios of
     degree-2 forms, so the rescaling leaves them bit-identical in the normal
     floating-point range while keeping their intermediates clear of overflow
-    and underflow at extreme input magnitudes.
+    and underflow at extreme input magnitudes.  Scaling down can round a
+    subnormal gap to 0, so equal means are tested on the unscaled gap.
     """
     a = pair.p_side.mean - pair.q_side.mean
     sp = pair.p_side.stddev
@@ -163,11 +161,6 @@ def _scaled_quantities(pair: MomentPair1D) -> tuple[float, float, float, int]:
     shift = min(1023, -math.frexp(biggest)[1])
     factor = math.ldexp(1.0, shift)
     return a * factor, sp * factor, sq * factor, shift
-
-
-def _scaled_triple(pair: MomentPair1D) -> tuple[float, float, float]:
-    a, sp, sq, _ = _scaled_quantities(pair)
-    return a, sp, sq
 
 
 def _radical_poly(a: float, sp: float, sq: float) -> float:
@@ -209,7 +202,7 @@ def tv_lower_bound_1d(pair: MomentPair1D) -> float:
     returned; it is attained only if the standard deviations also agree
     (see ``BoundReport1D.attained``).
     """
-    a, sp, sq = _scaled_triple(pair)
+    a, sp, sq, _ = _scaled_quantities(pair)
     if a == 0.0:
         return 0.0
     s = sp + sq
@@ -228,9 +221,9 @@ def two_point_tv(pair: MomentPair1D) -> float:
     GapZeroError
         If the means are equal; no such pair exists then.
     """
-    a, sp, sq = _scaled_triple(pair)
-    if a == 0.0:
+    if gap(pair) == 0.0:
         raise GapZeroError("two-point value is undefined for equal means")
+    a, sp, sq, _ = _scaled_quantities(pair)
     if sp == 0.0 or sq == 0.0:
         # v collapses onto (sp + sq)^2 + a^2: the value coincides with the
         # tight bound, so evaluate it by the identical expression
@@ -254,14 +247,16 @@ def sibling_branch_tv(pair: MomentPair1D) -> SiblingBranch:
     only when the mean gap and the stddev gap have opposite signs; ``valid``
     reports that condition and is False whenever the stddevs are equal.
     """
-    a, sp, sq = _scaled_triple(pair)
-    if a == 0.0:
+    unscaled = gap(pair)
+    if unscaled == 0.0:
         raise GapZeroError("sign-branch value is undefined for equal means")
+    a, sp, sq, _ = _scaled_quantities(pair)
     ds = sp - sq
     denom = ds * ds + a * a
     # denom underflows only when ds == 0, where the ratio is identically 1
     value = 1.0 if denom == 0.0 else min(1.0, (a * a) / denom)
-    valid = ds != 0.0 and (a > 0.0) != (ds > 0.0)
+    # the sign comes from the unscaled gap, which scaling can round to 0
+    valid = ds != 0.0 and (unscaled > 0.0) != (ds > 0.0)
     return SiblingBranch(value, valid)
 
 
@@ -284,9 +279,9 @@ def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
     BadParameterError
         If ``anchor`` is not ``"p"`` or ``"q"``.
     """
-    a, sp, sq = _scaled_triple(pair)
-    if a == 0.0:
+    if gap(pair) == 0.0:
         raise GapZeroError("anchored values are undefined for equal means")
+    a, sp, sq, _ = _scaled_quantities(pair)
     if anchor == "p":
         if pair.q_side.stddev == 0.0:
             raise DegenerateVarianceError(

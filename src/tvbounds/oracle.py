@@ -31,7 +31,7 @@ import numpy as np
 
 from .discrete import DiscreteDist, check_moments
 from .errors import BadParameterError
-from .moments import FrozenRecord, MomentPair1D, Moments1D, gap
+from .moments import FrozenRecord, MomentPair1D, gap
 from .nd import trace_bound, validate_moments
 # unused here, but benchmarks/spans.py traces the n-d layer under these names
 from .nd import MomentsND, tv_lower_bound_nd  # noqa: F401
@@ -70,6 +70,8 @@ class GridSpec(FrozenRecord):
         hi = float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the span hi - lo overflows, got lo={lo!r}, hi={hi!r}")
         if int(count) < 2:
             raise ValueError(f"count must be >= 2, got {count}")
         extras = tuple(float(x) for x in extra_points)
@@ -112,12 +114,14 @@ def build_grid(spec: GridSpec) -> np.ndarray:
 class LPStandardForm(FrozenRecord):
     """``min objective . x  s.t.  constraint_matrix x = rhs, x >= 0``.
 
-    ``grid`` carries the support the probability variables live on so that
-    a solve can hand back the optimizers as distributions; it plays no role
-    in the algebra.  Compares by identity: its fields are arrays.
+    ``pair`` holds the moments the rows encode and ``grid`` the support the
+    probability variables live on, so that a solve can hand back the
+    optimizers as distributions and certify them against the pair itself;
+    neither plays a role in the algebra.  Compares by identity: its fields
+    are arrays.
     """
 
-    __slots__ = ("objective", "constraint_matrix", "rhs", "grid")
+    __slots__ = ("objective", "constraint_matrix", "rhs", "pair", "grid")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -126,13 +130,15 @@ class LPStandardForm(FrozenRecord):
         objective: np.ndarray,
         constraint_matrix: np.ndarray,
         rhs: np.ndarray,
-        grid: tuple[float, ...] | None = None,
+        pair: MomentPair1D,
+        grid: tuple[float, ...],
     ) -> None:
         if constraint_matrix.shape != (rhs.size, objective.size):
             raise ValueError("inconsistent LP dimensions")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint_matrix", constraint_matrix)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "grid", grid)
 
 
@@ -168,7 +174,7 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     b = np.array([1.0, mp, mp * mp + vp, 1.0, mq, mq * mq + vq])
     c = np.zeros(3 * n)
     c[n : 2 * n] = 1.0
-    return LPStandardForm(c, A, b, grid=tuple(x.tolist()))
+    return LPStandardForm(c, A, b, pair, tuple(x.tolist()))
 
 
 class OracleStatus(enum.Enum):
@@ -229,12 +235,11 @@ def solve(lp: LPStandardForm) -> OracleResult:
     """Run the simplex on ``lp`` and package the outcome.
 
     An optimal solve yields the minimal TV (clamped to [0, 1] against
-    terminal rounding) and, when the program carries its grid, the two
-    optimizing distributions ``p = w + u`` and ``q = w + v`` read from the
-    blocks ``formulate`` lays out, keeping only the atoms that carry mass.
-    The optimizers must certify their own moment constraints at
-    ``ORACLE_MOMENT_TOL``; if they cannot, the result is demoted to
-    ``NUMERIC_FAILURE`` rather than trusted.
+    terminal rounding) and the two optimizing distributions ``p = w + u``
+    and ``q = w + v`` on ``lp.grid``, read from the blocks ``formulate``
+    lays out, keeping only the atoms that carry mass.  Each optimizer must
+    match its side of ``lp.pair`` at ``ORACLE_MOMENT_TOL``; if either does
+    not, the result is demoted to ``NUMERIC_FAILURE`` rather than trusted.
     """
     res: SimplexResult = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
     if res.status == "infeasible":
@@ -242,19 +247,13 @@ def solve(lp: LPStandardForm) -> OracleResult:
     failed = OracleResult(OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations)
     if res.status != "optimal":
         return failed
-    tv = min(1.0, max(0.0, res.objective))
-    if lp.grid is None:
-        return OracleResult(OracleStatus.OPTIMAL, tv, None, None, res.iterations)
     optimizers = _extract_pair(res.x, lp.grid)
     if optimizers is None:
         return failed
-    # recover the moment targets from the equality rows: rows 1 and 2 hold
-    # the mean and raw second moment of p, rows 4 and 5 those of q
-    rhs = lp.rhs.tolist()
-    for dist, mean, second in zip(optimizers, rhs[1::3], rhs[2::3]):
-        target = Moments1D(mean, max(0.0, second - mean * mean) ** 0.5)
+    for dist, target in zip(optimizers, lp.pair):
         if not check_moments(dist, target, ORACLE_MOMENT_TOL):
             return failed
+    tv = min(1.0, max(0.0, res.objective))
     return OracleResult(OracleStatus.OPTIMAL, tv, *optimizers, res.iterations)
 
 

@@ -25,7 +25,6 @@ from .errors import (
 from .moments import (
     FrozenRecord,
     MomentPair1D,
-    Moments1D,
     _radical_poly,
     _scaled_quantities,
     anchored_tv,
@@ -137,8 +136,7 @@ def _checked(
     p_atoms: list[tuple[float, float]],
     q_atoms: list[tuple[float, float]],
     claimed_tv: float,
-    p_target: Moments1D,
-    q_target: Moments1D,
+    targets: MomentPair1D,
 ) -> WitnessPair:
     p_dist = DiscreteDist(
         tuple(x for x, _ in p_atoms), tuple(_clamp_unit(w) for _, w in p_atoms)
@@ -146,7 +144,7 @@ def _checked(
     q_dist = DiscreteDist(
         tuple(x for x, _ in q_atoms), tuple(_clamp_unit(w) for _, w in q_atoms)
     )
-    for dist, target, label in ((p_dist, p_target, "p"), (q_dist, q_target, "q")):
+    for dist, target, label in zip((p_dist, q_dist), targets, "pq"):
         if not check_moments(dist, target, MOMENT_MATCH_TOL):
             got = dist.moments()
             raise WitnessConstructionError(
@@ -196,8 +194,7 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             [(x1, 1.0 - p), (x2, p), (x3, 0.0)],
             [(x1, 1.0 - p), (x2, 0.0), (x3, p)],
             p,
-            pair.p_side,
-            pair.q_side,
+            pair,
         )
     _nonzero(p, "tight bound", a)
     if sp > 0.0:
@@ -208,8 +205,7 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             [(mq, 1.0 - p), (x2, p)],
             [(mq, 1.0), (x2, 0.0)],
             p,
-            pair.p_side,
-            pair.q_side,
+            pair,
         )
     if sq > 0.0:
         y = mp - a / p
@@ -218,16 +214,14 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             [(mp, 1.0), (y, 0.0)],
             [(mp, 1.0 - p), (y, p)],
             p,
-            pair.p_side,
-            pair.q_side,
+            pair,
         )
     return _checked(
         WitnessKind.BOTH_POINT_MASSES,
         [(mp, 1.0), (mq, 0.0)],
         [(mp, 0.0), (mq, 1.0)],
         p,
-        pair.p_side,
-        pair.q_side,
+        pair,
     )
 
 
@@ -236,46 +230,20 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
 
     Its TV is ``a^2 / v`` (see :func:`tvbounds.moments.two_point_tv`).  The
     canonical labeling puts the larger support point first; the relabeled
-    twin describes the same pair and is not exposed.  When the first side is
-    a point mass the generic formulas degenerate, so the construction runs
-    with the sides switched and swaps the result back; with both sides
-    point masses the pair is written down directly, and with one a value
-    that underflows to 0 raises ``WitnessConstructionError``.
+    twin describes the same pair and is not exposed.  With a point mass on
+    either side the pair is the tight witness, relabeled: the point mass
+    sits on one of the two shared points, and ``two_point_tv`` is the tight
+    bound there.
     """
     a = gap(pair)
     if a == 0.0:
         raise GapZeroError("no two-point pair exists for equal means")
     mp, sp = pair.p_side.mean, pair.p_side.stddev
-    mq, sq = pair.q_side.mean, pair.q_side.stddev
-    claimed = two_point_tv(pair)
-    if sp == 0.0 and sq == 0.0:
-        return _checked(
-            WitnessKind.TWO_POINT_SHARED,
-            [(mp, 1.0), (mq, 0.0)],
-            [(mp, 0.0), (mq, 1.0)],
-            claimed,
-            pair.p_side,
-            pair.q_side,
-        )
+    sq = pair.q_side.stddev
     if sp == 0.0 or sq == 0.0:
-        _nonzero(claimed, "two-point value", a)
-    if sp == 0.0:
-        mirrored = construct_two_point(pair.swapped())
+        tight = construct_tight_witness(pair)
         return WitnessPair(
-            mirrored.q_dist, mirrored.p_dist, claimed, WitnessKind.TWO_POINT_SHARED
-        )
-    if sq == 0.0:
-        # the pair pins the second side at its mean; built directly because
-        # the generic mass formula cancels catastrophically in this limit
-        p = claimed  # equals a^2 / (sp^2 + a^2) here
-        x2 = mq + a / p
-        return _checked(
-            WitnessKind.TWO_POINT_SHARED,
-            [(mq, 1.0 - p), (x2, p)],
-            [(mq, 1.0), (x2, 0.0)],
-            claimed,
-            pair.p_side,
-            pair.q_side,
+            tight.p_dist, tight.q_dist, tight.claimed_tv, WitnessKind.TWO_POINT_SHARED
         )
     # refuses, with BadParameterError, a pair whose radical overflows
     radical_v(pair)
@@ -314,9 +282,8 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
         WitnessKind.TWO_POINT_SHARED,
         [(x1, one_minus_p), (x2, p)],
         [(x1, one_minus_q), (x2, q)],
-        claimed,
-        pair.p_side,
-        pair.q_side,
+        two_point_tv(pair),
+        pair,
     )
 
 
@@ -362,8 +329,7 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
         [(x1, (1.0 - p) * (1.0 - q_param)), (x2, (1.0 - p) * q_param), (x3, p)],
         [(x1, 1.0 - q_param), (x2, q_param), (x3, 0.0)],
         p,
-        pair.p_side,
-        pair.q_side,
+        pair,
     )
 
 
@@ -376,48 +342,30 @@ def construct_vanishing_sequence(
     pair of far-out points chosen so its variance still matches, and
     ``1/2 - 1/(2k)`` on the two near points the other side uses with mass
     ``1/2`` each.  With equal standard deviations the two sides are the
-    same two-point distribution and the TV is 0.
+    same two-point distribution and the TV is 0.  Like every witness, the
+    pair is checked against the moments it is built for.
 
     Raises
     ------
     BadParameterError
         If ``k`` is not an integer >= 2.
+    WitnessConstructionError
+        If the atoms miss those moments, as when the spread is too small
+        against ``m`` for the near points to stay apart.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise BadParameterError(f"k must be an integer >= 2, got {k!r}")
-    m = float(m)
-    sigma_p = float(sigma_p)
-    sigma_q = float(sigma_q)
-    if not (math.isfinite(m) and math.isfinite(sigma_p) and math.isfinite(sigma_q)):
-        raise ValueError("m, sigma_p and sigma_q must be finite")
-    if sigma_p < 0.0 or sigma_q < 0.0:
-        raise ValueError("standard deviations must be non-negative")
+    targets = MomentPair1D.from_scalars(m, sigma_p, m, sigma_q)
+    m, sigma_p, sigma_q = float(m), float(sigma_p), float(sigma_q)
+    kind = WitnessKind.VANISHING_SEQUENCE
     if sigma_p == sigma_q:
-        base = DiscreteDist((m - sigma_p, m + sigma_p), (0.5, 0.5))
-        return WitnessPair(base, base, 0.0, WitnessKind.VANISHING_SEQUENCE)
-    s_big, s_small = (
-        (sigma_p, sigma_q) if sigma_p > sigma_q else (sigma_q, sigma_p)
-    )
+        near = [(m - sigma_p, 0.5), (m + sigma_p, 0.5)]
+        return _checked(kind, near, near, 0.0, targets)
+    s_small, s_big = sorted((sigma_p, sigma_q))
     outer = 0.5 / k
     inner = 0.5 - outer
     x_far = math.sqrt((s_big * s_big - s_small * s_small) * k + s_small * s_small)
-    wide = DiscreteDist(
-        (m - x_far, m - s_small, m + s_small, m + x_far),
-        (outer, inner, inner, outer),
-    )
-    narrow = DiscreteDist((m - s_small, m + s_small), (0.5, 0.5))
-    claimed = 1.0 / k
-    if sigma_p > sigma_q:
-        p_dist, q_dist = wide, narrow
-    else:
-        p_dist, q_dist = narrow, wide
-    for dist, target, label in (
-        (p_dist, Moments1D(m, sigma_p), "p"),
-        (q_dist, Moments1D(m, sigma_q), "q"),
-    ):
-        if not check_moments(dist, target, MOMENT_MATCH_TOL):
-            raise WitnessConstructionError(
-                f"vanishing-sequence element: {label} side moments drifted "
-                f"from the target at k={k}"
-            )
-    return WitnessPair(p_dist, q_dist, claimed, WitnessKind.VANISHING_SEQUENCE)
+    narrow = [(m - s_small, 0.5), (m + s_small, 0.5)]
+    wide = [(m - x_far, outer), (m - s_small, inner), (m + s_small, inner), (m + x_far, outer)]
+    p_atoms, q_atoms = (wide, narrow) if sigma_p > sigma_q else (narrow, wide)
+    return _checked(kind, p_atoms, q_atoms, 1.0 / k, targets)

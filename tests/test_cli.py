@@ -69,6 +69,19 @@ def test_bound_point_masses(capsys):
     assert payload["tight_bound"] == 1.0
 
 
+def test_bound_subnormal_gap_that_scaling_rounds_to_zero(capsys):
+    # the scaling of the formulas halves the gap 5e-324 to 0.0; the means
+    # still differ, so every diagnostic is defined
+    code, payload = run_json(
+        capsys, "bound", "--mp", "0", "--sp", "0", "--mq", "5e-324", "--sq", "1"
+    )
+    assert code == 0
+    assert payload["gap_a"] == -5e-324
+    assert payload["tight_bound"] == payload["two_point_tv"] == 0.0
+    assert payload["sibling_branch_tv"] == 0.0
+    assert payload["sibling_branch_valid"] is False
+
+
 def test_bound_equal_means_reports_unattained(capsys):
     code, payload = run_json(
         capsys, "bound", "--mp", "2", "--sp", "1", "--mq", "2", "--sq", "3"
@@ -238,6 +251,17 @@ def test_sequence_output(capsys):
     assert check_moments(p, Moments1D(0.0, 2.0), 1e-9)
 
 
+def test_sequence_refuses_a_pair_that_misses_its_moments(capsys):
+    # equal stddevs far below the mean: the near points m - sd and m + sd
+    # merge into one atom, whose variance is 0, not 1e14
+    code, out, err = run_cli(
+        capsys, "sequence", "--m", "1e20", "--sp", "1e7", "--sq", "1e7", "--k", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: vanishing_sequence witness: p side moments")
+    assert err.count("\n") == 1
+
+
 def test_sequence_rejects_small_k(capsys):
     code, _, err = run_cli(
         capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "1"
@@ -323,6 +347,36 @@ def test_overflowing_witness_moments_are_an_error(capsys, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: three_point witness: p side moments")
+
+
+@pytest.mark.parametrize("command", ["witness", "two-point", "verify"])
+def test_overflowing_sum_of_squares_is_an_error(capsys, command):
+    # every p * x * x of the witness's raw second moment is finite, but
+    # their sum passes the float range, where math.fsum raised
+    # OverflowError; its variance is inf, which the moment check refuses
+    args = (
+        "--mp=-8.391482909768884e+153",
+        "--sp=1.0541747264031324e+154",
+        "--mq=-4.7657788459481485e+153",
+        "--sq=0.0",
+    )
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: two_point_q_degenerate witness: p side moments")
+    assert "variance inf" in err and err.count("\n") == 1
+
+
+def test_verify_overflowing_grid_span_is_an_error(capsys):
+    # hi - lo overflows, which np.linspace met with a RuntimeWarning and a
+    # grid of NaN and inf; it must be one error line and no warning
+    args = ("--mp", "0", "--sp", "1", "--mq", "1", "--sq", "1")
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "verify", *args, "--grid-lo=-1e308", "--grid-hi=1e308"
+        )
+    assert (code, out) == (1, "")
+    assert err == "error: the span hi - lo overflows, got lo=-1e+308, hi=1e+308\n"
 
 
 def test_verify_rejects_half_grid_range(capsys):

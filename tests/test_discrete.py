@@ -192,6 +192,11 @@ def test_overflowing_variance_is_inf_and_fails_the_check():
     dist = DiscreteDist((-1e200, 1e200), (0.5, 0.5))
     assert dist.moments().variance == math.inf
     assert not check_moments(dist, Moments1D(0.0, 1.0), 1e-9)
+    # every p * x * x is finite but their sum is not, where math.fsum
+    # raises OverflowError
+    wide = DiscreteDist((-1.3e154, 1.5e154), (0.5, 0.5))
+    assert wide.moments().second_moment == wide.moments().variance == math.inf
+    assert not check_moments(wide, Moments1D(1e153, 1.3e154), 1e-9)
 
 
 def test_check_moments_requires_positive_tol():

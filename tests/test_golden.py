@@ -18,8 +18,24 @@ CASES = [
     ("bound", 0, ["bound", *PAIR]),
     ("witness", 0, ["witness", *PAIR]),
     ("two_point", 0, ["two-point", "--mp", "1", "--sp", "0.5", "--mq", "0", "--sq", "2"]),
+    # a point mass on either side: the two-point pair is the tight witness
+    (
+        "two_point_q_point_mass",
+        0,
+        ["two-point", "--mp", "1", "--sp", "1", "--mq", "0", "--sq", "0"],
+    ),
+    (
+        "two_point_p_point_mass",
+        0,
+        ["two-point", "--mp", "1", "--sp", "0", "--mq", "0", "--sq", "2"],
+    ),
     ("case_c", 0, ["case-c", *PAIR, "--q-param", "0.3"]),
     ("sequence", 0, ["sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "10"]),
+    (
+        "sequence_equal_stddevs",
+        0,
+        ["sequence", "--m", "0", "--sp", "1", "--sq", "1", "--k", "3"],
+    ),
     ("verify", 0, ["verify", *PAIR, "--grid-n", "21"]),
     (
         "verify_narrow_grid",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvbounds import (
@@ -349,6 +349,7 @@ def test_translation_invariance_bit_exact(mp, sp, mq, sq, shift):
 
 
 @given(means, sigmas, means, sigmas, st.floats(1e-3, 1e3))
+@example(mp=0.0, sp=0.0, mq=5e-324, sq=1.0, t=1.0)
 @settings(deadline=None)
 def test_scale_covariance(mp, sp, mq, sq, t):
     base = pair(mp, sp, mq, sq)

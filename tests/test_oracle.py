@@ -213,6 +213,8 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
         objective=np.array([-1.0, 0.0]),
         constraint_matrix=np.array([[1.0, -1.0]]),
         rhs=np.array([0.0]),
+        pair=pair(0, 1, 0, 1),
+        grid=(-1.0, 1.0),
     )
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 

@@ -40,7 +40,13 @@ def _witness_kwargs():
 
 
 def _lp_kwargs():
-    return dict(objective=np.zeros(2), constraint_matrix=np.zeros((1, 2)), rhs=np.zeros(1))
+    return dict(
+        objective=np.zeros(2),
+        constraint_matrix=np.zeros((1, 2)),
+        rhs=np.zeros(1),
+        pair=MomentPair1D.from_scalars(1.0, 1.0, 0.0, 1.0),
+        grid=(-1.0, 1.0),
+    )
 
 
 def _nd_pair_kwargs():
@@ -140,6 +146,11 @@ RECORDS = [
         [
             (dict(hi=-1.0), ValueError, "need finite lo < hi, got lo=-1.0, hi=-1.0"),
             (dict(lo=math.nan), ValueError, "need finite lo < hi, got lo=nan, hi=1.0"),
+            (
+                dict(lo=-1e308, hi=1e308),
+                ValueError,
+                "the span hi - lo overflows, got lo=-1e+308, hi=1e+308",
+            ),
             (dict(count=1), ValueError, "count must be >= 2, got 1"),
             (dict(extra_points=(0.0, math.inf)), ValueError, "extra points must be finite"),
         ],
@@ -147,7 +158,7 @@ RECORDS = [
     (
         LPStandardForm,
         _lp_kwargs,
-        dict(grid=None),
+        {},
         False,
         [(dict(rhs=np.zeros(2)), ValueError, "inconsistent LP dimensions")],
     ),

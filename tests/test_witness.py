@@ -159,6 +159,30 @@ def test_two_point_both_point_masses():
     assert w.q_dist.compact() == DiscreteDist.delta(0.0)
 
 
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(0, 1e3),
+    st.floats(-1e6, 1e6),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=300)
+def test_two_point_with_a_point_mass_is_the_tight_witness(mp, sd, mq, p_is_point):
+    # one side a point mass: the shared two-point pair is the tight witness
+    sp, sq = (0.0, sd) if p_is_point else (sd, 0.0)
+    assume(mp != mq)
+    this = pair(mp, sp, mq, sq)
+    try:
+        tight = construct_tight_witness(this)
+    except WitnessConstructionError:
+        with pytest.raises(WitnessConstructionError):
+            construct_two_point(this)
+        return
+    w = construct_two_point(this)
+    assert w.kind is WitnessKind.TWO_POINT_SHARED
+    assert (w.p_dist, w.q_dist) == (tight.p_dist, tight.q_dist)
+    assert w.claimed_tv == tight.claimed_tv == two_point_tv(this)
+
+
 def test_two_point_gap_zero():
     with pytest.raises(GapZeroError):
         construct_two_point(pair(0, 1, 0, 2))
@@ -369,6 +393,14 @@ def test_vanishing_sequence_equal_sigmas_identical_pair():
     assert w.claimed_tv == 0.0
     assert w.p_dist == w.q_dist
     assert tv_distance(w.p_dist, w.q_dist) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [1e7, 2e7])
+def test_vanishing_sequence_refuses_pairs_that_miss_their_moments(sigma):
+    # at m = 1e20 the near points m - sigma and m + sigma merge into one
+    # atom, so the pair has variance 0; equal stddevs were not checked
+    with pytest.raises(WitnessConstructionError, match="p side moments"):
+        construct_vanishing_sequence(1e20, sigma, 1e7, 2)
 
 
 @pytest.mark.parametrize("k", [2, 10, 100, 10**6])
