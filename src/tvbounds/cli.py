@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Any, Mapping, NamedTuple
 
@@ -75,6 +76,14 @@ class RunConfig(NamedTuple):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a flag unless it matches this
+        # pattern, whose default has no exponent form: ``--mp -1e-05``
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
     # argparse exits the process on bad flags; raise instead so the caller
     # controls the exit code
     def error(self, message: str):
@@ -90,11 +99,11 @@ def _parse_bool(text: str) -> bool:
     raise CLIError(f"expected true or false, got {text!r}")
 
 
-def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mp", type=float, required=True, help="mean of the first distribution")
-    parser.add_argument("--sp", type=float, required=True, help="stddev of the first distribution")
-    parser.add_argument("--mq", type=float, required=True, help="mean of the second distribution")
-    parser.add_argument("--sq", type=float, required=True, help="stddev of the second distribution")
+def _add_pair_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--mp", type=float, required=required, help="mean of the first distribution")
+    parser.add_argument("--sp", type=float, required=required, help="stddev of the first distribution")
+    parser.add_argument("--mq", type=float, required=required, help="mean of the second distribution")
+    parser.add_argument("--sq", type=float, required=required, help="stddev of the second distribution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,10 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--mp", type=float, default=None)
-    p.add_argument("--sp", type=float, default=None)
-    p.add_argument("--mq", type=float, default=None)
-    p.add_argument("--sq", type=float, default=None)
+    _add_pair_flags(p, required=False)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser

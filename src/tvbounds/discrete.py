@@ -43,10 +43,9 @@ def _sum_nonnegative(terms) -> float:
 
 
 class MomentSummary(NamedTuple):
-    """Mean, raw second moment and variance of a discrete distribution."""
+    """Mean and variance of a discrete distribution."""
 
     mean: float
-    second_moment: float
     variance: float
 
 
@@ -105,19 +104,18 @@ class DiscreteDist(FrozenRecord):
         return len(self.support)
 
     def moments(self) -> MomentSummary:
-        """Exact first two moments via compensated summation.
+        """Mean and variance via compensated summation.
 
-        ``second_moment`` is the raw ``E[x^2]``.  The variance is summed
-        about the mean in a second pass, because ``E[x^2] - mean^2``
-        cancels catastrophically once the mean is large against the spread.
+        The variance is summed about the mean in a second pass, because
+        ``E[x^2] - mean^2`` cancels catastrophically once the mean is large
+        against the spread.
         """
         mean = math.fsum(p * x for x, p in zip(self.support, self.probs))
-        second = _sum_nonnegative(p * x * x for x, p in zip(self.support, self.probs))
         # squared by a product: float ** raises OverflowError where the
         # product overflows to inf, which the moment checks then reject
         deviations = [x - mean for x in self.support]
         variance = _sum_nonnegative(p * (d * d) for d, p in zip(deviations, self.probs))
-        return MomentSummary(mean, second, variance)
+        return MomentSummary(mean, variance)
 
     def compact(self) -> "DiscreteDist":
         """Copy with zero-probability atoms removed."""
@@ -147,9 +145,7 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     between the aligned probability vectors.  Always in [0, 1], and exactly
     0 for two identical values.
     """
-    tol = SUPPORT_MERGE_REL * (
-        1.0 + max(max(map(abs, p.support)), max(map(abs, q.support)))
-    )
+    tol = _merge_tol(p.support + q.support)
     terms: list[float] = []
     i = j = 0
     np_, nq = len(p.support), len(q.support)

@@ -155,10 +155,8 @@ def _scaled_quantities(pair: MomentPair1D) -> tuple[float, float, float, int]:
     a = pair.p_side.mean - pair.q_side.mean
     sp = pair.p_side.stddev
     sq = pair.q_side.stddev
-    biggest = max(abs(a), sp, sq)
-    if biggest == 0.0:
-        return a, sp, sq, 0
-    shift = min(1023, -math.frexp(biggest)[1])
+    # frexp(0.0) has exponent 0, so all-zero inputs keep factor 1
+    shift = min(1023, -math.frexp(max(abs(a), sp, sq))[1])
     factor = math.ldexp(1.0, shift)
     return a * factor, sp * factor, sq * factor, shift
 
@@ -183,8 +181,6 @@ def radical_v(pair: MomentPair1D) -> float:
     overflows, at a mean gap or stddev above about 1.34e154.
     """
     a_s, sp_s, sq_s, shift = _scaled_quantities(pair)
-    if shift == 0:
-        return _radical_poly(a_s, sp_s, sq_s)
     try:
         return math.ldexp(_radical_poly(a_s, sp_s, sq_s), -2 * shift)
     except OverflowError:
@@ -225,10 +221,9 @@ def two_point_tv(pair: MomentPair1D) -> float:
         raise GapZeroError("two-point value is undefined for equal means")
     a, sp, sq, _ = _scaled_quantities(pair)
     if sp == 0.0 or sq == 0.0:
-        # v collapses onto (sp + sq)^2 + a^2: the value coincides with the
-        # tight bound, so evaluate it by the identical expression
-        s = sp + sq
-        return (a * a) / (s * s + a * a)
+        # v collapses onto (sp + sq)^2 + a^2: the value is the tight bound.
+        # The scaled stddevs are tested, because a subnormal one scales to 0
+        return tv_lower_bound_1d(pair)
     v = _radical_poly(a, sp, sq)
     if v == 0.0:
         # reachable only when the squared gap underflows with equal spreads,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import DiscreteDist, check_moments
+from .discrete import DiscreteDist, _merge_tol, check_moments
 from .errors import BadParameterError
 from .moments import FrozenRecord, MomentPair1D, gap
 from .nd import trace_bound, validate_moments
@@ -50,8 +50,6 @@ __all__ = [
     "check_nd_bound_random",
 ]
 
-#: Relative scale of the grid deduplication tolerance.
-GRID_DEDUP_REL = 1e-12
 #: Moment tolerance the extracted optimizers must certify.
 ORACLE_MOMENT_TOL = 1e-7
 #: Violation slack for the randomized d-dimensional check.
@@ -98,12 +96,13 @@ class GridSpec(FrozenRecord):
 
 
 def build_grid(spec: GridSpec) -> np.ndarray:
-    """Sorted, deduplicated union of the uniform grid and the extra points."""
+    """Sorted union of the uniform grid and the extra points, deduplicated
+    by ``DiscreteDist``'s merge rule at the grid's largest magnitude."""
     values = np.linspace(spec.lo, spec.hi, spec.count).tolist()
     if spec.extra_points:
         values = sorted(values + list(spec.extra_points))
     # the largest magnitude sits at one end of the sorted values
-    tol = GRID_DEDUP_REL * (1.0 + max(abs(values[0]), abs(values[-1])))
+    tol = _merge_tol((values[0], values[-1]))
     kept = values[:1]
     for x in values[1:]:
         if x - kept[-1] > tol:

@@ -161,8 +161,9 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     With both standard deviations positive the pair lives on three shared
     points, the two measures agreeing on one of them and holding exclusive
     mass ``p`` (the bound value) on the other two.  A vanishing standard
-    deviation collapses the corresponding side to a point mass anchoring a
-    two-point pair, and with both zero the pair is two distinct point
+    deviation collapses that side to a point mass at its mean, and the kind
+    names that side; the other keeps ``1 - p`` there and puts ``p`` on the
+    atom its own mean pins.  With both zero the pair is two distinct point
     masses with TV 1.
 
     Raises
@@ -197,32 +198,23 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             pair,
         )
     _nonzero(p, "tight bound", a)
-    if sp > 0.0:
-        # q side is a point mass; the second p atom is pinned by the moments
-        x2 = mq + a / p
+    if sp == 0.0 and sq == 0.0:
         return _checked(
-            WitnessKind.TWO_POINT_Q_DEGENERATE,
-            [(mq, 1.0 - p), (x2, p)],
-            [(mq, 1.0), (x2, 0.0)],
+            WitnessKind.BOTH_POINT_MASSES,
+            [(mp, 1.0), (mq, 0.0)],
+            [(mp, 0.0), (mq, 1.0)],
             p,
             pair,
         )
-    if sq > 0.0:
-        y = mp - a / p
-        return _checked(
-            WitnessKind.TWO_POINT_P_DEGENERATE,
-            [(mp, 1.0), (y, 0.0)],
-            [(mp, 1.0 - p), (y, p)],
-            p,
-            pair,
-        )
-    return _checked(
-        WitnessKind.BOTH_POINT_MASSES,
-        [(mp, 1.0), (mq, 0.0)],
-        [(mp, 0.0), (mq, 1.0)],
-        p,
-        pair,
-    )
+    if sq == 0.0:
+        kind, c, d = WitnessKind.TWO_POINT_Q_DEGENERATE, mq, a
+    else:
+        kind, c, d = WitnessKind.TWO_POINT_P_DEGENERATE, mp, -a
+    far = c + d / p
+    point = [(c, 1.0), (far, 0.0)]
+    spread = [(c, 1.0 - p), (far, p)]
+    p_atoms, q_atoms = (spread, point) if sq == 0.0 else (point, spread)
+    return _checked(kind, p_atoms, q_atoms, p, pair)
 
 
 def construct_two_point(pair: MomentPair1D) -> WitnessPair:

@@ -630,6 +630,29 @@ def test_missing_flag_is_invalid_input(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["bound", "--sp", "1", "--mq", "0", "--sq", "1"], "--mp", "-1e-05"),
+        (["bound", "--sp", "1", "--mq", "0", "--sq", "1"], "--mp", "-1E+2"),
+        (["verify", "--sp", "1", "--mq", "0", "--sq", "1", "--grid-n", "21"], "--mp", "-1e-05"),
+        (
+            ["sweep", "--param", "mp", "--stop", "0", "--step", "5e-4",
+             "--sp", "1", "--mq", "0", "--sq", "1"],
+            "--start",
+            "-1e-3",
+        ),
+    ],
+    ids=["bound", "bound-upper-case", "verify", "sweep-start"],
+)
+def test_negative_scientific_value_reads_as_a_number(capsys, argv, flag, value):
+    # argparse's own negative-number pattern has no exponent form, so it
+    # took "-1e-05" for a flag; the "--flag=value" spelling always worked
+    expected = run_cli(capsys, *argv, f"{flag}={value}")
+    assert expected[0] == 0 and expected[2] == ""
+    assert run_cli(capsys, *argv, flag, value) == expected
+
+
 def test_negative_stddev_is_invalid_input(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--mp", "1", "--sp", "-1", "--mq", "0", "--sq", "1"

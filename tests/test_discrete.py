@@ -69,20 +69,19 @@ def test_delta():
 
 def test_moments_point_mass():
     m = DiscreteDist.delta(3.0).moments()
-    assert (m.mean, m.second_moment, m.variance) == (3.0, 9.0, 0.0)
+    assert (m.mean, m.variance) == (3.0, 0.0)
 
 
 def test_moments_tight_witness_marginal():
-    # hand-checkable: 0.8 * 0.5 + 0.2 * 3 = 1, 0.8 * 0.25 + 0.2 * 9 = 2
+    # hand-checkable: 0.8 * 0.5 + 0.2 * 3 = 1, 0.8 * 0.25 + 0.2 * 4 = 1
     m = DiscreteDist((0.5, 3.0), (0.8, 0.2)).moments()
     assert m.mean == pytest.approx(1.0, abs=1e-15)
-    assert m.second_moment == pytest.approx(2.0, abs=1e-15)
     assert m.variance == pytest.approx(1.0, abs=1e-15)
 
 
 def test_moments_symmetric_two_point():
     m = DiscreteDist((-1.0, 1.0), (0.5, 0.5)).moments()
-    assert (m.mean, m.second_moment, m.variance) == (0.0, 1.0, 1.0)
+    assert (m.mean, m.variance) == (0.0, 1.0)
 
 
 def test_moments_wide_support_accuracy():
@@ -192,11 +191,14 @@ def test_overflowing_variance_is_inf_and_fails_the_check():
     dist = DiscreteDist((-1e200, 1e200), (0.5, 0.5))
     assert dist.moments().variance == math.inf
     assert not check_moments(dist, Moments1D(0.0, 1.0), 1e-9)
-    # every p * x * x is finite but their sum is not, where math.fsum
-    # raises OverflowError
     wide = DiscreteDist((-1.3e154, 1.5e154), (0.5, 0.5))
-    assert wide.moments().second_moment == wide.moments().variance == math.inf
+    assert wide.moments().variance == math.inf
     assert not check_moments(wide, Moments1D(1e153, 1.3e154), 1e-9)
+    # every p * d * d is finite but their sum is not, where math.fsum
+    # raises OverflowError: the probabilities sum to 1 + 8e-13
+    edge = DiscreteDist((-1.34078079299425e154, 1.34078079299425e154), (0.5 + 4e-13,) * 2)
+    assert edge.moments().variance == math.inf
+    assert not check_moments(edge, Moments1D(0.0, 1.3e154), 1e-9)
 
 
 def test_check_moments_requires_positive_tol():

@@ -17,6 +17,17 @@ PAIR = ("--mp", "1", "--sp", "1", "--mq", "0", "--sq", "1")
 CASES = [
     ("bound", 0, ["bound", *PAIR]),
     ("witness", 0, ["witness", *PAIR]),
+    # a point mass on either side anchors a two-point tight witness
+    (
+        "witness_p_point_mass",
+        0,
+        ["witness", "--mp", "0.3", "--sp", "0", "--mq", "-0.1", "--sq", "0.7"],
+    ),
+    (
+        "witness_q_point_mass",
+        0,
+        ["witness", "--mp", "0.3", "--sp", "0.7", "--mq", "-0.1", "--sq", "0"],
+    ),
     ("two_point", 0, ["two-point", "--mp", "1", "--sp", "0.5", "--mq", "0", "--sq", "2"]),
     # a point mass on either side: the two-point pair is the tight witness
     (
@@ -37,6 +48,12 @@ CASES = [
         ["sequence", "--m", "0", "--sp", "1", "--sq", "1", "--k", "3"],
     ),
     ("verify", 0, ["verify", *PAIR, "--grid-n", "21"]),
+    # without the witness support the grid optimum sits strictly above the bound
+    (
+        "verify_plain_grid_sound",
+        0,
+        ["verify", *PAIR, "--grid-n", "21", "--include-witness", "false"],
+    ),
     (
         "verify_narrow_grid",
         2,

@@ -25,6 +25,7 @@ from tvbounds import (
     tv_lower_bound_1d,
     tv_lower_bound_nd,
 )
+import tvbounds.discrete as discrete
 import tvbounds.oracle as oracle
 from tvbounds.simplex import solve_dense
 
@@ -69,7 +70,7 @@ def _ref_build_grid(spec):
         [np.linspace(spec.lo, spec.hi, spec.count), np.asarray(spec.extra_points)]
     )
     pts.sort(kind="stable")
-    tol = oracle.GRID_DEDUP_REL * (1.0 + float(np.max(np.abs(pts))))
+    tol = discrete.SUPPORT_MERGE_REL * (1.0 + float(np.max(np.abs(pts))))
     values = pts.tolist()
     kept = values[:1]
     for x in values[1:]:
@@ -216,6 +217,29 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
         pair=pair(0, 1, 0, 1),
         grid=(-1.0, 1.0),
     )
+    assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
+
+
+def _witness_grid_lp(this):
+    return formulate(this, build_grid(GridSpec(-6, 6, 121, (0.5, 3.0, -2.0))))
+
+
+def test_solve_demotes_an_optimum_whose_mass_is_off_one():
+    # the mass rows ask for 2, so each optimizer totals 2 and extraction
+    # refuses it
+    lp = _witness_grid_lp(pair(1, 1, 0, 1))
+    lp.rhs[0] = lp.rhs[3] = 2.0
+    assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
+
+
+def test_solve_demotes_an_optimum_that_misses_the_pair():
+    # the rows encode sp = 1, but the pair the optimizers are certified
+    # against has sp = 2
+    rows = _witness_grid_lp(pair(1, 1, 0, 1))
+    lp = LPStandardForm(
+        rows.objective, rows.constraint_matrix, rows.rhs, pair(1, 2, 0, 1), rows.grid
+    )
+    assert solve(rows).status is OracleStatus.OPTIMAL
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
 

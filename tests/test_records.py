@@ -95,7 +95,7 @@ RECORDS = [
     ),
     (
         MomentSummary,
-        lambda: dict(mean=0.0, second_moment=1.0, variance=1.0),
+        lambda: dict(mean=0.0, variance=1.0),
         {},
         True,
         [],
