@@ -40,6 +40,16 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     raises ``ValueError``; a failed PSD check names the eigenvalue of the
     first offending matrix, so a stack raises what that matrix alone would.
 
+    For d > 1 the PSD check first tries a certificate: one Cholesky
+    factorization of the whole stack, each matrix shifted by half its
+    tolerance.  A factorization that succeeds proves every smallest
+    eigenvalue lies above minus that half, less a round-off of order
+    ``d^2`` ulps of the largest diagonal entry, so the eigenvalue rule would
+    accept the stack too.  Only a stack the certificate rejects has its
+    eigenvalues computed, and the eigenvalue rule decides it.  Either way
+    the accepted stacks and the messages are those of the eigenvalue rule
+    alone.
+
     Returns the covariances, averaged with their transposes when d > 1.
     """
     if not np.isfinite(mean).all():
@@ -54,11 +64,37 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
         min_eig = max_diag = cov[..., 0, 0]
     else:
         cov_t = np.swapaxes(cov, -1, -2)
-        if float(np.max(np.abs(cov - cov_t))) > COV_SYMMETRY_TOL:
-            raise ValueError(f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}")
-        cov = 0.5 * (cov + cov_t)
+        # a difference or sum past the float range reads inf: an asymmetry
+        # that large is refused, a sum that large is halved term by term
+        # (only there: halving first rounds subnormal entries differently),
+        # and a diagonal that the certificate's shift takes to inf sends the
+        # stack to the eigenvalues, because an inf pivot would still factor
+        with np.errstate(over="ignore"):
+            if float(np.max(np.abs(cov - cov_t))) > COV_SYMMETRY_TOL:
+                raise ValueError(
+                    f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}"
+                )
+            sym = 0.5 * (cov + cov_t)
+            overflow = np.isinf(sym)
+            if overflow.any():
+                sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
+            cov = sym
+            max_diag = np.max(np.diagonal(cov, axis1=-2, axis2=-1), axis=-1)
+            # the certificate: cov + (delta / 2) I, with delta the tolerance
+            # COV_PSD_TOL * (1 + max_diag) of the eigenvalue rule below.  A
+            # Cholesky factorization of it succeeds only if the smallest
+            # eigenvalue is above -delta / 2 - O(d^2 eps max_diag) (Higham,
+            # Accuracy and Stability of Numerical Algorithms, ch. 10), and
+            # eigvalsh errs by O(d eps max_diag): far inside delta / 2
+            half_tol = 0.5 * COV_PSD_TOL * (1.0 + max_diag)
+            shifted = cov + half_tol[..., None, None] * np.eye(d)
+        if np.isfinite(shifted).all():
+            try:
+                np.linalg.cholesky(shifted)
+                return cov
+            except np.linalg.LinAlgError:
+                pass
         min_eig = np.linalg.eigvalsh(cov)[..., 0]
-        max_diag = np.max(np.diagonal(cov, axis1=-2, axis2=-1), axis=-1)
     bad = min_eig < -COV_PSD_TOL * (1.0 + max_diag)
     if bad.any():
         first = float(min_eig[bad].flat[0])

@@ -131,6 +131,19 @@ def _nonzero(value: float, what: str, a: float) -> float:
     return value
 
 
+def _refuse_overflowing_variance(pair: MomentPair1D) -> None:
+    # no atoms match a variance past the float range, so the moment check
+    # would refuse the pair by comparing inf or nan with inf
+    sp, sq = pair.p_side.stddev, pair.q_side.stddev
+    if math.isinf(sp * sp) or math.isinf(sq * sq):
+        label, sd = ("p", sp) if math.isinf(sp * sp) else ("q", sq)
+        raise BadParameterError(
+            f"the {label} side's variance overflows the float range: "
+            f"stddev {sd!r} squares past it, and stddevs must stay below "
+            "about 1.34e154"
+        )
+
+
 def _checked(
     kind: WitnessKind,
     p_atoms: list[tuple[float, float]],
@@ -138,6 +151,7 @@ def _checked(
     claimed_tv: float,
     targets: MomentPair1D,
 ) -> WitnessPair:
+    _refuse_overflowing_variance(targets)
     p_dist = DiscreteDist(
         tuple(x for x, _ in p_atoms), tuple(_clamp_unit(w) for _, w in p_atoms)
     )
@@ -171,6 +185,8 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     GapZeroError
         If the means agree; the infimum 0 has no minimizer then and the
         vanishing sequence is the right object.
+    BadParameterError
+        If a stddev squares past the float range.
     WitnessConstructionError
         If the bound or the gap-to-spread ratio underflows to 0.
     """
@@ -225,7 +241,8 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     twin describes the same pair and is not exposed.  With a point mass on
     either side the pair is the tight witness, relabeled: the point mass
     sits on one of the two shared points, and ``two_point_tv`` is the tight
-    bound there.
+    bound there.  A stddev that squares past the float range raises
+    ``BadParameterError``.
     """
     a = gap(pair)
     if a == 0.0:
@@ -237,7 +254,9 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
         return WitnessPair(
             tight.p_dist, tight.q_dist, tight.claimed_tv, WitnessKind.TWO_POINT_SHARED
         )
-    # refuses, with BadParameterError, a pair whose radical overflows
+    # refuses, with BadParameterError, a pair whose radical overflows;
+    # a stddev that squares past the float range is named first
+    _refuse_overflowing_variance(pair)
     radical_v(pair)
     s = math.copysign(1.0, a)
     # p = 1/2 + s (sp^2 - sq^2 - a^2) / (2v) and q = p + a|a|/v; whichever of
@@ -295,7 +314,8 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     DegenerateVarianceError
         If either standard deviation is zero.
     BadParameterError
-        If ``q_param`` is not strictly inside (0, 1).
+        If ``q_param`` is not strictly inside (0, 1), or a stddev squares
+        past the float range.
     WitnessConstructionError
         If the anchored value underflows to 0 (a gap whose square
         underflows), which leaves the exclusive atom no finite position.
@@ -340,7 +360,8 @@ def construct_vanishing_sequence(
     Raises
     ------
     BadParameterError
-        If ``k`` is not an integer >= 2.
+        If ``k`` is not an integer >= 2, or a stddev squares past the float
+        range.
     WitnessConstructionError
         If the atoms miss those moments, as when the spread is too small
         against ``m`` for the near points to stay apart.

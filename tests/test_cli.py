@@ -240,6 +240,31 @@ def test_overflowing_radical_is_an_error(capsys, argv):
     assert err.startswith("error: radical_v overflows") and err.count("\n") == 1
 
 
+_OVERFLOWING_PAIR = ("--mp", "1e200", "--sp", "1e200", "--mq", "0", "--sq", "1e200")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", *_OVERFLOWING_PAIR),
+        ("two-point", *_OVERFLOWING_PAIR),
+        ("case-c", *_OVERFLOWING_PAIR),
+        ("verify", *_OVERFLOWING_PAIR),
+        ("sequence", "--sp", "1e200", "--sq", "1", "--k", "3"),
+    ],
+    ids=["witness", "two-point", "case-c", "verify", "sequence"],
+)
+def test_overflowing_variance_is_an_error(capsys, argv):
+    # 1e200 squares past the float range; the moment check used to report
+    # that as a mismatch of variance nan or inf against the target inf
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the p side's variance overflows the float range: stddev 1e+200 "
+        "squares past it, and stddevs must stay below about 1.34e154\n"
+    )
+
+
 def test_sequence_output(capsys):
     code, payload = run_json(
         capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "10"
@@ -401,6 +426,24 @@ def test_nd_bound_from_file(capsys, tmp_path):
     assert report["dimension"] == 2
     assert report["bound"] == pytest.approx(1 / 9, rel=1e-12)
     assert report["trace_p"] == 2.0
+
+
+def test_nd_bound_keeps_a_trace_near_the_float_maximum(capsys, tmp_path):
+    # 1e308 + 1e308 passes the float range; the symmetrized covariance
+    # used to read inf there, after a numpy RuntimeWarning
+    payload = {
+        "mean_p": [0.0, 1.0],
+        "cov_p": [[1e308, 0.0], [0.0, 1.0]],
+        "mean_q": [0.0, 0.0],
+        "cov_q": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["trace_p"] == 1e308
+    assert 0.0 <= report["bound"] < 1e-300
 
 
 @pytest.mark.parametrize(

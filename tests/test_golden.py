@@ -63,6 +63,8 @@ CASES = [
     ),
     ("nd_bound", 0, ["nd-bound", str(GOLDEN / "nd_moments.json")]),
     ("nd_check", 0, ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"]),
+    # the default 1000 trials at the largest dimension
+    ("nd_check_default_trials", 0, ["nd-check", "--dims", "4", "--seed", "11"]),
     (
         "sweep_csv",
         0,

@@ -18,6 +18,7 @@ from tvbounds import (
     MomentsND,
     anchored_tv,
     bound_report,
+    check_nd_bound_random,
     construct_two_point,
     gap,
     radical_v,
@@ -27,7 +28,7 @@ from tvbounds import (
     tv_lower_bound_nd,
     two_point_tv,
 )
-from tvbounds.nd import validate_moments
+from tvbounds.nd import COV_PSD_TOL, validate_moments
 
 from conftest import ref_moments
 
@@ -519,6 +520,111 @@ def test_validate_moments_stack_matches_momentsnd_covariances():
 def test_validate_moments_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="shape"):
         validate_moments(np.zeros((3, 2)), np.zeros((3, 3, 3)))
+
+
+def _reference_psd_rule(cov):
+    """The PSD rule by eigenvalues alone, for a symmetric stack: the
+    symmetrized stack, or the message for its first offending matrix.
+    A sum past the float range is halved term by term."""
+    cov_t = np.swapaxes(cov, -1, -2)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (cov + cov_t)
+    sym = np.where(np.isinf(sym), 0.5 * cov + 0.5 * cov_t, sym)
+    min_eig = np.linalg.eigvalsh(sym)[..., 0]
+    max_diag = np.max(np.diagonal(sym, axis1=-2, axis2=-1), axis=-1)
+    bad = min_eig < -COV_PSD_TOL * (1.0 + max_diag)
+    if bad.any():
+        first = float(min_eig[bad].flat[0])
+        return f"covariance is not positive semidefinite (min eigenvalue {first:g})"
+    return sym
+
+
+def _assert_matches_reference_rule(cov):
+    expected = _reference_psd_rule(cov)
+    mean = np.zeros(cov.shape[:-1])
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            validate_moments(mean, cov)
+        assert str(raised.value) == expected
+    else:
+        got = validate_moments(mean, cov)
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+
+
+def _with_min_eigenvalue(rng, d, scale, k):
+    """A d x d symmetric matrix of the given scale whose smallest
+    eigenvalue is k times its PSD tolerance, up to round-off."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eig = rng.uniform(0.1, 1.0, size=d) * scale
+    eig[0] = 0.0
+    a = (q * eig) @ q.T
+    a = 0.5 * (a + a.T)
+    tol = COV_PSD_TOL * (1.0 + np.max(np.diag(a)))
+    return a + (k * tol) * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_psd_decisions_match_the_eigenvalue_rule(d):
+    # smallest eigenvalues near -tol and -tol / 2, where the Cholesky
+    # certificate (shifted by tol / 2) fails and the eigenvalues decide,
+    # at every scale and with the offender first, in the middle and last
+    rng = np.random.default_rng(1100 + d)
+    for k in (-3.0, -1.01, -1.0, -0.9999, -0.51, -0.5, -0.49, 0.0):
+        for scale in (1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150):
+            for _ in range(3):
+                good = [_with_min_eigenvalue(rng, d, scale, 1.0) for _ in range(4)]
+                offender = _with_min_eigenvalue(rng, d, scale, k)
+                _assert_matches_reference_rule(offender)
+                for at in (0, 2, 4):
+                    stack = np.array(good[:at] + [offender] + good[at:])
+                    _assert_matches_reference_rule(stack)
+                    _assert_matches_reference_rule(np.array([stack, stack[::-1]]))
+    # singular Gram matrices: fewer atoms than dimensions
+    for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+        roots = rng.normal(size=(6, d - 1, d)) * math.sqrt(scale)
+        _assert_matches_reference_rule(np.swapaxes(roots, -1, -2) @ roots)
+
+
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "top",
+    [
+        [[_MAX, 0.0], [0.0, 1.0]],
+        [[_MAX, 1e300], [1e300, _MAX]],
+        [[_MAX, _MAX], [_MAX, _MAX]],
+        [[_MAX, -_MAX], [-_MAX, _MAX]],
+        [[_MAX, _MAX], [_MAX, 0.0]],
+        [[_MAX, 1e-300], [1e-300, 1e308]],
+    ],
+    ids=["diagonal", "near-diagonal", "singular", "singular-negative", "indefinite", "tiny-off"],
+)
+@pytest.mark.parametrize("d", [2, 4])
+def test_float_maximum_diagonal_matches_the_eigenvalue_rule(top, d):
+    # the symmetrizing sum of each such entry passes the float range, and
+    # so does the certificate's shift of its diagonal; neither may warn
+    cov = np.zeros((d, d))
+    cov[:2, :2] = top
+    _assert_matches_reference_rule(cov)
+    _assert_matches_reference_rule(np.array([np.eye(d), cov, np.eye(d)]))
+
+
+def test_an_overflowing_symmetric_sum_is_halved_term_by_term():
+    m = MomentsND([0.0, 0.0], [[1e308, 5e-324], [5e-324, 1.0]])
+    assert m.trace == 1e308
+    # where the sum stays finite, subnormal entries are averaged as before
+    # (halving 5e-324 first would round it to 0)
+    np.testing.assert_array_equal(m.covariance, [[1e308, 5e-324], [5e-324, 1.0]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_nd_check_computes_no_eigenvalues_on_certified_stacks(monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues computed for a certified stack")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert check_nd_bound_random(d, d + 4, 1000, 70 + d) == 0
 
 
 def test_moments1d_validation():
