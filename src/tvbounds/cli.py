@@ -5,9 +5,10 @@ all commands except ``sweep``, which emits CSV rows (one per swept value).
 JSON key order is fixed, numbers round-trip exactly through their printed
 representation, and identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 invalid input (message on stderr), 2 verification
-failure (a failing ``verify`` verdict or a positive ``nd-check`` violation
-count), 3 numeric failure inside the LP.
+Exit codes: 0 success, 1 invalid input (message on stderr; an ``nd-check``
+batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates is one), 2
+verification failure (a failing ``verify`` verdict or a positive
+``nd-check`` violation count), 3 numeric failure inside the LP.
 """
 
 from __future__ import annotations
@@ -266,6 +267,12 @@ def _load_nd_pair(path: str):
         raise CLIError(f"moments file is missing key {exc}") from exc
     except TypeError as exc:
         raise CLIError(f"moments file holds a non-numeric field: {exc}") from exc
+    for side, moments in (("p", p), ("q", q)):
+        if not math.isfinite(moments.trace):
+            raise CLIError(
+                f"the {side} side's covariance trace overflows the float range: "
+                "its diagonal sums past about 1.8e308"
+            )
     return MomentPairND(p, q)
 
 

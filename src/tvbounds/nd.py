@@ -63,32 +63,38 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
         # a 1x1 matrix is symmetric and its own eigenvalue
         min_eig = max_diag = cov[..., 0, 0]
     else:
-        cov_t = np.swapaxes(cov, -1, -2)
+        cov_t = cov.swapaxes(-1, -2)
         # a difference or sum past the float range reads inf: an asymmetry
         # that large is refused, a sum that large is halved term by term
         # (only there: halving first rounds subnormal entries differently),
         # and a diagonal that the certificate's shift takes to inf sends the
         # stack to the eigenvalues, because an inf pivot would still factor
         with np.errstate(over="ignore"):
-            if float(np.max(np.abs(cov - cov_t))) > COV_SYMMETRY_TOL:
+            sym = cov - cov_t
+            np.abs(sym, out=sym)
+            if sym.max() > COV_SYMMETRY_TOL:
                 raise ValueError(
                     f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}"
                 )
-            sym = 0.5 * (cov + cov_t)
+            np.add(cov, cov_t, out=sym)
+            sym *= 0.5
             overflow = np.isinf(sym)
             if overflow.any():
                 sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
             cov = sym
-            max_diag = np.max(np.diagonal(cov, axis1=-2, axis2=-1), axis=-1)
+            max_diag = cov.diagonal(0, -2, -1).max(-1)
             # the certificate: cov + (delta / 2) I, with delta the tolerance
             # COV_PSD_TOL * (1 + max_diag) of the eigenvalue rule below.  A
             # Cholesky factorization of it succeeds only if the smallest
             # eigenvalue is above -delta / 2 - O(d^2 eps max_diag) (Higham,
             # Accuracy and Stability of Numerical Algorithms, ch. 10), and
             # eigvalsh errs by O(d eps max_diag): far inside delta / 2
-            half_tol = 0.5 * COV_PSD_TOL * (1.0 + max_diag)
-            shifted = cov + half_tol[..., None, None] * np.eye(d)
-        if np.isfinite(shifted).all():
+            shifted = cov.copy()
+            # every (d + 1)-th entry of a flattened d x d matrix is diagonal;
+            # the copy is C-ordered, so the reshape is a view of it
+            shifted_diag = shifted.reshape(cov.shape[:-2] + (d * d,))[..., :: d + 1]
+            shifted_diag += 0.5 * COV_PSD_TOL * (1.0 + max_diag[..., None])
+        if np.isfinite(shifted_diag).all():
             try:
                 np.linalg.cholesky(shifted)
                 return cov
@@ -107,9 +113,13 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 def trace_bound(gap_norm_sq, trace_p, trace_q):
     """``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` from its three ingredients,
     and 0 where ``|a|^2`` is 0; elementwise over arrays."""
-    # traces can only dip below zero by the PSD round-off allowance
-    spread = np.maximum(0.0, 2.0 * (trace_p + trace_q))
-    return gap_norm_sq / np.where(gap_norm_sq == 0.0, 1.0, spread + gap_norm_sq)
+    # computed as (|a|^2 / 2) / (tr Sp + tr Sq + |a|^2 / 2), the same bits
+    # wherever |a|^2 / 2 is a normal float, so that a trace sum above about
+    # 9e307 leaves a positive bound instead of doubling to inf; traces can
+    # only dip below zero by the PSD round-off allowance
+    half_gap = 0.5 * gap_norm_sq
+    spread = np.maximum(0.0, trace_p + trace_q)
+    return half_gap / np.where(gap_norm_sq == 0.0, 1.0, spread + half_gap)
 
 
 class MomentsND(FrozenRecord):
@@ -142,7 +152,9 @@ class MomentsND(FrozenRecord):
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.covariance))
+        """The covariance trace; inf, without a warning, past the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.trace(self.covariance))
 
 
 class MomentPairND(FrozenRecord):

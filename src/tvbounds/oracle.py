@@ -54,6 +54,10 @@ __all__ = [
 ORACLE_MOMENT_TOL = 1e-7
 #: Violation slack for the randomized d-dimensional check.
 ND_CHECK_TOL = 1e-10
+#: Most normal coordinates (trials * atoms * d) one randomized d-dimensional
+#: check draws; a larger batch is refused before anything is drawn.  A batch
+#: at the limit peaks near 0.6 GB at d = 4.
+ND_CHECK_MAX_DRAWS = 10_000_000
 
 
 class GridSpec(FrozenRecord):
@@ -287,11 +291,15 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     returns 0 for any seed; every violation beyond ``ND_CHECK_TOL`` counts.
     Fully reproducible for a fixed seed.
 
-    The draws come in one batch, and so does the rest: the moments of both
+    The draws come in one batch, and so does the rest: first the points of
+    every trial, then one Dirichlet draw of ``2 * trials`` weight vectors,
+    the p side's ``trials`` first, then the q side's.  The moments of both
     sides of every trial are stacks of shape ``(2, trials, d)`` and
     ``(2, trials, d, d)``, checked by ``validate_moments`` exactly as
     ``MomentsND`` checks one matrix (a failed check raises ``ValueError``),
     and the bound is ``trace_bound``, which ``tv_lower_bound_nd`` also uses.
+    A batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates
+    (``trials * atoms * d``) raises ``BadParameterError`` before any draw.
     """
     if not 1 <= int(d) <= 4:
         raise BadParameterError(f"d must be in [1, 4], got {d}")
@@ -300,16 +308,19 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     if int(trials) < 1:
         raise BadParameterError(f"trials must be >= 1, got {trials}")
     d, atoms, trials = int(d), int(atoms), int(trials)
+    if trials * atoms * d > ND_CHECK_MAX_DRAWS:
+        raise BadParameterError(
+            f"trials * atoms * d = {trials} * {atoms} * {d} is more than "
+            f"ND_CHECK_MAX_DRAWS = {ND_CHECK_MAX_DRAWS}; run fewer trials per seed"
+        )
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(trials, atoms, d))
-    pw = rng.dirichlet(np.ones(atoms), size=trials)
-    qw = rng.dirichlet(np.ones(atoms), size=trials)
-    tv = 0.5 * np.abs(pw - qw).sum(axis=1)
     # both sides at once: axis 0 is the side (p, q), axis 1 the trial
-    weights = np.stack([pw, qw])
+    weights = rng.dirichlet(np.ones(atoms), size=(2, trials))
+    tv = 0.5 * np.abs(weights[0] - weights[1]).sum(axis=1)
     means = (weights[:, :, None, :] @ points)[:, :, 0, :]
     centred = points - means[:, :, None, :]
-    covs = np.swapaxes(centred, -1, -2) @ (centred * weights[..., None])
+    covs = centred.swapaxes(-1, -2) @ (centred * weights[..., None])
     covs = validate_moments(means, covs)
     traces = np.einsum("stii->st", covs)
     a = means[0] - means[1]

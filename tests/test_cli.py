@@ -446,6 +446,44 @@ def test_nd_bound_keeps_a_trace_near_the_float_maximum(capsys, tmp_path):
     assert 0.0 <= report["bound"] < 1e-300
 
 
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_nd_bound_refuses_an_overflowing_trace(capsys, tmp_path, side):
+    # each diagonal entry is finite, their sum is not; the trace used to
+    # print as Infinity, after a numpy RuntimeWarning
+    payload = {
+        "mean_p": [1.0, 0.0],
+        "cov_p": [[1.0, 0.0], [0.0, 1.0]],
+        "mean_q": [0.0, 0.0],
+        "cov_q": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    payload[f"cov_{side}"] = [[1e308, 0.0], [0.0, 1e308]]
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the {side} side's covariance trace overflows the float range: "
+        "its diagonal sums past about 1.8e308\n"
+    )
+
+
+def test_nd_bound_stays_positive_past_a_doubled_trace_sum(capsys, tmp_path):
+    # 2 * (tr Sp + tr Sq) = 2e308 passes the float range, and the bound
+    # used to read 0 there
+    payload = {
+        "mean_p": [1.0, 0.0],
+        "cov_p": [[5e307, 0.0], [0.0, 0.0]],
+        "mean_q": [0.0, 0.0],
+        "cov_q": [[5e307, 0.0], [0.0, 0.0]],
+    }
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["bound"] == 0.5 / 1e308 > 0.0
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -483,6 +521,19 @@ def test_nd_check_clean_run(capsys):
     assert code == 0
     assert payload["violations"] == 0
     assert payload["atoms"] == 6  # dims + 4 default
+
+
+def test_nd_check_refuses_an_oversized_batch(capsys):
+    # 1e12 trials of 8 points in 4-space once ended in numpy's
+    # "Unable to allocate 233. TiB" traceback
+    code, out, err = run_cli(
+        capsys, "nd-check", "--dims", "4", "--trials", "1000000000000", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: trials * atoms * d = 1000000000000 * 8 * 4 is more than "
+        "ND_CHECK_MAX_DRAWS = 10000000; run fewer trials per seed\n"
+    )
 
 
 # --------------------------------------------------------------------- sweep

@@ -523,6 +523,15 @@ def test_nd_check_parameter_validation(d, atoms, trials):
         check_nd_bound_random(d, atoms, trials, 0)
 
 
+def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
+    monkeypatch.setattr(oracle, "ND_CHECK_MAX_DRAWS", 2 * 5 * 10)
+    assert check_nd_bound_random(2, 5, 10, 0) == 0
+    # no generator is made, so nothing is drawn or allocated
+    monkeypatch.setattr(oracle.np.random, "default_rng", None)
+    with pytest.raises(BadParameterError, match="ND_CHECK_MAX_DRAWS = 100"):
+        check_nd_bound_random(2, 5, 11, 0)
+
+
 def _loop_margins(d, atoms, trials, seed):
     """tv - bound for every trial, the way one trial at a time works it out:
     a validated ``MomentsND`` per side and ``tv_lower_bound_nd``, on the
@@ -543,20 +552,25 @@ def _loop_margins(d, atoms, trials, seed):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("extra_atoms", [2, 4])
-@pytest.mark.parametrize("seed", [5, 77, 2026])
+@pytest.mark.parametrize("extra_atoms", [2, 4, 8])
+@pytest.mark.parametrize("seed", [5, 77, 2026, 4242])
 def test_nd_check_agrees_with_per_trial_loop(d, extra_atoms, seed, monkeypatch):
-    atoms, trials = d + extra_atoms, 120
-    margins = _loop_margins(d, atoms, trials, seed)
-    violations = sum(m < -oracle.ND_CHECK_TOL for m in margins)
-    assert check_nd_bound_random(d, atoms, trials, seed) == violations
-    # the lowest margin agrees to 1e-12: no trial sits further below it,
-    # and one sits within 1e-12 of it
-    lowest = min(margins)
-    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest - 1e-12))
-    assert check_nd_bound_random(d, atoms, trials, seed) == 0
-    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest + 1e-12))
-    assert check_nd_bound_random(d, atoms, trials, seed) >= 1
-    # a tolerance of -1 makes every trial a violation, so the counter is live
-    monkeypatch.setattr(oracle, "ND_CHECK_TOL", -1.0)
-    assert check_nd_bound_random(d, atoms, trials, seed) == trials
+    # the loop draws each side's weights with a call of its own, so equal
+    # counts pin the batch's one draw to the p side first, at any shape
+    atoms, tol = d + extra_atoms, oracle.ND_CHECK_TOL
+    for trials in (120, 1):
+        margins = _loop_margins(d, atoms, trials, seed)
+        monkeypatch.setattr(oracle, "ND_CHECK_TOL", tol)
+        violations = sum(m < -tol for m in margins)
+        assert check_nd_bound_random(d, atoms, trials, seed) == violations
+        # the lowest margin agrees to 1e-12: no trial sits further below it,
+        # and one sits within 1e-12 of it
+        lowest = min(margins)
+        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest - 1e-12))
+        assert check_nd_bound_random(d, atoms, trials, seed) == 0
+        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest + 1e-12))
+        assert check_nd_bound_random(d, atoms, trials, seed) >= 1
+        # a tolerance of -1 makes every trial a violation, so the counter
+        # is live
+        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -1.0)
+        assert check_nd_bound_random(d, atoms, trials, seed) == trials
