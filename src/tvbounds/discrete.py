@@ -92,8 +92,7 @@ class DiscreteDist(FrozenRecord):
         total = math.fsum(merged_p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "support", tuple(merged_x))
-        object.__setattr__(self, "probs", tuple(merged_p))
+        super().__init__(tuple(merged_x), tuple(merged_p))
 
     @classmethod
     def delta(cls, x: float) -> "DiscreteDist":

@@ -45,14 +45,19 @@ def _finite(name: str, value: float) -> float:
 class FrozenRecord:
     """Base of the immutable records that validate their fields.
 
-    A subclass lists its fields in ``__slots__`` and checks them in a plain
-    ``__init__``, which stores them with ``object.__setattr__``; afterwards
-    every assignment or deletion raises ``AttributeError``.  Records compare,
-    hash and print by the values of their fields, in slot order.  Records
-    without checks are ``typing.NamedTuple`` classes instead.
+    A subclass lists its fields in ``__slots__`` and checks them in its own
+    ``__init__``, which ends in ``super().__init__`` of the checked values in
+    slot order; afterwards every assignment or deletion raises
+    ``AttributeError``.  Records compare, hash and print by the values of
+    their fields, in slot order.  Records without checks are
+    ``typing.NamedTuple`` classes instead.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -86,10 +91,11 @@ class Moments1D(FrozenRecord):
     __slots__ = ("mean", "stddev")
 
     def __init__(self, mean: float, stddev: float) -> None:
-        object.__setattr__(self, "mean", _finite("mean", mean))
-        object.__setattr__(self, "stddev", _finite("stddev", stddev))
-        if self.stddev < 0.0:
-            raise ValueError(f"stddev must be non-negative, got {self.stddev}")
+        mean = _finite("mean", mean)
+        stddev = _finite("stddev", stddev)
+        if stddev < 0.0:
+            raise ValueError(f"stddev must be non-negative, got {stddev}")
+        super().__init__(mean, stddev)
 
     @property
     def variance(self) -> float:

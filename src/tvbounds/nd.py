@@ -143,8 +143,7 @@ class MomentsND(FrozenRecord):
         cov = validate_moments(mean, np.array(covariance, dtype=float))
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        super().__init__(mean, cov)
 
     @property
     def dim(self) -> int:
@@ -172,8 +171,7 @@ class MomentPairND(FrozenRecord):
             raise DimensionMismatchError(
                 f"sides have dimensions {p_side.dim} and {q_side.dim}"
             )
-        object.__setattr__(self, "p_side", p_side)
-        object.__setattr__(self, "q_side", q_side)
+        super().__init__(p_side, q_side)
 
     @property
     def dim(self) -> int:

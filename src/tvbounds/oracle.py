@@ -79,10 +79,7 @@ class GridSpec(FrozenRecord):
         extras = tuple(float(x) for x in extra_points)
         if not all(map(math.isfinite, extras)):
             raise ValueError("extra points must be finite")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "count", int(count))
-        object.__setattr__(self, "extra_points", extras)
+        super().__init__(lo, hi, int(count), extras)
 
     @classmethod
     def default_for(cls, pair: MomentPair1D, count: int = 121) -> "GridSpec":
@@ -138,11 +135,7 @@ class LPStandardForm(FrozenRecord):
     ) -> None:
         if constraint_matrix.shape != (rhs.size, objective.size):
             raise ValueError("inconsistent LP dimensions")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraint_matrix", constraint_matrix)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "grid", grid)
+        super().__init__(objective, constraint_matrix, rhs, pair, grid)
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:

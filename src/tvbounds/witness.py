@@ -82,10 +82,7 @@ class WitnessPair(FrozenRecord):
             raise WitnessConstructionError(
                 f"claimed TV {claimed_tv!r} but the atoms give {actual!r}"
             )
-        object.__setattr__(self, "p_dist", p_dist)
-        object.__setattr__(self, "q_dist", q_dist)
-        object.__setattr__(self, "claimed_tv", claimed_tv)
-        object.__setattr__(self, "kind", kind)
+        super().__init__(p_dist, q_dist, claimed_tv, kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,27 +93,20 @@ class WitnessPair(FrozenRecord):
         }
 
 
-def _clamp_unit(p: float) -> float:
-    # tolerate sub-ulp excursions of the closed forms outside [0, 1]
-    if -1e-12 <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + 1e-12:
-        return 1.0
-    return p
-
-
 def _stable_mass(signed: float, v: float, scale: float) -> tuple[float, float]:
     """(m, 1 - m) for m = 1/2 + signed/(2v), both at full relative accuracy.
 
     Uses ``(v - signed)(v + signed) = 4 scale^2`` to express the small one
-    of the two as a product instead of a cancelling difference.
+    of the two as a product instead of a cancelling difference.  The
+    product is ``(v - |signed|) / (2v)``, at most 1/2; the difference is at
+    least 1/2 and can pass 1 only by the rounding of ``|signed| / (2v)``.
     """
     if signed >= 0.0:
-        m = _clamp_unit(0.5 + signed / (2.0 * v))
-        complement = _clamp_unit(2.0 * scale * scale / (v * (v + signed)))
+        m = min(1.0, 0.5 + signed / (2.0 * v))
+        complement = 2.0 * scale * scale / (v * (v + signed))
     else:
-        m = _clamp_unit(2.0 * scale * scale / (v * (v - signed)))
-        complement = _clamp_unit(0.5 - signed / (2.0 * v))
+        m = 2.0 * scale * scale / (v * (v - signed))
+        complement = min(1.0, 0.5 - signed / (2.0 * v))
     return m, complement
 
 
@@ -152,12 +142,9 @@ def _checked(
     targets: MomentPair1D,
 ) -> WitnessPair:
     _refuse_overflowing_variance(targets)
-    p_dist = DiscreteDist(
-        tuple(x for x, _ in p_atoms), tuple(_clamp_unit(w) for _, w in p_atoms)
-    )
-    q_dist = DiscreteDist(
-        tuple(x for x, _ in q_atoms), tuple(_clamp_unit(w) for _, w in q_atoms)
-    )
+    # every constructor hands over weights in [0, 1]
+    p_dist = DiscreteDist(*zip(*p_atoms))
+    q_dist = DiscreteDist(*zip(*q_atoms))
     for dist, target, label in zip((p_dist, q_dist), targets, "pq"):
         if not check_moments(dist, target, MOMENT_MATCH_TOL):
             got = dist.moments()
@@ -199,6 +186,11 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     mp, sp = pair.p_side.mean, pair.p_side.stddev
     mq, sq = pair.q_side.mean, pair.q_side.stddev
     p = tv_lower_bound_1d(pair)
+    # 1 - p keeps only the absolute rounding of p, so once p passes 1/2 the
+    # complement is the bound's own ratio with the gap and spread swapped
+    a_s, sp_s, sq_s, _ = _scaled_quantities(pair)
+    spread_sq = (sp_s + sq_s) * (sp_s + sq_s)
+    rest = 1.0 - p if p <= 0.5 else spread_sq / (spread_sq + a_s * a_s)
     if sp > 0.0 and sq > 0.0:
         # one shared formula for both signs of the gap
         s = math.copysign(1.0, a)
@@ -208,8 +200,8 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
         x3 = mq - s * sq / t
         return _checked(
             WitnessKind.THREE_POINT,
-            [(x1, 1.0 - p), (x2, p), (x3, 0.0)],
-            [(x1, 1.0 - p), (x2, 0.0), (x3, p)],
+            [(x1, rest), (x2, p), (x3, 0.0)],
+            [(x1, rest), (x2, 0.0), (x3, p)],
             p,
             pair,
         )
@@ -223,12 +215,15 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
             pair,
         )
     if sq == 0.0:
-        kind, c, d = WitnessKind.TWO_POINT_Q_DEGENERATE, mq, a
+        kind, c, m, d = WitnessKind.TWO_POINT_Q_DEGENERATE, mq, mp, a
     else:
-        kind, c, d = WitnessKind.TWO_POINT_P_DEGENERATE, mp, -a
-    far = c + d / p
+        kind, c, m, d = WitnessKind.TWO_POINT_P_DEGENERATE, mp, mq, -a
+    # far - c = d / p; past p = 1/2 the atom sits near the spread side's
+    # mean m = c + d, and is placed from there to keep it clear of the
+    # rounding of c + d / p
+    far = c + d / p if p <= 0.5 else m + d * (rest / p)
     point = [(c, 1.0), (far, 0.0)]
-    spread = [(c, 1.0 - p), (far, p)]
+    spread = [(c, rest), (far, p)]
     p_atoms, q_atoms = (spread, point) if sq == 0.0 else (point, spread)
     return _checked(kind, p_atoms, q_atoms, p, pair)
 

@@ -129,6 +129,20 @@ def test_witness_output_recomputes(capsys):
     assert check_moments(q, Moments1D(0.0, 1.0), 1e-9)
 
 
+# the mean gap is 10,000 times the summed stddevs, where 1 - p on the shared
+# atom used to leave the p side's variance at 1.690000006629074
+FAR_PAIR_FLAGS = ("--mp", "20000", "--sp", "1.3", "--mq", "0", "--sq", "0.7")
+
+
+def test_witness_builds_at_a_large_gap_to_spread_ratio(capsys):
+    code, payload = run_json(capsys, "witness", *FAR_PAIR_FLAGS)
+    assert code == 0
+    assert payload["kind"] == "three_point"
+    assert payload["tv"] == 20000.0**2 / (2.0**2 + 20000.0**2)
+    assert check_moments(DiscreteDist.from_json_dict(payload["p"]), Moments1D(20000.0, 1.3), 1e-9)
+    assert check_moments(DiscreteDist.from_json_dict(payload["q"]), Moments1D(0.0, 0.7), 1e-9)
+
+
 def test_witness_gap_zero_is_invalid_input(capsys):
     code, out, err = run_cli(
         capsys, "witness", "--mp", "1", "--sp", "1", "--mq", "1", "--sq", "2"
@@ -407,6 +421,56 @@ def test_verify_overflowing_grid_span_is_an_error(capsys):
 def test_verify_rejects_half_grid_range(capsys):
     code, _, err = run_cli(capsys, "verify", *PAIR_FLAGS, "--grid-lo", "-4")
     assert code == 1 and "error:" in err
+
+
+def test_verify_is_tight_at_a_large_gap_to_spread_ratio(capsys):
+    code, payload = run_json(capsys, "verify", *FAR_PAIR_FLAGS)
+    assert code == 0
+    assert payload["verdict"] == "tight"
+    assert payload["oracle"]["status"] == "optimal"
+
+
+VERIFY_KEYS = ["input", "grid", "tight_bound", "oracle", "gap_to_bound", "verdict"]
+ORACLE_KEYS = ["status", "tv_min", "iterations", "p_opt", "q_opt"]
+
+
+def test_verify_reports_a_numeric_failure(capsys, monkeypatch):
+    from tvbounds.oracle import OracleResult, OracleStatus
+
+    failed = OracleResult(OracleStatus.NUMERIC_FAILURE, None, None, None, 17)
+    monkeypatch.setattr("tvbounds.oracle.minimize_tv_on_grid", lambda *a, **k: failed)
+    code, payload = run_json(capsys, "verify", *PAIR_FLAGS)
+    assert code == 3
+    assert list(payload) == VERIFY_KEYS
+    assert list(payload["oracle"]) == ORACLE_KEYS
+    assert payload["verdict"] == "numeric_failure"
+    assert payload["gap_to_bound"] is None
+    assert payload["oracle"] == {
+        "status": "numeric_failure",
+        "tv_min": None,
+        "iterations": 17,
+        "p_opt": None,
+        "q_opt": None,
+    }
+
+
+def test_verify_reports_an_optimum_below_the_bound_as_violated(capsys, monkeypatch):
+    from tvbounds.oracle import OracleResult, OracleStatus
+
+    p_opt = DiscreteDist((0.0, 2.0), (0.5, 0.5))
+    q_opt = DiscreteDist((-1.0, 1.0), (0.5, 0.5))
+    below = OracleResult(OracleStatus.OPTIMAL, 0.1, p_opt, q_opt, 5)
+    monkeypatch.setattr("tvbounds.oracle.minimize_tv_on_grid", lambda *a, **k: below)
+    code, payload = run_json(capsys, "verify", *PAIR_FLAGS)
+    assert code == 2
+    assert list(payload) == VERIFY_KEYS
+    assert list(payload["oracle"]) == ORACLE_KEYS
+    assert payload["verdict"] == "violated"
+    assert payload["tight_bound"] == 0.2
+    assert payload["gap_to_bound"] == 0.1 - 0.2
+    assert payload["oracle"]["tv_min"] == 0.1
+    assert payload["oracle"]["p_opt"] == p_opt.to_json_dict()
+    assert payload["oracle"]["q_opt"] == q_opt.to_json_dict()
 
 
 # ----------------------------------------------------------------- nd bound

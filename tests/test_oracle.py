@@ -150,6 +150,12 @@ def test_grid_spec_default_covers_witness_support():
         assert spec.lo <= x <= spec.hi
 
 
+def test_grid_spec_default_pads_two_point_masses_by_one():
+    # six stddevs of nothing is no room at all, so the pad falls back to 1
+    spec = GridSpec.default_for(pair(0.5, 0.0, -2.0, 0.0), count=11)
+    assert spec == GridSpec(-3.0, 1.5, 11)
+
+
 # -------------------------------------------------------------- formulation
 
 

@@ -1,6 +1,7 @@
 """Extremal pair constructors: frozen values, round-trips, orderings."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,40 @@ def test_tight_witness_round_trip_property(mp, sp, mq, sq):
     assert abs(tv_distance(w.p_dist, w.q_dist) - w.claimed_tv) <= 1e-12
     assert_moments(w.p_dist, mp, sp)
     assert_moments(w.q_dist, mq, sq)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "sp, sq, kind",
+    [
+        (1.3, 0.7, WitnessKind.THREE_POINT),
+        (1.3, 0.0, WitnessKind.TWO_POINT_Q_DEGENERATE),
+        (0.0, 0.7, WitnessKind.TWO_POINT_P_DEGENERATE),
+    ],
+)
+@pytest.mark.parametrize(
+    "ratio", [1e1, 1e2, 1e3, 10**3.5, 1e4, 1e5, 1e6, 1e7, 1e8, 1e10, 1e20, 1e50, 1e100, 1e150]
+)
+def test_tight_witness_at_large_gap_to_spread_ratios(ratio, sp, sq, kind, sign):
+    # As the bound p nears 1, 1 - p keeps only the absolute rounding of p;
+    # the mass on the atom both sides share must be the complement to full
+    # relative precision, or the far atom's variance comes out wrong
+    mp = sign * ratio * (sp + sq)
+    this = pair(mp, sp, 0.0, sq)
+    w = construct_tight_witness(this)
+    assert w.kind is kind
+    assert w.claimed_tv == tv_lower_bound_1d(this)
+    shared = [
+        min(wp, wq) for wp, wq in zip(w.p_dist.probs, w.q_dist.probs) if wp > 0.0 and wq > 0.0
+    ]
+    assert len(shared) == 1
+    spread_sq = (Fraction(sp) + Fraction(sq)) ** 2
+    exact = spread_sq / (spread_sq + Fraction(mp) ** 2)
+    assert abs(Fraction(shared[0]) - exact) <= 4 * 2.0**-53 * exact
+    for dist, m, s in ((w.p_dist, mp, sp), (w.q_dist, 0.0, sq)):
+        mean, var = ref_moments(dist.support, dist.probs)
+        assert abs(mean - m) <= 1e-9 * (1.0 + abs(m))
+        assert abs(var - s * s) <= 1e-9 * (1.0 + s * s)
 
 
 # ------------------------------------------------------------------ two point
