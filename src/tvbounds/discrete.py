@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import mul
 from typing import NamedTuple
 
 from .moments import FrozenRecord, Moments1D
@@ -30,7 +31,7 @@ PROB_SUM_TOL = 1e-12
 
 
 def _merge_tol(points) -> float:
-    return SUPPORT_MERGE_REL * (1.0 + max(abs(x) for x in points))
+    return SUPPORT_MERGE_REL * (1.0 + max(map(abs, points)))
 
 
 def _sum_nonnegative(terms) -> float:
@@ -109,11 +110,11 @@ class DiscreteDist(FrozenRecord):
         ``E[x^2] - mean^2`` cancels catastrophically once the mean is large
         against the spread.
         """
-        mean = math.fsum(p * x for x, p in zip(self.support, self.probs))
+        mean = math.fsum(map(mul, self.probs, self.support))
         # squared by a product: float ** raises OverflowError where the
         # product overflows to inf, which the moment checks then reject
         deviations = [x - mean for x in self.support]
-        variance = _sum_nonnegative(p * (d * d) for d, p in zip(deviations, self.probs))
+        variance = _sum_nonnegative(map(mul, self.probs, map(mul, deviations, deviations)))
         return MomentSummary(mean, variance)
 
     def compact(self) -> "DiscreteDist":
@@ -144,7 +145,8 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     between the aligned probability vectors.  Always in [0, 1], and exactly
     0 for two identical values.
     """
-    tol = _merge_tol(p.support + q.support)
+    # the supports are sorted, so their largest magnitudes sit at their ends
+    tol = _merge_tol((p.support[0], p.support[-1], q.support[0], q.support[-1]))
     terms: list[float] = []
     i = j = 0
     np_, nq = len(p.support), len(q.support)
@@ -166,12 +168,14 @@ def check_moments(d: DiscreteDist, target: Moments1D, tol: float) -> bool:
     """True iff the moments of ``d`` match ``target`` to relative tolerance.
 
     The mean is compared within ``tol * (1 + |mean|)`` and the variance
-    within ``tol * (1 + variance)``.
+    within ``tol * (1 + variance)``.  A ``tol`` that is not positive and
+    finite raises ``ValueError``: nan would read as a mismatch and inf
+    would accept any atoms.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    got = d.moments()
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    mean, variance = d.moments()
     return (
-        abs(got.mean - target.mean) <= tol * (1.0 + abs(target.mean))
-        and abs(got.variance - target.variance) <= tol * (1.0 + target.variance)
+        abs(mean - target.mean) <= tol * (1.0 + abs(target.mean))
+        and abs(variance - target.variance) <= tol * (1.0 + target.variance)
     )

@@ -47,17 +47,24 @@ class FrozenRecord:
 
     A subclass lists its fields in ``__slots__`` and checks them in its own
     ``__init__``, which ends in ``super().__init__`` of the checked values in
-    slot order; afterwards every assignment or deletion raises
-    ``AttributeError``.  Records compare, hash and print by the values of
-    their fields, in slot order.  Records without checks are
-    ``typing.NamedTuple`` classes instead.
+    slot order.  That stores each value through its slot's descriptor, whose
+    setters each subclass collects once, when it is defined; afterwards
+    every assignment or deletion raises ``AttributeError``.  Records
+    compare, hash and print by the values of their fields, in slot order.
+    Records without checks are ``typing.NamedTuple`` classes instead.
     """
 
     __slots__ = ()
+    # the __set__ of each slot's descriptor, in slot order
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values, strict=True):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -91,8 +98,14 @@ class Moments1D(FrozenRecord):
     __slots__ = ("mean", "stddev")
 
     def __init__(self, mean: float, stddev: float) -> None:
-        mean = _finite("mean", mean)
-        stddev = _finite("stddev", stddev)
+        # short-circuits like the two checks it stands for: stddev is only
+        # converted once the mean is known to be finite
+        if not (
+            math.isfinite(mean := float(mean))
+            and math.isfinite(stddev := float(stddev))
+        ):
+            _finite("mean", mean)
+            _finite("stddev", stddev)
         if stddev < 0.0:
             raise ValueError(f"stddev must be non-negative, got {stddev}")
         super().__init__(mean, stddev)
@@ -148,7 +161,11 @@ def gap(pair: MomentPair1D) -> float:
     return pair.p_side.mean - pair.q_side.mean
 
 
-def _scaled_quantities(pair: MomentPair1D) -> tuple[float, float, float, int]:
+#: Gap, p stddev and q stddev scaled by 2**shift, then shift.
+_Scaled = tuple[float, float, float, int]
+
+
+def _scaled_quantities(pair: MomentPair1D) -> _Scaled:
     """Gap and stddevs rescaled by an exact power of two, plus the shift.
 
     The largest magnitude lands in [0.5, 1) (subnormal inputs are lifted as
@@ -177,6 +194,17 @@ def _radical_poly(a: float, sp: float, sq: float) -> float:
     return math.sqrt(dv * dv + 2.0 * a2 * (sp * sp + sq * sq) + a2 * a2)
 
 
+def _radical_v(scaled: _Scaled) -> float:
+    a_s, sp_s, sq_s, shift = scaled
+    try:
+        return math.ldexp(_radical_poly(a_s, sp_s, sq_s), -2 * shift)
+    except OverflowError:
+        raise BadParameterError(
+            "radical_v overflows the float range: it grows as the square of "
+            "the mean gap and stddevs, which must stay below about 1.34e154"
+        ) from None
+
+
 def radical_v(pair: MomentPair1D) -> float:
     """Normalizer of the two-point TV value.
 
@@ -186,14 +214,15 @@ def radical_v(pair: MomentPair1D) -> float:
     quadratically with the inputs and raises ``BadParameterError`` once it
     overflows, at a mean gap or stddev above about 1.34e154.
     """
-    a_s, sp_s, sq_s, shift = _scaled_quantities(pair)
-    try:
-        return math.ldexp(_radical_poly(a_s, sp_s, sq_s), -2 * shift)
-    except OverflowError:
-        raise BadParameterError(
-            "radical_v overflows the float range: it grows as the square of "
-            "the mean gap and stddevs, which must stay below about 1.34e154"
-        ) from None
+    return _radical_v(_scaled_quantities(pair))
+
+
+def _tight_bound(scaled: _Scaled) -> float:
+    a, sp, sq, _ = scaled
+    if a == 0.0:
+        return 0.0
+    s = sp + sq
+    return (a * a) / (s * s + a * a)
 
 
 def tv_lower_bound_1d(pair: MomentPair1D) -> float:
@@ -204,11 +233,26 @@ def tv_lower_bound_1d(pair: MomentPair1D) -> float:
     returned; it is attained only if the standard deviations also agree
     (see ``BoundReport1D.attained``).
     """
-    a, sp, sq, _ = _scaled_quantities(pair)
-    if a == 0.0:
-        return 0.0
-    s = sp + sq
-    return (a * a) / (s * s + a * a)
+    return _tight_bound(_scaled_quantities(pair))
+
+
+# The helpers below take the scaled quantities of a pair whose unscaled gap
+# is nonzero; their public wrappers refuse equal means first.
+
+
+def _two_point(scaled: _Scaled) -> float:
+    a, sp, sq, _ = scaled
+    if sp == 0.0 or sq == 0.0:
+        # v collapses onto (sp + sq)^2 + a^2: the value is the tight bound.
+        # The scaled stddevs are tested, because a subnormal one scales to 0
+        return _tight_bound(scaled)
+    v = _radical_poly(a, sp, sq)
+    if v == 0.0:
+        # reachable only when the squared gap underflows with equal spreads,
+        # where v ~ |a| (sp + sq)
+        return min(1.0, abs(a) / (sp + sq))
+    # the ratio is <= 1 analytically; min() only absorbs the final rounding
+    return min(1.0, (a * a) / v)
 
 
 def two_point_tv(pair: MomentPair1D) -> float:
@@ -225,18 +269,18 @@ def two_point_tv(pair: MomentPair1D) -> float:
     """
     if gap(pair) == 0.0:
         raise GapZeroError("two-point value is undefined for equal means")
-    a, sp, sq, _ = _scaled_quantities(pair)
-    if sp == 0.0 or sq == 0.0:
-        # v collapses onto (sp + sq)^2 + a^2: the value is the tight bound.
-        # The scaled stddevs are tested, because a subnormal one scales to 0
-        return tv_lower_bound_1d(pair)
-    v = _radical_poly(a, sp, sq)
-    if v == 0.0:
-        # reachable only when the squared gap underflows with equal spreads,
-        # where v ~ |a| (sp + sq)
-        return min(1.0, abs(a) / (sp + sq))
-    # the ratio is <= 1 analytically; min() only absorbs the final rounding
-    return min(1.0, (a * a) / v)
+    return _two_point(_scaled_quantities(pair))
+
+
+def _sibling_branch(unscaled: float, scaled: _Scaled) -> SiblingBranch:
+    a, sp, sq, _ = scaled
+    ds = sp - sq
+    denom = ds * ds + a * a
+    # denom underflows only when ds == 0, where the ratio is identically 1
+    value = 1.0 if denom == 0.0 else min(1.0, (a * a) / denom)
+    # the sign comes from the unscaled gap, which scaling can round to 0
+    valid = ds != 0.0 and (unscaled > 0.0) != (ds > 0.0)
+    return SiblingBranch(value, valid)
 
 
 def sibling_branch_tv(pair: MomentPair1D) -> SiblingBranch:
@@ -251,14 +295,29 @@ def sibling_branch_tv(pair: MomentPair1D) -> SiblingBranch:
     unscaled = gap(pair)
     if unscaled == 0.0:
         raise GapZeroError("sign-branch value is undefined for equal means")
-    a, sp, sq, _ = _scaled_quantities(pair)
-    ds = sp - sq
-    denom = ds * ds + a * a
-    # denom underflows only when ds == 0, where the ratio is identically 1
-    value = 1.0 if denom == 0.0 else min(1.0, (a * a) / denom)
-    # the sign comes from the unscaled gap, which scaling can round to 0
-    valid = ds != 0.0 and (unscaled > 0.0) != (ds > 0.0)
-    return SiblingBranch(value, valid)
+    return _sibling_branch(unscaled, _scaled_quantities(pair))
+
+
+def _anchored(scaled: _Scaled, p_anchor: bool) -> float:
+    # the non-anchored side's stddev is positive, which the callers check
+    a, sp, sq, _ = scaled
+    own_sd, other_sd = (sp, sq) if p_anchor else (sq, sp)
+    own, other = own_sd * own_sd, other_sd * other_sd
+    if own == 0.0:
+        # v collapses onto other + a^2 and the ratio is identically 1
+        return 1.0
+    a2 = a * a
+    v = _radical_poly(a, sp, sq)
+    # factored as in _radical_poly, so close stddevs do not cancel
+    excess = (other_sd - own_sd) * (other_sd + own_sd)
+    if excess >= 0.0:
+        # v - excess cancels at small gaps.  With v^2 - excess^2 = a^2 k and
+        # k = 2 (own + other) + a^2 the ratio is 2 (v + excess) / (v + excess
+        # + k): no difference, a denominator of at least k, and the small-gap
+        # limit 1 - own / other
+        s = v + excess
+        return min(1.0, 2.0 * s / (s + 2.0 * (own + other) + a2))
+    return min(1.0, 2.0 * a2 / (v - excess + a2))
 
 
 def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
@@ -282,58 +341,41 @@ def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
     """
     if gap(pair) == 0.0:
         raise GapZeroError("anchored values are undefined for equal means")
-    a, sp, sq, _ = _scaled_quantities(pair)
     if anchor == "p":
         if pair.q_side.stddev == 0.0:
             raise DegenerateVarianceError(
                 "p-anchored value needs a positive stddev on the q side"
             )
-        own_sd, other_sd = sp, sq
     elif anchor == "q":
         if pair.p_side.stddev == 0.0:
             raise DegenerateVarianceError(
                 "q-anchored value needs a positive stddev on the p side"
             )
-        own_sd, other_sd = sq, sp
     else:
         raise BadParameterError(f"anchor must be 'p' or 'q', got {anchor!r}")
-    own, other = own_sd * own_sd, other_sd * other_sd
-    if own == 0.0:
-        # v collapses onto other + a^2 and the ratio is identically 1
-        return 1.0
-    a2 = a * a
-    v = _radical_poly(a, sp, sq)
-    # factored as in _radical_poly, so close stddevs do not cancel
-    excess = (other_sd - own_sd) * (other_sd + own_sd)
-    if excess >= 0.0:
-        # v - excess cancels at small gaps.  With v^2 - excess^2 = a^2 k and
-        # k = 2 (own + other) + a^2 the ratio is 2 (v + excess) / (v + excess
-        # + k): no difference, a denominator of at least k, and the small-gap
-        # limit 1 - own / other
-        s = v + excess
-        return min(1.0, 2.0 * s / (s + 2.0 * (own + other) + a2))
-    return min(1.0, 2.0 * a2 / (v - excess + a2))
+    return _anchored(_scaled_quantities(pair), anchor == "p")
 
 
 def bound_report(pair: MomentPair1D) -> BoundReport1D:
     """Evaluate the tight bound and every diagnostic defined for ``pair``."""
     a = gap(pair)
-    v = radical_v(pair)
-    tight = tv_lower_bound_1d(pair)
+    scaled = _scaled_quantities(pair)
+    v = _radical_v(scaled)
+    tight = _tight_bound(scaled)
     sd_p = pair.p_side.stddev
     sd_q = pair.q_side.stddev
     attained = a != 0.0 or sd_p == sd_q
     if a == 0.0:
         return BoundReport1D(a, v, tight, attained)
-    sibling = sibling_branch_tv(pair)
+    sibling = _sibling_branch(a, scaled)
     return BoundReport1D(
         gap_a=a,
         radical_v=v,
         tight_bound=tight,
         attained=attained,
-        two_point_tv=two_point_tv(pair),
+        two_point_tv=_two_point(scaled),
         sibling_branch_tv=sibling.value,
         sibling_branch_valid=sibling.valid,
-        anchored_p_tv=anchored_tv(pair, "p") if sd_q > 0.0 else None,
-        anchored_q_tv=anchored_tv(pair, "q") if sd_p > 0.0 else None,
+        anchored_p_tv=_anchored(scaled, True) if sd_q > 0.0 else None,
+        anchored_q_tv=_anchored(scaled, False) if sd_p > 0.0 else None,
     )

@@ -25,13 +25,13 @@ from .errors import (
 from .moments import (
     FrozenRecord,
     MomentPair1D,
+    _anchored,
     _radical_poly,
+    _radical_v,
     _scaled_quantities,
-    anchored_tv,
+    _tight_bound,
+    _two_point,
     gap,
-    radical_v,
-    tv_lower_bound_1d,
-    two_point_tv,
 )
 
 __all__ = [
@@ -185,10 +185,11 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
         )
     mp, sp = pair.p_side.mean, pair.p_side.stddev
     mq, sq = pair.q_side.mean, pair.q_side.stddev
-    p = tv_lower_bound_1d(pair)
+    scaled = _scaled_quantities(pair)
+    p = _tight_bound(scaled)
     # 1 - p keeps only the absolute rounding of p, so once p passes 1/2 the
     # complement is the bound's own ratio with the gap and spread swapped
-    a_s, sp_s, sq_s, _ = _scaled_quantities(pair)
+    a_s, sp_s, sq_s, _ = scaled
     spread_sq = (sp_s + sq_s) * (sp_s + sq_s)
     rest = 1.0 - p if p <= 0.5 else spread_sq / (spread_sq + a_s * a_s)
     if sp > 0.0 and sq > 0.0:
@@ -249,10 +250,11 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
         return WitnessPair(
             tight.p_dist, tight.q_dist, tight.claimed_tv, WitnessKind.TWO_POINT_SHARED
         )
+    scaled = _scaled_quantities(pair)
     # refuses, with BadParameterError, a pair whose radical overflows;
     # a stddev that squares past the float range is named first
     _refuse_overflowing_variance(pair)
-    radical_v(pair)
+    _radical_v(scaled)
     s = math.copysign(1.0, a)
     # p = 1/2 + s (sp^2 - sq^2 - a^2) / (2v) and q = p + a|a|/v; whichever of
     # each mass and its complement is small is computed by the equivalent
@@ -267,7 +269,7 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     # starts at 1e-154 for inputs near 1, and at any ratio for inputs near
     # 1e-153).  The variance difference is factored as in
     # moments._radical_poly, so close stddevs do not cancel
-    a_s, sp_s, sq_s, _ = _scaled_quantities(pair)
+    a_s, sp_s, sq_s, _ = scaled
     a_s, sp_s, sq_s = a_s * _MASS_SCALE, sp_s * _MASS_SCALE, sq_s * _MASS_SCALE
     v = _radical_poly(a_s, sp_s, sq_s)
     if v == 0.0:
@@ -288,7 +290,7 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
         WitnessKind.TWO_POINT_SHARED,
         [(x1, one_minus_p), (x2, p)],
         [(x1, one_minus_q), (x2, q)],
-        two_point_tv(pair),
+        _two_point(scaled),
         pair,
     )
 
@@ -327,7 +329,7 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     q_param = float(q_param)
     if not 0.0 < q_param < 1.0:
         raise BadParameterError(f"q_param must be in (0, 1), got {q_param}")
-    p = _nonzero(anchored_tv(pair, "p"), "anchored value", a)
+    p = _nonzero(_anchored(_scaled_quantities(pair), True), "anchored value", a)
     x3 = (a + p * mq) / p
     x1 = mq + sq * math.sqrt(q_param / (1.0 - q_param))
     x2 = mq - sq * math.sqrt((1.0 - q_param) / q_param)
@@ -356,7 +358,7 @@ def construct_vanishing_sequence(
     ------
     BadParameterError
         If ``k`` is not an integer >= 2, or a stddev squares past the float
-        range.
+        range, or the stddevs differ and ``k`` is past the float range.
     WitnessConstructionError
         If the atoms miss those moments, as when the spread is too small
         against ``m`` for the near points to stay apart.
@@ -369,8 +371,13 @@ def construct_vanishing_sequence(
     if sigma_p == sigma_q:
         near = [(m - sigma_p, 0.5), (m + sigma_p, 0.5)]
         return _checked(kind, near, near, 0.0, targets)
+    try:
+        outer = 0.5 / k
+    except OverflowError:
+        raise BadParameterError(
+            f"k must fit in a float, below about 1.8e308; got {k.bit_length()} bits"
+        ) from None
     s_small, s_big = sorted((sigma_p, sigma_q))
-    outer = 0.5 / k
     inner = 0.5 - outer
     x_far = math.sqrt((s_big * s_big - s_small * s_small) * k + s_small * s_small)
     narrow = [(m - s_small, 0.5), (m + s_small, 0.5)]

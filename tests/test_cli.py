@@ -308,6 +308,16 @@ def test_sequence_rejects_small_k(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_sequence_refuses_a_k_past_the_float_range(capsys):
+    # 1/k needs k as a float, which a 401-digit integer overflows
+    code, out, err = run_cli(
+        capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", str(10**400)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: k must fit in a float, below about 1.8e308")
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- verify
 
 

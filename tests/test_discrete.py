@@ -202,8 +202,10 @@ def test_overflowing_variance_is_inf_and_fails_the_check():
 
 
 def test_check_moments_requires_positive_tol():
-    with pytest.raises(ValueError):
-        check_moments(DiscreteDist.delta(0.0), Moments1D(0.0, 0.0), 0.0)
+    # nan would read as a moment mismatch and inf would accept any atoms
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check_moments(DiscreteDist.delta(0.0), Moments1D(0.0, 0.0), tol)
 
 
 # ------------------------------------------------------------ serialization

@@ -1,6 +1,7 @@
 """Closed-form bound formulas and their ordering/invariance properties."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,9 +17,13 @@ from tvbounds import (
     MomentPair1D,
     MomentPairND,
     MomentsND,
+    SiblingBranch,
+    TVBoundError,
+    WitnessPair,
     anchored_tv,
     bound_report,
     check_nd_bound_random,
+    construct_tight_witness,
     construct_two_point,
     gap,
     radical_v,
@@ -260,6 +265,85 @@ def test_bound_report_degenerate_sides():
     assert report.attained is True
     assert report.anchored_p_tv is None  # needs spread on the q side
     assert report.anchored_q_tv is not None
+
+
+def _outcome(fn, *args):
+    # the value, or the class and message of the package error it raised
+    try:
+        return fn(*args)
+    except TVBoundError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(x):
+    # float.hex tells -0.0 from 0.0 and reads nan as nan
+    return x.hex() if isinstance(x, float) else x
+
+
+def _seeded_pairs(seed, count):
+    """Pairs at scales 10^U(-300, 300) and offsets up to 1e12 of the scale,
+    with a zero stddev on about a fifth of each side and equal means on
+    about a tenth of the pairs."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 12.0)
+        offset = offset if rng.random() < 0.5 else 0.0
+        mp = scale * (offset + rng.uniform(-2.0, 2.0))
+        mq = mp if rng.random() < 0.1 else scale * (offset + rng.uniform(-2.0, 2.0))
+        sp = 0.0 if rng.random() < 0.2 else scale * rng.uniform(0.0, 2.0)
+        sq = 0.0 if rng.random() < 0.2 else scale * rng.uniform(0.0, 2.0)
+        if all(map(math.isfinite, (mp, mq, sp, sq))):
+            made += 1
+            yield pair(mp, sp, mq, sq)
+
+
+# a subnormal gap that the scaling rounds to 0, against either sign of the
+# stddev difference and with either stddev 0
+SCALED_GAP_ZERO = [
+    pair(5e-324, 2.0, 0.0, 1.0),
+    pair(0.0, 2.0, 5e-324, 1.0),
+    pair(5e-324, 1.0, 0.0, 2.0),
+    pair(-1e-320, 0.0, 0.0, 3.0),
+    pair(1e-320, 3.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_report_equals_the_public_closed_forms_bit_for_bit(seed):
+    # bound_report and the witnesses share one scaled tuple per call; each
+    # value must be the one the public function computes on its own
+    for p in [*SCALED_GAP_ZERO, *_seeded_pairs(seed, 1000)]:
+        report = _outcome(bound_report, p)
+        radical = _outcome(radical_v, p)
+        if isinstance(radical, tuple):
+            assert report == radical
+            continue
+        expected = {
+            "gap_a": gap(p),
+            "radical_v": radical,
+            "tight_bound": tv_lower_bound_1d(p),
+            "two_point_tv": _outcome(two_point_tv, p),
+            "anchored_p_tv": _outcome(anchored_tv, p, "p"),
+            "anchored_q_tv": _outcome(anchored_tv, p, "q"),
+        }
+        sibling = _outcome(sibling_branch_tv, p)
+        defined = isinstance(sibling, SiblingBranch)
+        expected["sibling_branch_tv"] = sibling.value if defined else None
+        expected["sibling_branch_valid"] = sibling.valid if defined else None
+        for name, value in expected.items():
+            # an undefined diagnostic is reported as None
+            value = None if isinstance(value, tuple) else value
+            assert _bits(getattr(report, name)) == _bits(value), (p, name)
+        if report.gap_a == 0.0:
+            continue
+        tight = _outcome(construct_tight_witness, p)
+        if isinstance(tight, WitnessPair):
+            assert _bits(tight.claimed_tv) == _bits(report.tight_bound), p
+        two = _outcome(construct_two_point, p)
+        if isinstance(two, WitnessPair):
+            assert _bits(two.claimed_tv) == _bits(report.two_point_tv), p
 
 
 @given(means, sigmas, means, sigmas)

@@ -26,6 +26,7 @@ from tvbounds import (
     WitnessPair,
 )
 from tvbounds.cli import RunConfig
+from tvbounds.moments import FrozenRecord
 
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -267,3 +268,15 @@ def test_record_semantics(cls, make_kwargs, defaults, by_value, invalid):
 
 def test_every_record_is_covered():
     assert len(RECORDS) == len({entry[0] for entry in RECORDS}) == 12
+
+
+def test_frozen_record_refuses_a_value_count_that_misses_its_slots():
+    class Point(FrozenRecord):
+        __slots__ = ("x", "y")
+
+    point = Point(1.0, 2.0)
+    assert (point.x, point.y) == (1.0, 2.0)
+    assert repr(point).endswith("Point(x=1.0, y=2.0)")
+    for values in ((), (1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError):
+            Point(*values)

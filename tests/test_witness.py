@@ -453,6 +453,15 @@ def test_vanishing_sequence_rejects_bad_k(k):
         construct_vanishing_sequence(0.0, 2.0, 1.0, k)
 
 
+# 2**1024 - 2**970 is the least integer that float() rounds past the range
+@pytest.mark.parametrize("k", [2**1024 - 2**970, 10**400], ids=["least", "401-digit"])
+def test_vanishing_sequence_refuses_k_past_the_float_range(k):
+    with pytest.raises(BadParameterError, match=r"below about 1\.8e308"):
+        construct_vanishing_sequence(0.0, 2.0, 1.0, k)
+    # with equal stddevs the pair does not depend on k and is still built
+    assert construct_vanishing_sequence(0.0, 1.0, 1.0, k).claimed_tv == 0.0
+
+
 # -------------------------------------------------------- pair self-checking
 
 
