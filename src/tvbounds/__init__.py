@@ -9,36 +9,12 @@ Only the d-dimensional bound (:mod:`tvbounds.nd`), the oracle and its
 simplex import numpy; their names are resolved here on first use.
 """
 
-from .discrete import DiscreteDist, MomentSummary, check_moments, tv_distance
-from .errors import (
-    BadParameterError,
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    GapZeroError,
-    TVBoundError,
-    WitnessConstructionError,
-)
-from .moments import (
-    BoundReport1D,
-    MomentPair1D,
-    Moments1D,
-    SiblingBranch,
-    anchored_tv,
-    bound_report,
-    gap,
-    radical_v,
-    sibling_branch_tv,
-    tv_lower_bound_1d,
-    two_point_tv,
-)
-from .witness import (
-    WitnessKind,
-    WitnessPair,
-    construct_anchored_witness,
-    construct_tight_witness,
-    construct_two_point,
-    construct_vanishing_sequence,
-)
+# Each module's ``__all__`` declares its public names; the package republishes
+# them as they stand.
+from .discrete import *
+from .errors import *
+from .moments import *
+from .witness import *
 
 __version__ = "0.1.0"
 
@@ -73,44 +49,7 @@ def __getattr__(name: str):
     return value
 
 
+# the imports above bind each submodule's name here
 __all__ = [
-    "BadParameterError",
-    "BoundReport1D",
-    "DegenerateVarianceError",
-    "DimensionMismatchError",
-    "DiscreteDist",
-    "GapZeroError",
-    "GridSpec",
-    "LPStandardForm",
-    "MomentPair1D",
-    "MomentPairND",
-    "Moments1D",
-    "MomentsND",
-    "MomentSummary",
-    "OracleResult",
-    "OracleStatus",
-    "SiblingBranch",
-    "TVBoundError",
-    "WitnessConstructionError",
-    "WitnessKind",
-    "WitnessPair",
-    "anchored_tv",
-    "bound_report",
-    "build_grid",
-    "check_moments",
-    "check_nd_bound_random",
-    "construct_anchored_witness",
-    "construct_tight_witness",
-    "construct_two_point",
-    "construct_vanishing_sequence",
-    "formulate",
-    "gap",
-    "minimize_tv_on_grid",
-    "radical_v",
-    "sibling_branch_tv",
-    "solve",
-    "tv_distance",
-    "tv_lower_bound_1d",
-    "tv_lower_bound_nd",
-    "two_point_tv",
+    *discrete.__all__, *errors.__all__, *moments.__all__, *witness.__all__, *_LAZY
 ]

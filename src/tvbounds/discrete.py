@@ -112,8 +112,9 @@ class DiscreteDist(FrozenRecord):
         """
         mean = math.fsum(map(mul, self.probs, self.support))
         # squared by a product: float ** raises OverflowError where the
-        # product overflows to inf, which the moment checks then reject
-        deviations = [x - mean for x in self.support]
+        # product overflows to inf, which the moment checks then reject; a
+        # zero-mass atom adds nothing, even where its square overflows
+        deviations = [x - mean if p else 0.0 for x, p in zip(self.support, self.probs)]
         variance = _sum_nonnegative(map(mul, self.probs, map(mul, deviations, deviations)))
         return MomentSummary(mean, variance)
 

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TVBoundError",
+    "GapZeroError",
+    "DegenerateVarianceError",
+    "DimensionMismatchError",
+    "BadParameterError",
+    "WitnessConstructionError",
+]
+
 
 class TVBoundError(Exception):
     """Base class for package-specific errors."""

@@ -174,8 +174,14 @@ def _scaled_quantities(pair: MomentPair1D) -> _Scaled:
     floating-point range while keeping their intermediates clear of overflow
     and underflow at extreme input magnitudes.  Scaling down can round a
     subnormal gap to 0, so equal means are tested on the unscaled gap.
+    A gap that overflows raises ``BadParameterError`` naming both means.
     """
     a = pair.p_side.mean - pair.q_side.mean
+    if not math.isfinite(a):
+        raise BadParameterError(
+            f"the mean gap overflows the float range: mean_p {pair.p_side.mean!r} "
+            f"- mean_q {pair.q_side.mean!r} is {a!r}"
+        )
     sp = pair.p_side.stddev
     sq = pair.q_side.stddev
     # frexp(0.0) has exponent 0, so all-zero inputs keep factor 1

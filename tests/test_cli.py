@@ -279,6 +279,55 @@ def test_overflowing_variance_is_an_error(capsys, argv):
     )
 
 
+_OVERFLOWING_GAP = ("--mp", "1e308", "--sp", "1", "--mq", "-1e308", "--sq", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", *_OVERFLOWING_GAP),
+        ("witness", *_OVERFLOWING_GAP),
+        ("two-point", *_OVERFLOWING_GAP),
+        ("case-c", *_OVERFLOWING_GAP),
+        ("sweep", "--param", "sp", "--start", "1", "--stop", "2", "--step", "1",
+         "--mp", "1e308", "--mq", "-1e308", "--sq", "1"),
+    ],
+    ids=["bound", "witness", "two-point", "case-c", "sweep"],
+)
+def test_overflowing_mean_gap_is_an_error(capsys, argv):
+    # 1e308 - (-1e308) overflows; the closed forms would print NaN and the
+    # witnesses place an atom at infinity
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the mean gap overflows the float range: "
+        "mean_p 1e+308 - mean_q -1e+308 is inf\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("witness", "--mp", "1e200", "--sp", "0", "--mq", "-1e200", "--sq", "0"),
+         "both_point_masses"),
+        (("two-point", "--mp", "1e200", "--sp", "0", "--mq", "-1e200", "--sq", "0"),
+         "two_point_shared"),
+        (("witness", "--mp", "2e154", "--sp", "1", "--mq", "0", "--sq", "1"),
+         "three_point"),
+    ],
+    ids=["witness-point-masses", "two-point-point-masses", "witness-unit-stddevs"],
+)
+def test_zero_mass_atom_far_out_keeps_a_witness(capsys, argv, kind):
+    # each side puts no mass on an atom whose squared deviation overflows,
+    # so its variance must not become 0 * inf = nan
+    code, report = run_json(capsys, *argv)
+    assert (code, report["kind"], report["tv"]) == (0, kind, 1.0)
+    for side, target in (("p", float(argv[2])), ("q", float(argv[6]))):
+        dist = DiscreteDist.from_json_dict(report[side])
+        assert dist.moments().mean == target
+        assert math.isfinite(dist.moments().variance)
+
+
 def test_sequence_output(capsys):
     code, payload = run_json(
         capsys, "sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", "10"
@@ -575,6 +624,19 @@ def test_nd_bound_rejects_malformed_file(capsys, tmp_path, text):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("missing", ["mean_p", "cov_q"])
+def test_nd_bound_names_a_missing_key(capsys, tmp_path, missing):
+    payload = {
+        "mean_p": [0.0], "cov_p": [[1.0]], "mean_q": [1.0], "cov_q": [[1.0]]
+    }
+    del payload[missing]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: moments file is missing key {missing!r}\n"
+
+
 def test_nd_bound_rejects_bad_covariance(capsys, tmp_path):
     payload = {
         "mean_p": [0.0, 0.0],
@@ -753,6 +815,15 @@ def test_sweep_rejects_bad_step(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_sweep_rejects_a_stop_below_the_start(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "sp", "--start", "2", "--stop", "1", "--step", "1",
+        "--mp", "1", "--mq", "0", "--sq", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --stop must not be less than --start\n"
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
@@ -909,3 +980,21 @@ def test_one_d_commands_never_import_numpy(capsys, tmp_path):
     assert cli.check_nd_bound_random is oracle.check_nd_bound_random
     assert cli.MomentsND is nd.MomentsND
     assert cli.tv_lower_bound_nd is nd.tv_lower_bound_nd
+
+
+def test_package_republishes_its_modules_public_names():
+    import tvbounds
+    from tvbounds import errors
+
+    assert len(set(tvbounds.__all__)) == len(tvbounds.__all__)
+    star = {}
+    exec("from tvbounds import *", star)
+    assert set(star) - {"__builtins__"} == set(tvbounds.__all__)
+    # every exception type the package defines is public
+    assert set(errors.__all__) == {
+        name for name, value in vars(errors).items() if isinstance(value, type)
+    }
+    with pytest.raises(
+        AttributeError, match="^module 'tvbounds' has no attribute 'no_such_name'$"
+    ):
+        tvbounds.no_such_name

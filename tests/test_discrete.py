@@ -201,6 +201,12 @@ def test_overflowing_variance_is_inf_and_fails_the_check():
     assert not check_moments(edge, Moments1D(0.0, 1.3e154), 1e-9)
 
 
+def test_zero_mass_atom_adds_nothing_to_the_variance():
+    # its squared deviation overflows, and 0 * inf would be nan
+    assert DiscreteDist((0.0, 1e200), (1.0, 0.0)).moments() == (0.0, 0.0)
+    assert DiscreteDist((-1e308, 1e308), (1.0, 0.0)).moments() == (-1e308, 0.0)
+
+
 def test_check_moments_requires_positive_tol():
     # nan would read as a moment mismatch and inf would accept any atoms
     for tol in (0.0, -1e-9, math.nan, math.inf):

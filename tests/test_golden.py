@@ -3,6 +3,7 @@
 Each case runs ``main`` in-process and compares its exit code, stdout and
 stderr with the files under ``tests/golden/``: ``<name>.out`` holds the
 expected stdout and ``<name>.err`` the expected stderr (empty when absent).
+The CI workflow runs the installed ``tvbounds`` script on the same ``CASES``.
 """
 
 from pathlib import Path
@@ -81,10 +82,18 @@ CASES = [
 ]
 
 
+def expected(name, code):
+    """The exit code, stdout and stderr pinned for the case ``name``."""
+    err_path = GOLDEN / f"{name}.err"
+    return (
+        code,
+        (GOLDEN / f"{name}.out").read_text(encoding="utf-8"),
+        err_path.read_text(encoding="utf-8") if err_path.exists() else "",
+    )
+
+
 @pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
 def test_command_output_is_golden(capsys, name, code, argv):
-    assert main(argv) == code
+    returned = main(argv)
     captured = capsys.readouterr()
-    err_path = GOLDEN / f"{name}.err"
-    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    assert captured.err == (err_path.read_text(encoding="utf-8") if err_path.exists() else "")
+    assert (returned, captured.out, captured.err) == expected(name, code)

@@ -88,6 +88,18 @@ def test_radical_overflow_is_a_specific_error(sp, sq):
         bound_report(pair(0.0, sp, 1e200, sq))
 
 
+def test_overflowing_mean_gap_is_a_specific_error():
+    # two finite means whose difference passes the float range, where the
+    # closed forms would give nan
+    with pytest.raises(BadParameterError) as err:
+        tv_lower_bound_1d(pair(1e308, 1.0, -1e308, 1.0))
+    assert str(err.value) == (
+        "the mean gap overflows the float range: mean_p 1e+308 - mean_q -1e+308 is inf"
+    )
+    with pytest.raises(BadParameterError, match=r"mean_p -1e\+308 - mean_q 1e\+308 is -inf"):
+        bound_report(pair(-1e308, 0.0, 1e308, 0.0))
+
+
 # ------------------------------------------------------------------ 1-D bound
 
 

@@ -270,6 +270,12 @@ def test_every_record_is_covered():
     assert len(RECORDS) == len({entry[0] for entry in RECORDS}) == 12
 
 
+def test_frozen_record_leaves_comparison_with_another_type_to_it():
+    m = Moments1D(0.0, 1.0)
+    assert m.__eq__((0.0, 1.0)) is NotImplemented
+    assert m != (0.0, 1.0) and (0.0, 1.0) != m
+
+
 def test_frozen_record_refuses_a_value_count_that_misses_its_slots():
     class Point(FrozenRecord):
         __slots__ = ("x", "y")

@@ -224,6 +224,16 @@ def test_basic_artificial_pivots_out_onto_real_column():
     assert res.iterations == 2
 
 
+@pytest.mark.parametrize(
+    "c, A, b",
+    [([1.0], [[1.0, 2.0]], [1.0]), ([1.0, 1.0], [[1.0, 2.0]], [1.0, 2.0])],
+    ids=["short-c", "long-b"],
+)
+def test_inconsistent_dimensions_are_rejected(c, A, b):
+    with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
+        solve_dense(c, A, b)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
