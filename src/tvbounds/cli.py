@@ -21,7 +21,7 @@ import sys
 from typing import Any, Mapping, NamedTuple
 
 from . import _LAZY
-from .errors import TVBoundError
+from .errors import BadParameterError, TVBoundError
 from .moments import MomentPair1D, bound_report, tv_lower_bound_1d
 from .witness import (
     construct_anchored_witness,
@@ -65,10 +65,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-class CLIError(ValueError):
-    """Invalid command line or input file; maps to exit code 1."""
-
-
 class RunConfig(NamedTuple):
     """A parsed invocation: the command name plus its flag values."""
 
@@ -88,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits the process on bad flags; raise instead so the caller
     # controls the exit code
     def error(self, message: str):
-        raise CLIError(message)
+        raise BadParameterError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -97,7 +93,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in {"false", "0", "no"}:
         return False
-    raise CLIError(f"expected true or false, got {text!r}")
+    raise BadParameterError(f"expected true or false, got {text!r}")
 
 
 def _add_pair_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -213,7 +209,7 @@ def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
     pair = _pair_from(params)
     lo, hi = params["grid_lo"], params["grid_hi"]
     if (lo is None) != (hi is None):
-        raise CLIError("--grid-lo and --grid-hi must be given together")
+        raise BadParameterError("--grid-lo and --grid-hi must be given together")
     if lo is None:
         spec = GridSpec.default_for(pair, count=params["grid_n"])
     else:
@@ -255,21 +251,21 @@ def _load_nd_pair(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CLIError(f"cannot read moments file {path!r}: {exc}") from exc
+        raise BadParameterError(f"cannot read moments file {path!r}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CLIError(
+        raise BadParameterError(
             f"moments file must hold a JSON object, got {type(payload).__name__}"
         )
     try:
         p = MomentsND(payload["mean_p"], payload["cov_p"])
         q = MomentsND(payload["mean_q"], payload["cov_q"])
     except KeyError as exc:
-        raise CLIError(f"moments file is missing key {exc}") from exc
+        raise BadParameterError(f"moments file is missing key {exc}") from exc
     except TypeError as exc:
-        raise CLIError(f"moments file holds a non-numeric field: {exc}") from exc
+        raise BadParameterError(f"moments file holds a non-numeric field: {exc}") from exc
     for side, moments in (("p", p), ("q", q)):
         if not math.isfinite(moments.trace):
-            raise CLIError(
+            raise BadParameterError(
                 f"the {side} side's covariance trace overflows the float range: "
                 "its diagonal sums past about 1.8e308"
             )
@@ -307,17 +303,17 @@ def _cmd_nd_check(params: Mapping[str, Any]) -> tuple[dict, int]:
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
-        raise CLIError(
+        raise BadParameterError(
             f"--start, --stop and --step must be finite, got {start}, {stop}, {step}"
         )
     if step <= 0.0:
-        raise CLIError(f"--step must be positive, got {step}")
+        raise BadParameterError(f"--step must be positive, got {step}")
     if stop < start:
-        raise CLIError("--stop must not be less than --start")
+        raise BadParameterError("--stop must not be less than --start")
     # rows - 1, as a float: inf when stop - start overflows
     span = (stop - start) / step + 1e-9
     if not span < SWEEP_MAX_ROWS:
-        raise CLIError(
+        raise BadParameterError(
             f"the range from --start {start} to --stop {stop} by --step {step} "
             f"has more than SWEEP_MAX_ROWS = {SWEEP_MAX_ROWS} rows"
         )
@@ -328,7 +324,7 @@ def _cmd_sweep(params: Mapping[str, Any]) -> tuple[dict | str, int]:
     swept = params["param"]
     for name in ("mp", "sp", "mq", "sq"):
         if name != swept and params[name] is None:
-            raise CLIError(f"--{name} is required when sweeping --{swept}")
+            raise BadParameterError(f"--{name} is required when sweeping --{swept}")
 
     rows = []
     for value in _sweep_values(params["start"], params["stop"], params["step"]):
@@ -372,7 +368,7 @@ def main(argv=None) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
         code = run(config)
-    except (CLIError, TVBoundError, ValueError) as exc:
+    except (TVBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     if argv is None:  # invoked as a console script

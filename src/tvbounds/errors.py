@@ -32,7 +32,7 @@ class DimensionMismatchError(TVBoundError):
 
 
 class BadParameterError(TVBoundError, ValueError):
-    """A run parameter is outside its allowed range."""
+    """A run parameter, flag or moments file is malformed or out of range."""
 
 
 class WitnessConstructionError(TVBoundError):

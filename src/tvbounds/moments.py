@@ -35,13 +35,6 @@ __all__ = [
 ]
 
 
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 class FrozenRecord:
     """Base of the immutable records that validate their fields.
 
@@ -98,14 +91,10 @@ class Moments1D(FrozenRecord):
     __slots__ = ("mean", "stddev")
 
     def __init__(self, mean: float, stddev: float) -> None:
-        # short-circuits like the two checks it stands for: stddev is only
-        # converted once the mean is known to be finite
-        if not (
-            math.isfinite(mean := float(mean))
-            and math.isfinite(stddev := float(stddev))
-        ):
-            _finite("mean", mean)
-            _finite("stddev", stddev)
+        if not math.isfinite(mean := float(mean)):
+            raise ValueError(f"mean must be finite, got {mean!r}")
+        if not math.isfinite(stddev := float(stddev)):
+            raise ValueError(f"stddev must be finite, got {stddev!r}")
         if stddev < 0.0:
             raise ValueError(f"stddev must be non-negative, got {stddev}")
         super().__init__(mean, stddev)

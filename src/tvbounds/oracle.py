@@ -269,7 +269,8 @@ def minimize_tv_on_grid(
         spec = GridSpec.default_for(pair)
     if include_witness_points and gap(pair) != 0.0:
         witness = construct_tight_witness(pair)
-        spec = spec.with_extra(witness.p_dist.support + witness.q_dist.support)
+        # the tight witness puts both sides on one support
+        spec = spec.with_extra(witness.p_dist.support)
     grid = build_grid(spec)
     return solve(formulate(pair, grid))
 

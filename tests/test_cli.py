@@ -11,8 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvbounds import DiscreteDist, Moments1D, check_moments, tv_distance
-from tvbounds.cli import SWEEP_MAX_ROWS, main
+from tvbounds import (
+    BadParameterError,
+    DiscreteDist,
+    Moments1D,
+    check_moments,
+    tv_distance,
+)
+from tvbounds.cli import SWEEP_MAX_ROWS, RunConfig, main, parse_args, run
 
 
 def run_cli(capsys, *argv):
@@ -998,3 +1004,70 @@ def test_package_republishes_its_modules_public_names():
         AttributeError, match="^module 'tvbounds' has no attribute 'no_such_name'$"
     ):
         tvbounds.no_such_name
+
+
+def test_bad_flags_and_moments_files_raise_bad_parameter_error(tmp_path):
+    with pytest.raises(BadParameterError, match="required: --mp, --sp, --mq, --sq"):
+        parse_args(["bound"])
+    path = tmp_path / "moments.json"
+    path.write_text('{"mean_p": [0], "cov_p": [[1]], "mean_q": [1]}')
+    with pytest.raises(BadParameterError, match="missing key 'cov_q'"):
+        run(RunConfig("nd-bound", {"path": str(path)}))
+
+
+# ------------------------------------------------------------- known limits
+
+# Each reproducer asserts what its mend gives and fails today, so it is a
+# strict xfail; the change that mends one removes its marker.  README,
+# "Known limits", lists them with their output today.
+
+
+def pair_flags(mp, sp, mq, sq):
+    return ["--mp", mp, "--sp", sp, "--mq", mq, "--sq", sq]
+
+
+ORACLE_REPRODUCERS = {
+    "offset": pair_flags("10000.885953360776", "1.1456377804563067", "10000", "0.7584353760061202"),
+    "small-scale": pair_flags(
+        "1437.1418733428304", "5.264375986957169e-08", "1437.1418726773522", "6.342263096312475e-07"
+    ),
+    "suboptimal-optimal": pair_flags(
+        "-0.1445325412898244", "0.22736583522869225", "-1.5146932245996316", "0"
+    ),
+    "point-masses": pair_flags("-1.1432955504938587", "0", "-1.574802531359674", "0"),
+}
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 1: the grid LP's raw-power rows are not scale-free, so "
+    "verify says infeasible, violated, sound or numeric_failure",
+)
+@pytest.mark.parametrize("flags", ORACLE_REPRODUCERS.values(), ids=ORACLE_REPRODUCERS)
+def test_verify_is_tight_on_the_oracle_reproducers(capsys, flags):
+    code, payload = run_json(capsys, "verify", *flags)
+    assert (payload["verdict"], code) == ("tight", 0)
+
+
+WITNESS_LIMITS = {
+    "witness-1e-20": ["witness", *pair_flags("1e-20", "1e-20", "0", "1e-20")],
+    "two-point-1e80": ["two-point", *pair_flags("1e80", "3e80", "0", "1e80")],
+    "two-point-3e7": ["two-point", *pair_flags("3e7", "1", "0", "1")],
+    "sequence-k-1e26": ["sequence", "--m", "0", "--sp", "2", "--sq", "1", "--k", str(10**26)],
+    "case-c-1e6": ["case-c", *pair_flags("1e6", "1", "0", "1")],
+    "witness-offset-1e8": [
+        "witness",
+        *pair_flags("99416348.774151", "0.1752693471298452", "99416349.5582739", "1.6388753563552731"),
+    ],
+}
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 3: the 1 + |x| floors of the merge and moment checks "
+    "refuse witnesses at these scales and offsets",
+)
+@pytest.mark.parametrize("argv", WITNESS_LIMITS.values(), ids=WITNESS_LIMITS)
+def test_witness_limit_builds(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
