@@ -40,16 +40,6 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     raises ``ValueError``; a failed PSD check names the eigenvalue of the
     first offending matrix, so a stack raises what that matrix alone would.
 
-    For d > 1 the PSD check first tries a certificate: one Cholesky
-    factorization of the whole stack, each matrix shifted by half its
-    tolerance.  A factorization that succeeds proves every smallest
-    eigenvalue lies above minus that half, less a round-off of order
-    ``d^2`` ulps of the largest diagonal entry, so the eigenvalue rule would
-    accept the stack too.  Only a stack the certificate rejects has its
-    eigenvalues computed, and the eigenvalue rule decides it.  Either way
-    the accepted stacks and the messages are those of the eigenvalue rule
-    alone.
-
     Returns the covariances, averaged with their transposes when d > 1.
     """
     if not np.isfinite(mean).all():
@@ -65,10 +55,8 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     else:
         cov_t = cov.swapaxes(-1, -2)
         # a difference or sum past the float range reads inf: an asymmetry
-        # that large is refused, a sum that large is halved term by term
-        # (only there: halving first rounds subnormal entries differently),
-        # and a diagonal that the certificate's shift takes to inf sends the
-        # stack to the eigenvalues, because an inf pivot would still factor
+        # that large is refused, and a sum that large is halved term by term
+        # (only there: halving first rounds subnormal entries differently)
         with np.errstate(over="ignore"):
             sym = cov - cov_t
             np.abs(sym, out=sym)
@@ -81,25 +69,8 @@ def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
             overflow = np.isinf(sym)
             if overflow.any():
                 sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
-            cov = sym
-            max_diag = cov.diagonal(0, -2, -1).max(-1)
-            # the certificate: cov + (delta / 2) I, with delta the tolerance
-            # COV_PSD_TOL * (1 + max_diag) of the eigenvalue rule below.  A
-            # Cholesky factorization of it succeeds only if the smallest
-            # eigenvalue is above -delta / 2 - O(d^2 eps max_diag) (Higham,
-            # Accuracy and Stability of Numerical Algorithms, ch. 10), and
-            # eigvalsh errs by O(d eps max_diag): far inside delta / 2
-            shifted = cov.copy()
-            # every (d + 1)-th entry of a flattened d x d matrix is diagonal;
-            # the copy is C-ordered, so the reshape is a view of it
-            shifted_diag = shifted.reshape(cov.shape[:-2] + (d * d,))[..., :: d + 1]
-            shifted_diag += 0.5 * COV_PSD_TOL * (1.0 + max_diag[..., None])
-        if np.isfinite(shifted_diag).all():
-            try:
-                np.linalg.cholesky(shifted)
-                return cov
-            except np.linalg.LinAlgError:
-                pass
+        cov = sym
+        max_diag = cov.diagonal(0, -2, -1).max(-1)
         min_eig = np.linalg.eigvalsh(cov)[..., 0]
     bad = min_eig < -COV_PSD_TOL * (1.0 + max_diag)
     if bad.any():

@@ -16,9 +16,7 @@ certifies.  The moment constraints are genuine equalities, not bands, so
 The d-dimensional routine never solves an LP: it draws random discrete
 pairs, computes their exact moments and exact TV, and counts violations of
 the trace bound evaluated at those computed moments.  It works on all
-trials at once, as numpy stacks over a leading trial axis, and validates
-every trial's moments through ``nd.validate_moments``, the checks
-``MomentsND`` makes.
+trials at once, as numpy stacks over a leading trial axis.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 from .discrete import DiscreteDist, _merge_tol, check_moments
 from .errors import BadParameterError
 from .moments import FrozenRecord, MomentPair1D, gap
-from .nd import trace_bound, validate_moments
+from .nd import trace_bound
 # unused here, but benchmarks/spans.py traces the n-d layer under these names
 from .nd import MomentsND, tv_lower_bound_nd  # noqa: F401
 from .simplex import SimplexResult, solve_dense
@@ -56,7 +54,7 @@ ORACLE_MOMENT_TOL = 1e-7
 ND_CHECK_TOL = 1e-10
 #: Most normal coordinates (trials * atoms * d) one randomized d-dimensional
 #: check draws; a larger batch is refused before anything is drawn.  A batch
-#: at the limit peaks near 0.6 GB at d = 4.
+#: at the limit peaks at 0.55 to 0.65 GB resident, the most at d = 1.
 ND_CHECK_MAX_DRAWS = 10_000_000
 
 
@@ -289,9 +287,11 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     every trial, then one Dirichlet draw of ``2 * trials`` weight vectors,
     the p side's ``trials`` first, then the q side's.  The moments of both
     sides of every trial are stacks of shape ``(2, trials, d)`` and
-    ``(2, trials, d, d)``, checked by ``validate_moments`` exactly as
-    ``MomentsND`` checks one matrix (a failed check raises ``ValueError``),
-    and the bound is ``trace_bound``, which ``tv_lower_bound_nd`` also uses.
+    ``(2, trials, d, d)``, and the bound is ``trace_bound``, which
+    ``tv_lower_bound_nd`` also uses.  The covariances are weighted Gram
+    matrices of finite draws, symmetric and PSD up to a round-off far inside
+    the tolerances of ``MomentsND``, so they are not re-checked; the bound
+    reads only their traces, which symmetrizing would leave unchanged.
     A batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates
     (``trials * atoms * d``) raises ``BadParameterError`` before any draw.
     """
@@ -315,7 +315,6 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     means = (weights[:, :, None, :] @ points)[:, :, 0, :]
     centred = points - means[:, :, None, :]
     covs = centred.swapaxes(-1, -2) @ (centred * weights[..., None])
-    covs = validate_moments(means, covs)
     traces = np.einsum("stii->st", covs)
     a = means[0] - means[1]
     bound = trace_bound(np.einsum("ti,ti->t", a, a), traces[0], traces[1])

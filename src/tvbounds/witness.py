@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .discrete import DiscreteDist, check_moments, tv_distance
 from .errors import (
@@ -280,12 +281,20 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
         dv = (sp_s - sq_s) * (sp_s + sq_s)
         p, one_minus_p = _stable_mass(s * (dv - a_s * a_s), v, a_s * sp_s)
         q, one_minus_q = _stable_mass(s * (dv + a_s * a_s), v, a_s * sq_s)
-    if p <= 0.0 or one_minus_p <= 0.0:
+    # the p side's masses place the atoms, unless its smaller mass has left
+    # the normal range and the q side's is larger, as in the swapped pair:
+    # an atom sd / sqrt(mass) away would overflow or lose its digits.  A
+    # mass whose inverse still overflows leaves that atom no position
+    m, sd, w, w_c = mp, sp, p, one_minus_p
+    if min(p, one_minus_p) < min(q, one_minus_q, sys.float_info.min):
+        m, sd, w, w_c = pair.q_side.mean, sq, q, one_minus_q
+    small = min(w, w_c)
+    if small <= 0.0 or math.isinf(max(w, w_c) / small):
         raise WitnessConstructionError(
-            f"two-point mass parameter {p!r} leaves no room for a second atom"
+            f"two-point mass {small!r} leaves no room for a second atom"
         )
-    x1 = mp + sp * math.sqrt(p / one_minus_p)
-    x2 = mp - sp * math.sqrt(one_minus_p / p)
+    x1 = m + sd * math.sqrt(w / w_c)
+    x2 = m - sd * math.sqrt(w_c / w)
     return _checked(
         WitnessKind.TWO_POINT_SHARED,
         [(x1, one_minus_p), (x2, p)],

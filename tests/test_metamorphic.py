@@ -4,7 +4,9 @@ TV is invariant under swapping the two sides, under x -> -x and under a
 common scale.  Swap, negation and scaling by a power of two are exact in
 floats, so the closed forms must keep them exactly, a constructor must
 build on both sides of a map or refuse on both with the same error type,
-and ``verify`` must give both sides the same verdict.  The relations that
+and ``verify`` must give both sides the same verdict.  In d dimensions the
+trace bound keeps swap, coordinate sign flips and power-of-two scaling bit
+for bit, and coordinate permutations to a few ulps.  The relations that
 fail today are strict xfails that name the defect; the change that mends
 one removes its marker.
 """
@@ -16,6 +18,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ from tvbounds import (
 )
 from tvbounds.cli import RunConfig, run
 from tvbounds.errors import TVBoundError
+from tvbounds.nd import MomentPairND, MomentsND, tv_lower_bound_nd
 
 SCALES = {"scale_2^20": 2.0**20, "scale_2^-20": 2.0**-20}
 #: Each map takes and returns (mean_p, sd_p, mean_q, sd_q).
@@ -200,14 +204,12 @@ def known_break(id, name, constructor, x, reason):
     return pytest.param(name, constructor, x, id=id, marks=marks)
 
 
-#: Single pairs on which a constructor breaks a map that is exact in
-#: floats, each a strict xfail that names its defect.
+#: Single pairs on which a constructor broke a map that is exact in
+#: floats; each one still broken is a strict xfail that names its defect.
 KNOWN_BREAKS = [
-    known_break(
-        "two-point-subnormal-stddev", "swap", "two-point", (1.0, 5e-324, 0.0, 1.0),
-        "FOUND: construct_two_point tests the unscaled stddevs for a point "
-        "mass, so a subnormal p stddev refuses where its swap builds",
-    ),
+    # mended: a subnormal p stddev leaves the p side's small mass at 0, and
+    # the q side places the atoms, as in the swapped pair
+    pytest.param("swap", "two-point", (1.0, 5e-324, 0.0, 1.0), id="two-point-subnormal-stddev"),
     known_break(
         "anchored-equal-stddevs", "negate", "anchored", (0.0, 29804.0, 2.0**-24, 29804.0),
         "FOUND: the exclusive atom lies within the merge tolerance of a "
@@ -272,3 +274,59 @@ def test_verify_verdict_is_invariant_under_the_map(name, base_verdicts):
         for (x, include), before in zip(VERIFY_CASES, base_verdicts)
     ]
     assert [case for case in changed if case[2] != case[3]] == []
+
+
+# ------------------------------------------------------------- trace bound
+
+
+def draw_nd_pair(rng: np.random.Generator):
+    """d in 1..4, scale 10^U(-5, 5): two means and two Gram covariances."""
+    d = int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(-5, 5)
+    means = rng.normal(size=(2, d)) * scale
+    roots = rng.normal(size=(2, d, d)) * scale
+    return means, roots @ roots.swapaxes(-1, -2)
+
+
+def trace_bound_of(means, covs) -> float:
+    return tv_lower_bound_nd(MomentPairND(*map(MomentsND, means, covs)))
+
+
+def swap_sides(rng, means, covs):
+    return means[::-1], covs[::-1]
+
+
+def flip_signs(rng, means, covs):
+    signs = rng.choice([-1.0, 1.0], size=means.shape[-1])
+    return means * signs, covs * np.outer(signs, signs)
+
+
+def scale_by_power_of_two(rng, means, covs):
+    k = int(rng.integers(-20, 21))
+    return means * 2.0**k, covs * 4.0**k
+
+
+#: Each takes and returns (means, covs) of both sides, stacked on axis 0;
+#: the rng draws the map's own choices.
+ND_MAPS = {"swap": swap_sides, "sign-flips": flip_signs, "scale-2^k": scale_by_power_of_two}
+
+
+@pytest.mark.parametrize("name", ND_MAPS)
+def test_trace_bound_is_bit_exact_under_the_map(name):
+    rng = np.random.default_rng(1700)
+    for _ in range(1000):
+        means, covs = draw_nd_pair(rng)
+        mapped = ND_MAPS[name](rng, means, covs)
+        assert trace_bound_of(*mapped) == trace_bound_of(means, covs), (means, covs)
+
+
+def test_trace_bound_agrees_under_coordinate_permutations():
+    # the trace and |a|^2 are sums whose order a permutation changes, so
+    # the bound keeps it only to a few ulps, not bit for bit
+    rng = np.random.default_rng(1701)
+    for _ in range(1000):
+        means, covs = draw_nd_pair(rng)
+        perm = rng.permutation(means.shape[-1])
+        bound = trace_bound_of(means, covs)
+        permuted = trace_bound_of(means[:, perm], covs[:, perm][:, :, perm])
+        assert abs(permuted - bound) <= 8 * 2.0**-53 * bound, (means, covs, perm)

@@ -1,6 +1,7 @@
 """Extremal pair constructors: frozen values, round-trips, orderings."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,33 @@ def test_two_point_at_tiny_scale_refuses_without_dividing_by_zero():
     )
     with pytest.raises(WitnessConstructionError):
         construct_two_point(this)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_point_with_a_tiny_stddev_builds_like_its_swap(seed):
+    # a stddev of 10^-k, k up to 323, against an ordinary one: the small
+    # mass of that side turns subnormal or 0, and the other side places the
+    # atoms, in both orientations and with the same bits
+    rng = random.Random(seed)
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-5, 5)
+        mp = rng.uniform(-1e3, 1e3) * scale
+        mq = mp + rng.choice((-1, 1)) * rng.uniform(0.1, 3) * scale
+        tiny = scale * 10.0 ** -rng.uniform(150, 323)
+        sd = rng.uniform(0.1, 3) * scale
+        w = construct_two_point(pair(mp, tiny, mq, sd))
+        twin = construct_two_point(pair(mq, sd, mp, tiny))
+        assert (w.p_dist, w.q_dist, w.claimed_tv) == (twin.q_dist, twin.p_dist, twin.claimed_tv)
+        assert w.kind is twin.kind is WitnessKind.TWO_POINT_SHARED
+
+
+@pytest.mark.parametrize("sd", [1e-160, 1e-170, 1e-200])
+def test_two_point_with_two_tiny_stddevs_is_a_named_refusal(sd):
+    # both small masses are subnormal or 0, so the far atom has no finite
+    # position on either side
+    for x in ((1.0, sd, 0.0, sd), (0.0, sd, 1.0, sd)):
+        with pytest.raises(WitnessConstructionError, match="leaves no room"):
+            construct_two_point(pair(*x))
 
 
 # ---------------------------------------------------------------- orderings
