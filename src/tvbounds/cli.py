@@ -244,6 +244,19 @@ def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
     }, code
 
 
+def _refuse_non_numbers(key: str, value) -> None:
+    # numpy reads the JSON strings "1" and true as numbers, and null as nan
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise BadParameterError(
+                f"moments file holds a non-numeric field: {key!r} holds {item!r}"
+            )
+
+
 def _load_nd_pair(path: str):
     from .nd import MomentPairND, MomentsND
 
@@ -257,12 +270,18 @@ def _load_nd_pair(path: str):
             f"moments file must hold a JSON object, got {type(payload).__name__}"
         )
     try:
-        p = MomentsND(payload["mean_p"], payload["cov_p"])
-        q = MomentsND(payload["mean_q"], payload["cov_q"])
+        fields = {key: payload[key] for key in ("mean_p", "cov_p", "mean_q", "cov_q")}
     except KeyError as exc:
         raise BadParameterError(f"moments file is missing key {exc}") from exc
-    except TypeError as exc:
-        raise BadParameterError(f"moments file holds a non-numeric field: {exc}") from exc
+    for key, value in fields.items():
+        _refuse_non_numbers(key, value)
+    try:
+        p = MomentsND(fields["mean_p"], fields["cov_p"])
+        q = MomentsND(fields["mean_q"], fields["cov_q"])
+    except OverflowError as exc:
+        raise BadParameterError(
+            f"moments file holds a number past the float range: {exc}"
+        ) from exc
     for side, moments in (("p", p), ("q", q)):
         if not math.isfinite(moments.trace):
             raise BadParameterError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .moments import FrozenRecord, Moments1D
@@ -64,36 +64,42 @@ class DiscreteDist(FrozenRecord):
     __slots__ = ("support", "probs")
 
     def __init__(self, support: tuple[float, ...], probs: tuple[float, ...]) -> None:
-        support = [float(x) for x in support]
-        probs = [float(p) for p in probs]
+        support = list(map(float, support))
+        probs = list(map(float, probs))
         if len(support) != len(probs):
             raise ValueError(
                 f"support has {len(support)} points but probs has {len(probs)}"
             )
         if not support:
             raise ValueError("a distribution needs at least one atom")
-        for x in support:
-            if not math.isfinite(x):
-                raise ValueError(f"support point {x!r} is not finite")
-        for p in probs:
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"probability {p!r} is not finite and non-negative")
+        # screened in C; the walks only name the first offender
+        if not all(map(math.isfinite, support)):
+            x = next(x for x in support if not math.isfinite(x))
+            raise ValueError(f"support point {x!r} is not finite")
+        if not all(map(math.isfinite, probs)) or min(probs) < 0.0:
+            p = next(p for p in probs if not math.isfinite(p) or p < 0.0)
+            raise ValueError(f"probability {p!r} is not finite and non-negative")
 
         order = sorted(range(len(support)), key=support.__getitem__)
         tol = _merge_tol(support)
         merged_x: list[float] = []
         merged_p: list[float] = []
+        # the last kept point; x - (-inf) is inf, so the first point is kept
+        last = -math.inf
         for idx in order:
             x = support[idx]
-            if merged_x and x - merged_x[-1] <= tol:
+            if x - last <= tol:
                 merged_p[-1] += probs[idx]
             else:
                 merged_x.append(x)
                 merged_p.append(probs[idx])
+                last = x
         total = math.fsum(merged_p)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        super().__init__(tuple(merged_x), tuple(merged_p))
+        set_support, set_probs = self._setters
+        set_support(self, tuple(merged_x))
+        set_probs(self, tuple(merged_p))
 
     @classmethod
     def delta(cls, x: float) -> "DiscreteDist":
@@ -110,13 +116,7 @@ class DiscreteDist(FrozenRecord):
         ``E[x^2] - mean^2`` cancels catastrophically once the mean is large
         against the spread.
         """
-        mean = math.fsum(map(mul, self.probs, self.support))
-        # squared by a product: float ** raises OverflowError where the
-        # product overflows to inf, which the moment checks then reject; a
-        # zero-mass atom adds nothing, even where its square overflows
-        deviations = [x - mean if p else 0.0 for x, p in zip(self.support, self.probs)]
-        variance = _sum_nonnegative(map(mul, self.probs, map(mul, deviations, deviations)))
-        return MomentSummary(mean, variance)
+        return MomentSummary(*_mean_variance(self))
 
     def compact(self) -> "DiscreteDist":
         """Copy with zero-probability atoms removed."""
@@ -128,7 +128,14 @@ class DiscreteDist(FrozenRecord):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DiscreteDist":
-        return cls(tuple(payload["support"]), tuple(payload["probs"]))
+        """Inverse of ``to_json_dict``.  Every entry must be a JSON number: a
+        string, a boolean or ``null`` raises ``ValueError`` naming its field."""
+        fields = payload["support"], payload["probs"]
+        for name, values in zip(("support", "probs"), fields):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{name} holds {value!r}, not a number")
+        return cls(*fields)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -136,6 +143,17 @@ class DiscreteDist(FrozenRecord):
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDist":
         return cls.from_json_dict(json.loads(text))
+
+
+def _mean_variance(d: DiscreteDist) -> tuple[float, float]:
+    # the one moment routine: DiscreteDist.moments wraps its result and
+    # check_moments, on every witness's path, unpacks it
+    mean = math.fsum(map(mul, d.probs, d.support))
+    # squared by a product: float ** raises OverflowError where the
+    # product overflows to inf, which the moment checks then reject; a
+    # zero-mass atom adds nothing, even where its square overflows
+    deviations = [x - mean if p else 0.0 for x, p in zip(d.support, d.probs)]
+    return mean, _sum_nonnegative(map(mul, d.probs, map(mul, deviations, deviations)))
 
 
 def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
@@ -146,6 +164,10 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     between the aligned probability vectors.  Always in [0, 1], and exactly
     0 for two identical values.
     """
+    if p.support == q.support:
+        # every witness pair shares its support; the walk below would pair
+        # exactly these terms, in this order
+        return min(1.0, 0.5 * math.fsum(map(abs, map(sub, p.probs, q.probs))))
     # the supports are sorted, so their largest magnitudes sit at their ends
     tol = _merge_tol((p.support[0], p.support[-1], q.support[0], q.support[-1]))
     terms: list[float] = []
@@ -175,7 +197,7 @@ def check_moments(d: DiscreteDist, target: Moments1D, tol: float) -> bool:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    mean, variance = d.moments()
+    mean, variance = _mean_variance(d)
     return (
         abs(mean - target.mean) <= tol * (1.0 + abs(target.mean))
         and abs(variance - target.variance) <= tol * (1.0 + target.variance)

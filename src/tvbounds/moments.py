@@ -39,12 +39,15 @@ class FrozenRecord:
     """Base of the immutable records that validate their fields.
 
     A subclass lists its fields in ``__slots__`` and checks them in its own
-    ``__init__``, which ends in ``super().__init__`` of the checked values in
-    slot order.  That stores each value through its slot's descriptor, whose
-    setters each subclass collects once, when it is defined; afterwards
-    every assignment or deletion raises ``AttributeError``.  Records
-    compare, hash and print by the values of their fields, in slot order.
-    Records without checks are ``typing.NamedTuple`` classes instead.
+    ``__init__``, which ends by storing each checked value through its
+    slot's setter, in slot order: ``set_x, set_y = self._setters`` and then
+    ``set_x(self, x)``.  Each subclass collects those setters once, when it
+    is defined, and calls them directly, since records are built on every
+    hot path; afterwards every assignment or deletion raises
+    ``AttributeError``.  A subclass without an ``__init__`` takes its
+    values positionally, one per slot.  Records compare, hash and print by
+    the values of their fields, in slot order.  Records without checks are
+    ``typing.NamedTuple`` classes instead.
     """
 
     __slots__ = ()
@@ -56,7 +59,12 @@ class FrozenRecord:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values) -> None:
-        for store, value in zip(self._setters, values, strict=True):
+        if len(values) != len(self._setters):
+            raise ValueError(
+                f"{type(self).__qualname__} takes {len(self._setters)} values, "
+                f"got {len(values)}"
+            )
+        for store, value in zip(self._setters, values):
             store(self, value)
 
     def _values(self) -> tuple:
@@ -97,7 +105,9 @@ class Moments1D(FrozenRecord):
             raise ValueError(f"stddev must be finite, got {stddev!r}")
         if stddev < 0.0:
             raise ValueError(f"stddev must be non-negative, got {stddev}")
-        super().__init__(mean, stddev)
+        set_mean, set_stddev = self._setters
+        set_mean(self, mean)
+        set_stddev(self, stddev)
 
     @property
     def variance(self) -> float:

@@ -114,7 +114,9 @@ class MomentsND(FrozenRecord):
         cov = validate_moments(mean, np.array(covariance, dtype=float))
         mean.setflags(write=False)
         cov.setflags(write=False)
-        super().__init__(mean, cov)
+        set_mean, set_cov = self._setters
+        set_mean(self, mean)
+        set_cov(self, cov)
 
     @property
     def dim(self) -> int:
@@ -142,7 +144,9 @@ class MomentPairND(FrozenRecord):
             raise DimensionMismatchError(
                 f"sides have dimensions {p_side.dim} and {q_side.dim}"
             )
-        super().__init__(p_side, q_side)
+        set_p, set_q = self._setters
+        set_p(self, p_side)
+        set_q(self, q_side)
 
     @property
     def dim(self) -> int:

@@ -77,7 +77,11 @@ class GridSpec(FrozenRecord):
         extras = tuple(float(x) for x in extra_points)
         if not all(map(math.isfinite, extras)):
             raise ValueError("extra points must be finite")
-        super().__init__(lo, hi, int(count), extras)
+        set_lo, set_hi, set_count, set_extras = self._setters
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_count(self, int(count))
+        set_extras(self, extras)
 
     @classmethod
     def default_for(cls, pair: MomentPair1D, count: int = 121) -> "GridSpec":
@@ -133,7 +137,12 @@ class LPStandardForm(FrozenRecord):
     ) -> None:
         if constraint_matrix.shape != (rhs.size, objective.size):
             raise ValueError("inconsistent LP dimensions")
-        super().__init__(objective, constraint_matrix, rhs, pair, grid)
+        set_objective, set_matrix, set_rhs, set_pair, set_grid = self._setters
+        set_objective(self, objective)
+        set_matrix(self, constraint_matrix)
+        set_rhs(self, rhs)
+        set_pair(self, pair)
+        set_grid(self, grid)
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:

@@ -83,7 +83,11 @@ class WitnessPair(FrozenRecord):
             raise WitnessConstructionError(
                 f"claimed TV {claimed_tv!r} but the atoms give {actual!r}"
             )
-        super().__init__(p_dist, q_dist, claimed_tv, kind)
+        set_p, set_q, set_tv, set_kind = self._setters
+        set_p(self, p_dist)
+        set_q(self, q_dist)
+        set_tv(self, claimed_tv)
+        set_kind(self, kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,15 +141,15 @@ def _refuse_overflowing_variance(pair: MomentPair1D) -> None:
 
 def _checked(
     kind: WitnessKind,
-    p_atoms: list[tuple[float, float]],
-    q_atoms: list[tuple[float, float]],
+    p_atoms: tuple[list[float], list[float]],
+    q_atoms: tuple[list[float], list[float]],
     claimed_tv: float,
     targets: MomentPair1D,
 ) -> WitnessPair:
     _refuse_overflowing_variance(targets)
-    # every constructor hands over weights in [0, 1]
-    p_dist = DiscreteDist(*zip(*p_atoms))
-    q_dist = DiscreteDist(*zip(*q_atoms))
+    # each side's atoms come as (support, masses), the masses in [0, 1]
+    p_dist = DiscreteDist(*p_atoms)
+    q_dist = DiscreteDist(*q_atoms)
     for dist, target, label in zip((p_dist, q_dist), targets, "pq"):
         if not check_moments(dist, target, MOMENT_MATCH_TOL):
             got = dist.moments()
@@ -200,10 +204,11 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
         x1 = mp - s * sp * t
         x2 = mp + s * sp / t
         x3 = mq - s * sq / t
+        support = [x1, x2, x3]
         return _checked(
             WitnessKind.THREE_POINT,
-            [(x1, rest), (x2, p), (x3, 0.0)],
-            [(x1, rest), (x2, 0.0), (x3, p)],
+            (support, [rest, p, 0.0]),
+            (support, [rest, 0.0, p]),
             p,
             pair,
         )
@@ -211,8 +216,8 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     if sp == 0.0 and sq == 0.0:
         return _checked(
             WitnessKind.BOTH_POINT_MASSES,
-            [(mp, 1.0), (mq, 0.0)],
-            [(mp, 0.0), (mq, 1.0)],
+            ([mp, mq], [1.0, 0.0]),
+            ([mp, mq], [0.0, 1.0]),
             p,
             pair,
         )
@@ -224,8 +229,8 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
     # mean m = c + d, and is placed from there to keep it clear of the
     # rounding of c + d / p
     far = c + d / p if p <= 0.5 else m + d * (rest / p)
-    point = [(c, 1.0), (far, 0.0)]
-    spread = [(c, rest), (far, p)]
+    point = ([c, far], [1.0, 0.0])
+    spread = ([c, far], [rest, p])
     p_atoms, q_atoms = (spread, point) if sq == 0.0 else (point, spread)
     return _checked(kind, p_atoms, q_atoms, p, pair)
 
@@ -297,8 +302,8 @@ def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     x2 = m - sd * math.sqrt(w_c / w)
     return _checked(
         WitnessKind.TWO_POINT_SHARED,
-        [(x1, one_minus_p), (x2, p)],
-        [(x1, one_minus_q), (x2, q)],
+        ([x1, x2], [one_minus_p, p]),
+        ([x1, x2], [one_minus_q, q]),
         _two_point(scaled),
         pair,
     )
@@ -342,10 +347,11 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     x3 = (a + p * mq) / p
     x1 = mq + sq * math.sqrt(q_param / (1.0 - q_param))
     x2 = mq - sq * math.sqrt((1.0 - q_param) / q_param)
+    support = [x1, x2, x3]
     return _checked(
         WitnessKind.ANCHORED_THREE_POINT,
-        [(x1, (1.0 - p) * (1.0 - q_param)), (x2, (1.0 - p) * q_param), (x3, p)],
-        [(x1, 1.0 - q_param), (x2, q_param), (x3, 0.0)],
+        (support, [(1.0 - p) * (1.0 - q_param), (1.0 - p) * q_param, p]),
+        (support, [1.0 - q_param, q_param, 0.0]),
         p,
         pair,
     )
@@ -378,7 +384,7 @@ def construct_vanishing_sequence(
     m, sigma_p, sigma_q = float(m), float(sigma_p), float(sigma_q)
     kind = WitnessKind.VANISHING_SEQUENCE
     if sigma_p == sigma_q:
-        near = [(m - sigma_p, 0.5), (m + sigma_p, 0.5)]
+        near = ([m - sigma_p, m + sigma_p], [0.5, 0.5])
         return _checked(kind, near, near, 0.0, targets)
     try:
         outer = 0.5 / k
@@ -389,7 +395,7 @@ def construct_vanishing_sequence(
     s_small, s_big = sorted((sigma_p, sigma_q))
     inner = 0.5 - outer
     x_far = math.sqrt((s_big * s_big - s_small * s_small) * k + s_small * s_small)
-    narrow = [(m - s_small, 0.5), (m + s_small, 0.5)]
-    wide = [(m - x_far, outer), (m - s_small, inner), (m + s_small, inner), (m + x_far, outer)]
+    narrow = ([m - s_small, m + s_small], [0.5, 0.5])
+    wide = ([m - x_far, m - s_small, m + s_small, m + x_far], [outer, inner, inner, outer])
     p_atoms, q_atoms = (wide, narrow) if sigma_p > sigma_q else (narrow, wide)
     return _checked(kind, p_atoms, q_atoms, 1.0 / k, targets)

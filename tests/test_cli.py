@@ -614,20 +614,51 @@ def test_nd_bound_stays_positive_past_a_doubled_trace_sum(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,message",
     [
-        "{not json",
-        "[1, 2]",
-        '"x"',
-        '{"mean_p": {"a": 1}, "cov_p": [[1.0]], "mean_q": [0.0], "cov_q": [[1.0]]}',
+        ("{not json", "error: cannot read moments file"),
+        ("[1, 2]", "error: moments file must hold a JSON object, got list\n"),
+        ('"x"', "error: moments file must hold a JSON object, got str\n"),
+        (
+            '{"mean_p": {"a": 1}, "cov_p": [[1.0]], "mean_q": [0.0], "cov_q": [[1.0]]}',
+            "error: moments file holds a non-numeric field: 'mean_p' holds {'a': 1}\n",
+        ),
+        # numpy would read "1" and true as numbers, and null as nan
+        (
+            '{"mean_p": ["1", "2"], "cov_p": [[1, 0], [0, 1]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: moments file holds a non-numeric field: 'mean_p' holds '1'\n",
+        ),
+        (
+            '{"mean_p": [true, 2], "cov_p": [[1, 0], [0, 1]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: moments file holds a non-numeric field: 'mean_p' holds True\n",
+        ),
+        (
+            '{"mean_p": [1, 2], "cov_p": [[1, 0], [0, 1]], "mean_q": [0, 0], "cov_q": [[1, null], [null, 1]]}',
+            "error: moments file holds a non-numeric field: 'cov_q' holds None\n",
+        ),
+        (
+            '{"mean_p": [1%s], "cov_p": [[1.0]], "mean_q": [0.0], "cov_q": [[1.0]]}' % ("0" * 400),
+            "error: moments file holds a number past the float range: "
+            "int too large to convert to float\n",
+        ),
     ],
-    ids=["not-json", "top-level-list", "top-level-string", "object-field"],
+    ids=[
+        "not-json",
+        "top-level-list",
+        "top-level-string",
+        "object-field",
+        "string-field",
+        "boolean-field",
+        "null-field",
+        "huge-integer",
+    ],
 )
-def test_nd_bound_rejects_malformed_file(capsys, tmp_path, text):
+def test_nd_bound_rejects_malformed_file(capsys, tmp_path, text, message):
     path = tmp_path / "broken.json"
     path.write_text(text)
-    code, _, err = run_cli(capsys, "nd-bound", str(path))
-    assert code == 1 and "error:" in err
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("missing", ["mean_p", "cov_q"])

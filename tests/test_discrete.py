@@ -2,6 +2,8 @@
 
 import json
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvbounds import DiscreteDist, Moments1D, check_moments, tv_distance
+from tvbounds.discrete import PROB_SUM_TOL, SUPPORT_MERGE_REL
 
 from conftest import ref_moments
 
@@ -237,3 +240,257 @@ def test_json_shape_and_determinism():
     payload = json.loads(d.to_json())
     assert list(payload.keys()) == ["support", "probs"]
     assert d.to_json() == d.to_json()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"support": ["1", "2"], "probs": [0.5, 0.5]}', "support holds '1', not a number"),
+        ('{"support": [1, 2], "probs": [true, 0]}', "probs holds True, not a number"),
+        ('{"support": [0, null], "probs": [0.5, 0.5]}', "support holds None, not a number"),
+        ('{"support": [0, 1], "probs": ["0.5", 0.5]}', "probs holds '0.5', not a number"),
+    ],
+    ids=["string", "boolean", "null", "string-mass"],
+)
+def test_json_refuses_what_is_not_a_json_number(text, message):
+    with pytest.raises(ValueError) as info:
+        DiscreteDist.from_json(text)
+    assert str(info.value) == message
+
+
+# --------------------------------------------- reference: the parent's layer
+#
+# The constructor's merge, the moments, the TV and the moment check as they
+# stood before the layer was tuned for speed.  The tuned code must agree
+# with them bit for bit, and raise the same exception with the same message.
+
+
+def _ref_dist(support, probs):
+    support = [float(x) for x in support]
+    probs = [float(p) for p in probs]
+    if len(support) != len(probs):
+        raise ValueError(f"support has {len(support)} points but probs has {len(probs)}")
+    if not support:
+        raise ValueError("a distribution needs at least one atom")
+    for x in support:
+        if not math.isfinite(x):
+            raise ValueError(f"support point {x!r} is not finite")
+    for p in probs:
+        if not math.isfinite(p) or p < 0.0:
+            raise ValueError(f"probability {p!r} is not finite and non-negative")
+    order = sorted(range(len(support)), key=support.__getitem__)
+    tol = SUPPORT_MERGE_REL * (1.0 + max(map(abs, support)))
+    merged_x: list[float] = []
+    merged_p: list[float] = []
+    for idx in order:
+        x = support[idx]
+        if merged_x and x - merged_x[-1] <= tol:
+            merged_p[-1] += probs[idx]
+        else:
+            merged_x.append(x)
+            merged_p.append(probs[idx])
+    total = math.fsum(merged_p)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return tuple(merged_x), tuple(merged_p)
+
+
+def _ref_moments(support, probs):
+    mean = math.fsum(map(operator.mul, probs, support))
+    deviations = [x - mean if p else 0.0 for x, p in zip(support, probs)]
+    try:
+        variance = math.fsum(map(operator.mul, probs, map(operator.mul, deviations, deviations)))
+    except OverflowError:
+        variance = math.inf
+    return mean, variance
+
+
+def _ref_tv(p, q):
+    (p_x, p_w), (q_x, q_w) = p, q
+    tol = SUPPORT_MERGE_REL * (1.0 + max(map(abs, (p_x[0], p_x[-1], q_x[0], q_x[-1]))))
+    terms: list[float] = []
+    i = j = 0
+    while i < len(p_x) or j < len(q_x):
+        if j >= len(q_x) or (i < len(p_x) and p_x[i] < q_x[j] - tol):
+            terms.append(p_w[i])
+            i += 1
+        elif i >= len(p_x) or q_x[j] < p_x[i] - tol:
+            terms.append(q_w[j])
+            j += 1
+        else:
+            terms.append(abs(p_w[i] - q_w[j]))
+            i += 1
+            j += 1
+    return min(1.0, 0.5 * math.fsum(terms))
+
+
+def _ref_check(dist, target, tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    mean, variance = _ref_moments(*dist)
+    return (
+        abs(mean - target.mean) <= tol * (1.0 + abs(target.mean))
+        and abs(variance - target.variance) <= tol * (1.0 + target.variance)
+    )
+
+
+def _outcome(fn, *args):
+    # repr tells -0.0 from 0.0 and compares nan with itself
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return repr((type(exc), str(exc)))
+
+
+def _atoms(rng, n):
+    """``n`` raw atoms: unsorted points at one magnitude from 1e-300 to
+    1e300, with exact duplicates, clusters inside the merge tolerance and
+    zero masses, and masses normalized to sum to about 1."""
+    scale = 10.0 ** rng.randint(-300, 300)
+    support: list[float] = []
+    for _ in range(n):
+        kind = rng.random()
+        if support and kind < 0.2:
+            support.append(rng.choice(support))
+        elif support and kind < 0.45:
+            # the merge tolerance is 1e-12 (1 + max |x|)
+            near = rng.choice(support)
+            support.append(near + rng.uniform(-2e-12, 2e-12) * (1.0 + abs(near)))
+        else:
+            support.append(scale * rng.uniform(-10.0, 10.0))
+    weights = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(n)]
+    total = math.fsum(weights) or 1.0
+    probs = [w / total for w in weights]
+    if not any(probs):
+        probs[rng.randrange(n)] = 1.0
+    return support, probs
+
+
+def _spoil(rng, support, probs):
+    # entries non-finite or negative, or a length or a total out of range
+    kind = rng.randrange(7)
+    bad = rng.choice((math.nan, math.inf, -math.inf, -1e-300, -0.5))
+    if kind == 0:
+        support[rng.randrange(len(support))] = bad
+    elif kind == 1:
+        probs[rng.randrange(len(probs))] = bad
+    elif kind == 2:
+        probs.append(0.0)
+    elif kind == 3:
+        probs[rng.randrange(len(probs))] += 1e-9
+    elif kind == 4:
+        # two offenders: the first one is named
+        probs[0], probs[-1] = -1.0, math.nan
+    elif kind == 5:
+        support[0], support[-1] = math.nan, -math.inf
+    else:
+        support[:], probs[:] = [], []
+
+
+def _at_the_tolerance(rng):
+    """(base, x) whose distance is exactly the merge tolerance of the two,
+    from a seeded search; such points merge."""
+    while True:
+        base = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+        x = base + SUPPORT_MERGE_REL * (1.0 + abs(base))
+        for _ in range(200):
+            tol = SUPPORT_MERGE_REL * (1.0 + max(abs(base), abs(x)))
+            if x - base == tol:
+                return base, x
+            x = math.nextafter(x, math.inf if x - base < tol else -math.inf)
+
+
+def _merged(support, probs):
+    dist = DiscreteDist(support, probs)
+    return dist.support, dist.probs
+
+
+def assert_layer_bit_identical(p_atoms, q_atoms):
+    """Construction, moments, TV and moment checks agree with the reference,
+    outcomes and error messages included."""
+    built = []
+    for atoms in (p_atoms, q_atoms):
+        got = _outcome(_merged, *atoms)
+        assert got == _outcome(_ref_dist, *atoms)
+        if got.startswith("(<class"):
+            return
+        built.append((DiscreteDist(*atoms), _ref_dist(*atoms)))
+    for dist, ref in built:
+        assert repr(tuple(dist.moments())) == repr(_ref_moments(*ref))
+        mean, variance = _ref_moments(*ref)
+        targets = [Moments1D(0.0, 1.0)]
+        if math.isfinite(variance):
+            sd = math.sqrt(variance)
+            targets += [
+                Moments1D(mean, sd),
+                Moments1D(mean * (1.0 + 1e-9), sd),
+                Moments1D(mean + 1e-9, sd * (1.0 - 1e-9)),
+            ]
+        for target in targets:
+            for tol in (1e-12, 1e-9, 1e-6, 0.0, math.nan):
+                got = _outcome(check_moments, dist, target, tol)
+                assert got == _outcome(_ref_check, ref, target, tol)
+    (p, p_ref), (q, q_ref) = built
+    assert repr(tv_distance(p, q)) == repr(_ref_tv(p_ref, q_ref))
+    assert repr(tv_distance(q, p)) == repr(_ref_tv(q_ref, p_ref))
+
+
+def test_discrete_layer_matches_the_reference_on_seeded_atoms():
+    rng = random.Random(1818)
+    for case in range(3000):
+        n = rng.randint(1, 8)
+        p_atoms = _atoms(rng, n)
+        if case % 3 == 0:
+            # a shared support, the witnesses' case, with other masses
+            q_atoms = (list(p_atoms[0]), _atoms(rng, n)[1])
+        elif case % 3 == 1:
+            # supports that share some points
+            other = _atoms(rng, n)
+            q_atoms = (p_atoms[0][: n // 2] + other[0][n // 2 :], other[1])
+        else:
+            q_atoms = _atoms(rng, rng.randint(1, 8))
+        if case % 5 == 0:
+            _spoil(rng, *(p_atoms if case % 2 else q_atoms))
+        assert_layer_bit_identical(p_atoms, q_atoms)
+    for _ in range(8):
+        base, x = _at_the_tolerance(rng)
+        assert_layer_bit_identical(([x, base], [0.25, 0.75]), ([base, x + 1.0], [0.5, 0.5]))
+
+
+_magnitudes = st.floats(-1e300, 1e300) | st.floats(-1e-290, 1e-290) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e300, math.nan, math.inf]
+)
+
+
+@st.composite
+def _hypothesis_atoms(draw):
+    """1 to 8 atoms at magnitudes from 1e-300 to 1e300, unsorted."""
+    support = draw(st.lists(_magnitudes, min_size=1, max_size=5))
+    # exact duplicates and points inside the merge tolerance of another
+    for _ in range(draw(st.integers(0, 3))):
+        near = draw(st.sampled_from(support))
+        if math.isfinite(near):
+            step = draw(st.sampled_from([0.0, 1e-13, -5e-13, 9e-13]))
+            support.append(near + step * (1.0 + abs(near)))
+    weights = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+            min_size=len(support),
+            max_size=len(support),
+        )
+    )
+    total = math.fsum(weights) or 1.0
+    probs = [w / total for w in weights]
+    if draw(st.booleans()) and draw(st.booleans()):
+        probs[draw(st.integers(0, len(probs) - 1))] = draw(
+            st.sampled_from([-1e-300, -0.25, math.nan, math.inf])
+        )
+    return support, probs
+
+
+@given(_hypothesis_atoms(), _hypothesis_atoms(), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_discrete_layer_matches_the_reference_on_hypothesis_atoms(p_atoms, q_atoms, share):
+    if share:
+        q_atoms = (list(p_atoms[0]), list(reversed(p_atoms[1])))
+    assert_layer_bit_identical(p_atoms, q_atoms)
