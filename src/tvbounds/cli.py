@@ -6,7 +6,8 @@ JSON key order is fixed, numbers round-trip exactly through their printed
 representation, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 invalid input (message on stderr; an ``nd-check``
-batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates is one), 2
+batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates is one, and so
+is a ``verify`` grid of more than ``GRID_MAX_COUNT`` points), 2
 verification failure (a failing ``verify`` verdict or a positive
 ``nd-check`` violation count), 3 numeric failure inside the LP.
 """

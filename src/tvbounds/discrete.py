@@ -128,13 +128,21 @@ class DiscreteDist(FrozenRecord):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DiscreteDist":
-        """Inverse of ``to_json_dict``.  Every entry must be a JSON number: a
-        string, a boolean or ``null`` raises ``ValueError`` naming its field."""
+        """Inverse of ``to_json_dict``.  Every entry must be a JSON number
+        that fits in a float: a string, a boolean, ``null`` or an integer
+        past the float range raises ``ValueError`` naming its field."""
         fields = payload["support"], payload["probs"]
         for name, values in zip(("support", "probs"), fields):
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ValueError(f"{name} holds {value!r}, not a number")
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(
+                        f"{name} holds an integer of {value.bit_length()} bits, "
+                        "past the float range"
+                    ) from None
         return cls(*fields)
 
     def to_json(self) -> str:

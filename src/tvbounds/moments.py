@@ -44,9 +44,8 @@ class FrozenRecord:
     ``set_x(self, x)``.  Each subclass collects those setters once, when it
     is defined, and calls them directly, since records are built on every
     hot path; afterwards every assignment or deletion raises
-    ``AttributeError``.  A subclass without an ``__init__`` takes its
-    values positionally, one per slot.  Records compare, hash and print by
-    the values of their fields, in slot order.  Records without checks are
+    ``AttributeError``.  Records compare, hash and print by the values of
+    their fields, in slot order.  Records without checks are
     ``typing.NamedTuple`` classes instead.
     """
 
@@ -57,15 +56,6 @@ class FrozenRecord:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __init__(self, *values) -> None:
-        if len(values) != len(self._setters):
-            raise ValueError(
-                f"{type(self).__qualname__} takes {len(self._setters)} values, "
-                f"got {len(values)}"
-            )
-        for store, value in zip(self._setters, values):
-            store(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

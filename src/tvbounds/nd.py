@@ -18,67 +18,12 @@ __all__ = [
     "MomentPairND",
     "tv_lower_bound_nd",
     "trace_bound",
-    "validate_moments",
 ]
 
 #: Absolute entrywise tolerance for accepting a covariance matrix as symmetric.
 COV_SYMMETRY_TOL = 1e-10
 #: Relative tolerance for the smallest eigenvalue of a covariance matrix.
 COV_PSD_TOL = 1e-10
-
-
-def validate_moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Check mean vectors and covariance matrices stacked on leading axes.
-
-    ``mean`` has shape ``(..., d)`` and ``cov`` must have shape
-    ``(..., d, d)`` with the same leading axes; a single vector and matrix
-    is a stack with no leading axes.  The checks run in this order, each
-    over the whole stack: finite means, the covariance shape, finite
-    covariances, symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute),
-    and a smallest eigenvalue no lower than
-    ``-COV_PSD_TOL * (1 + max diagonal entry)``.  The first that fails
-    raises ``ValueError``; a failed PSD check names the eigenvalue of the
-    first offending matrix, so a stack raises what that matrix alone would.
-
-    Returns the covariances, averaged with their transposes when d > 1.
-    """
-    if not np.isfinite(mean).all():
-        raise ValueError("mean must be finite")
-    d = mean.shape[-1]
-    if cov.shape != mean.shape + (d,):
-        raise ValueError(f"covariance must have shape ({d}, {d}), got {cov.shape}")
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance must be finite")
-    if d == 1:
-        # a 1x1 matrix is symmetric and its own eigenvalue
-        min_eig = max_diag = cov[..., 0, 0]
-    else:
-        cov_t = cov.swapaxes(-1, -2)
-        # a difference or sum past the float range reads inf: an asymmetry
-        # that large is refused, and a sum that large is halved term by term
-        # (only there: halving first rounds subnormal entries differently)
-        with np.errstate(over="ignore"):
-            sym = cov - cov_t
-            np.abs(sym, out=sym)
-            if sym.max() > COV_SYMMETRY_TOL:
-                raise ValueError(
-                    f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}"
-                )
-            np.add(cov, cov_t, out=sym)
-            sym *= 0.5
-            overflow = np.isinf(sym)
-            if overflow.any():
-                sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
-        cov = sym
-        max_diag = cov.diagonal(0, -2, -1).max(-1)
-        min_eig = np.linalg.eigvalsh(cov)[..., 0]
-    bad = min_eig < -COV_PSD_TOL * (1.0 + max_diag)
-    if bad.any():
-        first = float(min_eig[bad].flat[0])
-        raise ValueError(
-            f"covariance is not positive semidefinite (min eigenvalue {first:g})"
-        )
-    return cov
 
 
 def trace_bound(gap_norm_sq, trace_p, trace_q):
@@ -96,11 +41,15 @@ def trace_bound(gap_norm_sq, trace_p, trace_q):
 class MomentsND(FrozenRecord):
     """Mean vector and covariance matrix of a distribution on d-space.
 
-    The covariance must be symmetric within ``COV_SYMMETRY_TOL`` (entrywise,
-    absolute) and positive semidefinite up to a scaled eigenvalue tolerance,
-    as ``validate_moments`` checks.  User-supplied matrices routinely carry
-    round-off, so the symmetrized average with the transpose is what gets
-    stored and tested.  Compares by identity: its fields are arrays.
+    The checks run in this order, the first that fails raising
+    ``ValueError``: a non-empty 1-D finite mean, a ``(d, d)`` finite
+    covariance, symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute),
+    and a smallest eigenvalue no lower than
+    ``-COV_PSD_TOL * (1 + max diagonal entry)``, which a refusal names.
+    User-supplied matrices routinely carry round-off, so the symmetrized
+    average with the transpose is what gets stored and tested; at d = 1
+    that average is the entry itself, and so is its eigenvalue.  Compares
+    by identity: its fields are arrays.
     """
 
     __slots__ = ("mean", "covariance")
@@ -111,12 +60,41 @@ class MomentsND(FrozenRecord):
         mean = np.array(mean, dtype=float)
         if mean.ndim != 1 or mean.size < 1:
             raise ValueError("mean must be a non-empty 1-D vector")
-        cov = validate_moments(mean, np.array(covariance, dtype=float))
+        cov = np.array(covariance, dtype=float)
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        d = mean.size
+        if cov.shape != (d, d):
+            raise ValueError(f"covariance must have shape ({d}, {d}), got {cov.shape}")
+        cov_t = cov.T
+        # a difference or sum past the float range reads inf: an asymmetry
+        # that large is refused, and a sum that large is halved term by term
+        # (only there: halving first rounds subnormal entries differently).
+        # A nan or inf entry leaves a nan or inf difference, so the finite
+        # check, which comes first, need only run when symmetry fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            asymmetry = np.abs(cov - cov_t).max()
+            sym = cov + cov_t
+        if not asymmetry <= COV_SYMMETRY_TOL:
+            if not np.isfinite(cov).all():
+                raise ValueError("covariance must be finite")
+            raise ValueError(f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}")
+        sym *= 0.5
+        overflow = np.isinf(sym)
+        if overflow.any():
+            sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
+        # a 1x1 matrix is its own eigenvalue, the very value LAPACK returns
+        # for it; the call would add a third to a 1-D build
+        min_eig = float(sym[0, 0] if d == 1 else np.linalg.eigvalsh(sym)[0])
+        if min_eig < -COV_PSD_TOL * (1.0 + max(sym.diagonal().tolist())):
+            raise ValueError(
+                f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
+            )
         mean.setflags(write=False)
-        cov.setflags(write=False)
+        sym.setflags(write=False)
         set_mean, set_cov = self._setters
         set_mean(self, mean)
-        set_cov(self, cov)
+        set_cov(self, sym)
 
     @property
     def dim(self) -> int:
@@ -126,7 +104,7 @@ class MomentsND(FrozenRecord):
     def trace(self) -> float:
         """The covariance trace; inf, without a warning, past the float range."""
         with np.errstate(over="ignore"):
-            return float(np.trace(self.covariance))
+            return float(self.covariance.trace())
 
 
 class MomentPairND(FrozenRecord):

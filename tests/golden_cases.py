@@ -70,6 +70,8 @@ CASES = [
          "--include-witness", "false"],
     ),
     ("nd_bound", 0, ["nd-bound", str(GOLDEN / "nd_moments.json")]),
+    # a 1x1 covariance goes through the same eigenvalue rule as any other
+    ("nd_bound_1d", 0, ["nd-bound", str(GOLDEN / "nd_moments_1d.json")]),
     ("nd_check", 0, ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"]),
     # the default 1000 trials at the largest dimension
     ("nd_check_default_trials", 0, ["nd-check", "--dims", "4", "--seed", "11"]),

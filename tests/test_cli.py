@@ -483,6 +483,24 @@ def test_verify_overflowing_grid_span_is_an_error(capsys):
     assert err == "error: the span hi - lo overflows, got lo=-1e+308, hi=1e+308\n"
 
 
+@pytest.mark.parametrize(
+    "grid", [(), ("--grid-lo", "-6", "--grid-hi", "6")], ids=["default", "explicit"]
+)
+def test_verify_refuses_a_grid_past_its_limit(capsys, monkeypatch, grid):
+    # 10^12 points once went on to np.linspace and a MemoryError traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", *PAIR_FLAGS, *grid, "--grid-n", "1000000000000"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: count must be at most GRID_MAX_COUNT = 500000, got 1000000000000\n"
+    )
+
+
 def test_verify_rejects_half_grid_range(capsys):
     code, _, err = run_cli(capsys, "verify", *PAIR_FLAGS, "--grid-lo", "-4")
     assert code == 1 and "error:" in err

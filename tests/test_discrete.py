@@ -249,8 +249,16 @@ def test_json_shape_and_determinism():
         ('{"support": [1, 2], "probs": [true, 0]}', "probs holds True, not a number"),
         ('{"support": [0, null], "probs": [0.5, 0.5]}', "support holds None, not a number"),
         ('{"support": [0, 1], "probs": ["0.5", 0.5]}', "probs holds '0.5', not a number"),
+        (
+            '{"support": [1' + "0" * 400 + '], "probs": [1]}',
+            "support holds an integer of 1329 bits, past the float range",
+        ),
+        (
+            '{"support": [0, 1], "probs": [-1' + "0" * 400 + ', 0.5]}',
+            "probs holds an integer of 1329 bits, past the float range",
+        ),
     ],
-    ids=["string", "boolean", "null", "string-mass"],
+    ids=["string", "boolean", "null", "string-mass", "huge-integer", "huge-integer-mass"],
 )
 def test_json_refuses_what_is_not_a_json_number(text, message):
     with pytest.raises(ValueError) as info:

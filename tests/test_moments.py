@@ -33,7 +33,7 @@ from tvbounds import (
     tv_lower_bound_nd,
     two_point_tv,
 )
-from tvbounds.nd import COV_PSD_TOL, validate_moments
+from tvbounds.nd import COV_PSD_TOL
 
 from conftest import ref_moments
 
@@ -563,87 +563,68 @@ _GOOD_2D = [[2.0, 0.3], [0.3, 1.0]]
 
 
 @pytest.mark.parametrize(
-    "mean,bad",
+    "mean,bad,message",
     [
-        ([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]]),
-        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),
-        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
-        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
-        ([np.nan, 0.0], _GOOD_2D),
-        ([0.0], [[-1.0]]),
-        ([0.0], [[np.inf]]),
+        (
+            [0.0, 0.0],
+            [[1.0, 0.5], [0.2, 1.0]],
+            "covariance is not symmetric within 1e-10",
+        ),
+        (
+            [0.0, 0.0],
+            [[1.0, 2.0], [2.0, 1.0]],
+            "covariance is not positive semidefinite (min eigenvalue -1)",
+        ),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "covariance must be finite"),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "covariance must be finite"),
+        ([np.nan, 0.0], _GOOD_2D, "mean must be finite"),
+        (
+            [0.0],
+            [[-1.0]],
+            "covariance is not positive semidefinite (min eigenvalue -1)",
+        ),
+        ([0.0], [[np.inf]], "covariance must be finite"),
     ],
     ids=["asymmetric", "indefinite", "nan", "inf", "nan-mean", "negative-1x1", "inf-1x1"],
 )
-def test_validate_moments_stack_raises_what_momentsnd_raises(mean, bad):
-    # a stack of shape (2, 3, d, d) with one bad matrix, as the n-d check
-    # stacks (side, trial); the error is the one that matrix gives alone
-    with pytest.raises(ValueError) as alone:
+def test_momentsnd_refuses_with_the_exact_message(mean, bad, message):
+    with pytest.raises(ValueError) as raised:
         MomentsND(mean, bad)
-    d = len(mean)
-    means = np.zeros((2, 3, d))
-    covs = np.tile(np.eye(d), (2, 3, 1, 1))
-    means[1, 2] = mean
-    covs[1, 2] = bad
-    with pytest.raises(ValueError) as stacked:
-        validate_moments(means, covs)
-    assert str(stacked.value) == str(alone.value)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
-def test_validate_moments_stack_names_first_indefinite_matrix():
-    first = [[1.0, 2.0], [2.0, 1.0]]
-    second = [[1.0, 3.0], [3.0, 1.0]]
-    with pytest.raises(ValueError) as alone:
-        MomentsND([0.0, 0.0], first)
-    with pytest.raises(ValueError) as stacked:
-        validate_moments(np.zeros((3, 2)), np.array([_GOOD_2D, first, second]))
-    assert str(stacked.value) == str(alone.value)
-
-
-def test_validate_moments_stack_matches_momentsnd_covariances():
-    rng = np.random.default_rng(4)
-    for d in (1, 2, 3, 4):
-        roots = rng.normal(size=(5, d, d))
-        covs = roots @ np.swapaxes(roots, -1, -2)
-        # round-off sized asymmetry that the check repairs
-        covs[:, 0, -1] += 1e-13
-        means = rng.normal(size=(5, d))
-        checked = validate_moments(means, covs)
-        for mean, cov, got in zip(means, covs, checked):
-            np.testing.assert_array_equal(got, MomentsND(mean, cov).covariance)
-
-
-def test_validate_moments_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="shape"):
-        validate_moments(np.zeros((3, 2)), np.zeros((3, 3, 3)))
+def test_asymmetry_is_refused_only_past_its_tolerance():
+    at_tol = MomentsND([0.0, 0.0], [[1.0, 1e-10], [0.0, 1.0]])
+    assert at_tol.covariance.tolist() == [[1.0, 0.5e-10], [0.5e-10, 1.0]]
+    past = float(np.nextafter(1e-10, 1.0))
+    with pytest.raises(ValueError) as raised:
+        MomentsND([0.0, 0.0], [[1.0, past], [0.0, 1.0]])
+    assert str(raised.value) == "covariance is not symmetric within 1e-10"
 
 
 def _reference_psd_rule(cov):
-    """The PSD rule by eigenvalues alone, for a symmetric stack: the
-    symmetrized stack, or the message for its first offending matrix.
+    """The PSD rule by eigenvalues alone, for one symmetric matrix: the
+    symmetrized matrix, or the message naming its smallest eigenvalue.
     A sum past the float range is halved term by term."""
-    cov_t = np.swapaxes(cov, -1, -2)
     with np.errstate(over="ignore"):
-        sym = 0.5 * (cov + cov_t)
-    sym = np.where(np.isinf(sym), 0.5 * cov + 0.5 * cov_t, sym)
-    min_eig = np.linalg.eigvalsh(sym)[..., 0]
-    max_diag = np.max(np.diagonal(sym, axis1=-2, axis2=-1), axis=-1)
-    bad = min_eig < -COV_PSD_TOL * (1.0 + max_diag)
-    if bad.any():
-        first = float(min_eig[bad].flat[0])
-        return f"covariance is not positive semidefinite (min eigenvalue {first:g})"
+        sym = 0.5 * (cov + cov.T)
+    sym = np.where(np.isinf(sym), 0.5 * cov + 0.5 * cov.T, sym)
+    min_eig = np.linalg.eigvalsh(sym)[0]
+    if min_eig < -COV_PSD_TOL * (1.0 + np.max(np.diagonal(sym))):
+        return f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
     return sym
 
 
 def _assert_matches_reference_rule(cov):
     expected = _reference_psd_rule(cov)
-    mean = np.zeros(cov.shape[:-1])
+    mean = np.zeros(cov.shape[0])
     if isinstance(expected, str):
         with pytest.raises(ValueError) as raised:
-            validate_moments(mean, cov)
+            MomentsND(mean, cov)
         assert str(raised.value) == expected
     else:
-        got = validate_moments(mean, cov)
+        got = MomentsND(mean, cov).covariance
         assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
 
 
@@ -659,25 +640,22 @@ def _with_min_eigenvalue(rng, d, scale, k):
     return a + (k * tol) * np.eye(d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_psd_decisions_match_the_eigenvalue_rule(d):
-    # smallest eigenvalues near -tol and -tol / 2, at every scale and with
-    # the offender first, in the middle and last
+    # smallest eigenvalues near -tol and -tol / 2, at every scale
     rng = np.random.default_rng(1100 + d)
     for k in (-3.0, -1.01, -1.0, -0.9999, -0.51, -0.5, -0.49, 0.0):
         for scale in (1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150):
             for _ in range(3):
                 good = [_with_min_eigenvalue(rng, d, scale, 1.0) for _ in range(4)]
                 offender = _with_min_eigenvalue(rng, d, scale, k)
-                _assert_matches_reference_rule(offender)
-                for at in (0, 2, 4):
-                    stack = np.array(good[:at] + [offender] + good[at:])
-                    _assert_matches_reference_rule(stack)
-                    _assert_matches_reference_rule(np.array([stack, stack[::-1]]))
+                for cov in good + [offender]:
+                    _assert_matches_reference_rule(cov)
     # singular Gram matrices: fewer atoms than dimensions
     for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
         roots = rng.normal(size=(6, d - 1, d)) * math.sqrt(scale)
-        _assert_matches_reference_rule(np.swapaxes(roots, -1, -2) @ roots)
+        for cov in np.swapaxes(roots, -1, -2) @ roots:
+            _assert_matches_reference_rule(cov)
 
 
 _MAX = np.finfo(float).max
@@ -701,8 +679,34 @@ def test_float_maximum_diagonal_matches_the_eigenvalue_rule(top, d):
     # must not warn
     cov = np.zeros((d, d))
     cov[:2, :2] = top
+    for matrix in (np.eye(d), cov):
+        _assert_matches_reference_rule(matrix)
+
+
+# the PSD tolerance at d = 1 is -1e-10 * (1 + c): the first entry below it
+# and the last one above
+_PAST_TOL_1X1 = -9.999999999000001e-11
+_INSIDE_TOL_1X1 = -9.999999999e-11
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0, 1e300, _MAX, _INSIDE_TOL_1X1, _PAST_TOL_1X1],
+)
+def test_one_by_one_matches_the_eigenvalue_rule(entry):
+    cov = np.array([[entry]])
     _assert_matches_reference_rule(cov)
-    _assert_matches_reference_rule(np.array([np.eye(d), cov, np.eye(d)]))
+    # the 1x1 matrix is its own symmetrized average and eigenvalue, to the bit
+    refused = entry < -COV_PSD_TOL * (1.0 + entry)
+    assert refused == (entry == _PAST_TOL_1X1)
+    if refused:
+        with pytest.raises(ValueError) as raised:
+            MomentsND([0.0], cov)
+        assert str(raised.value) == (
+            f"covariance is not positive semidefinite (min eigenvalue {entry:g})"
+        )
+    else:
+        assert MomentsND([0.0], cov).covariance.tobytes() == cov.tobytes()
 
 
 def test_an_overflowing_symmetric_sum_is_halved_term_by_term():

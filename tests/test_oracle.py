@@ -46,6 +46,21 @@ def test_build_grid_examples():
     )
 
 
+def test_grid_spec_refuses_a_count_past_its_limit_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    limit = oracle.GRID_MAX_COUNT
+    assert GridSpec(0.0, 1.0, limit).count == limit
+    for count in (limit + 1, 10**12):
+        with pytest.raises(ValueError) as raised:
+            GridSpec(0.0, 1.0, count)
+        assert str(raised.value) == (
+            f"count must be at most GRID_MAX_COUNT = {limit}, got {count}"
+        )
+
+
 def test_build_grid_merges_extras():
     grid = build_grid(GridSpec(-6, 6, 121, (0.5, 3.0, -2.0)))
     assert np.all(np.diff(grid) > 0)
