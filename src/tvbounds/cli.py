@@ -283,26 +283,27 @@ def _load_nd_pair(path: str):
         raise BadParameterError(
             f"moments file holds a number past the float range: {exc}"
         ) from exc
-    for side, moments in (("p", p), ("q", q)):
-        if not math.isfinite(moments.trace):
-            raise BadParameterError(
-                f"the {side} side's covariance trace overflows the float range: "
-                "its diagonal sums past about 1.8e308"
-            )
     return MomentPairND(p, q)
 
 
 def _cmd_nd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
-    from .nd import tv_lower_bound_nd
+    from .nd import gap_norm_sq, trace_bound
 
     pair = _load_nd_pair(params["path"])
-    a = pair.p_side.mean - pair.q_side.mean
+    trace_p, trace_q = pair.p_side.trace, pair.q_side.trace
+    for side, trace in (("p", trace_p), ("q", trace_q)):
+        if not math.isfinite(trace):
+            raise BadParameterError(
+                f"the {side} side's covariance trace overflows the float range: "
+                "its diagonal sums past about 1.8e308"
+            )
+    gap = gap_norm_sq(pair)
     return {
         "dimension": pair.dim,
-        "gap_norm_sq": float(a @ a),
-        "trace_p": pair.p_side.trace,
-        "trace_q": pair.q_side.trace,
-        "bound": tv_lower_bound_nd(pair),
+        "gap_norm_sq": gap,
+        "trace_p": trace_p,
+        "trace_q": trace_q,
+        "bound": float(trace_bound(gap, trace_p, trace_q)),
     }, 0
 
 

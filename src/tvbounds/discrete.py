@@ -173,8 +173,9 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     0 for two identical values.
     """
     if p.support == q.support:
-        # every witness pair shares its support; the walk below would pair
-        # exactly these terms, in this order
+        # as every tight, two-point and anchored witness has (the sides of
+        # the vanishing sequence differ); the walk below would pair exactly
+        # these terms, in this order
         return min(1.0, 0.5 * math.fsum(map(abs, map(sub, p.probs, q.probs))))
     # the supports are sorted, so their largest magnitudes sit at their ends
     tol = _merge_tol((p.support[0], p.support[-1], q.support[0], q.support[-1]))

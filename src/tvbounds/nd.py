@@ -8,15 +8,18 @@ layer that needs numpy; the one-dimensional closed forms live in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import BadParameterError, DimensionMismatchError
 from .moments import FrozenRecord
 
 __all__ = [
     "MomentsND",
     "MomentPairND",
     "tv_lower_bound_nd",
+    "gap_norm_sq",
     "trace_bound",
 ]
 
@@ -34,8 +37,17 @@ def trace_bound(gap_norm_sq, trace_p, trace_q):
     # 9e307 leaves a positive bound instead of doubling to inf; traces can
     # only dip below zero by the PSD round-off allowance
     half_gap = 0.5 * gap_norm_sq
-    spread = np.maximum(0.0, trace_p + trace_q)
-    return half_gap / np.where(gap_norm_sq == 0.0, 1.0, spread + half_gap)
+    with np.errstate(over="ignore"):
+        denom = np.maximum(0.0, trace_p + trace_q) + half_gap
+    far = ~np.isfinite(denom)
+    if far.any():
+        # a denominator past the float range is taken from quartered terms,
+        # which fit in it; quartering rounds only a term too small to change
+        # the sum, or a numerator whose quotient underflows to 0 either way
+        half_gap = np.where(far, 0.25 * half_gap, half_gap)
+        quartered = np.maximum(0.0, 0.25 * trace_p + 0.25 * trace_q) + half_gap
+        denom = np.where(far, quartered, denom)
+    return half_gap / np.where(gap_norm_sq == 0.0, 1.0, denom)
 
 
 class MomentsND(FrozenRecord):
@@ -131,13 +143,28 @@ class MomentPairND(FrozenRecord):
         return self.p_side.dim
 
 
+def gap_norm_sq(pair: MomentPairND) -> float:
+    """``|a|^2`` for the difference ``a`` of the mean vectors.  Raises
+    ``BadParameterError`` when it overflows the float range."""
+    # a gap past the float range reads inf here and is refused below
+    with np.errstate(over="ignore"):
+        a = pair.p_side.mean - pair.q_side.mean
+        value = float(a @ a)
+    if not math.isfinite(value):
+        raise BadParameterError(
+            "the squared mean gap overflows the float range: "
+            "the means lie about 1.34e154 or more apart"
+        )
+    return value
+
+
 def tv_lower_bound_nd(pair: MomentPairND) -> float:
     """Trace lower bound on TV(P, Q) for distributions on d-space.
 
     Returns ``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` where ``a`` is the
     difference of the mean vectors, and 0 when the means coincide.  For
     d = 1 this never exceeds ``tv_lower_bound_1d`` and matches it exactly
-    when the standard deviations agree.
+    when the standard deviations agree.  Raises ``BadParameterError`` when
+    ``|a|^2`` overflows the float range.
     """
-    a = pair.p_side.mean - pair.q_side.mean
-    return float(trace_bound(np.dot(a, a), pair.p_side.trace, pair.q_side.trace))
+    return float(trace_bound(gap_norm_sq(pair), pair.p_side.trace, pair.q_side.trace))

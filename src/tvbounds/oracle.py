@@ -63,35 +63,42 @@ ND_CHECK_MAX_DRAWS = 10_000_000
 GRID_MAX_COUNT = 500_000
 
 
+def _whole(name: str, value, error: type[ValueError] = BadParameterError) -> int:
+    """``value`` as an int if it is a finite whole number of any numeric
+    type, else ``error`` naming ``name``, so each caller keeps one type."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    # int() truncates 2.9 to 2: only a value equal to its int is whole
+    if n is None or n != value:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return n
+
+
 class GridSpec(FrozenRecord):
-    """A uniform grid on [lo, hi] with optional extra points merged in."""
+    """A uniform grid of ``count`` points on [lo, hi]."""
 
-    __slots__ = ("lo", "hi", "count", "extra_points")
+    __slots__ = ("lo", "hi", "count")
 
-    def __init__(
-        self, lo: float, hi: float, count: int, extra_points: tuple[float, ...] = ()
-    ) -> None:
+    def __init__(self, lo: float, hi: float, count: int) -> None:
         lo = float(lo)
         hi = float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
         if not math.isfinite(hi - lo):
             raise ValueError(f"the span hi - lo overflows, got lo={lo!r}, hi={hi!r}")
-        n = int(count)
+        n = _whole("count", count, ValueError)
         if n < 2:
             raise ValueError(f"count must be >= 2, got {count}")
         if n > GRID_MAX_COUNT:
             raise ValueError(
                 f"count must be at most GRID_MAX_COUNT = {GRID_MAX_COUNT}, got {count}"
             )
-        extras = tuple(float(x) for x in extra_points)
-        if not all(map(math.isfinite, extras)):
-            raise ValueError("extra points must be finite")
-        set_lo, set_hi, set_count, set_extras = self._setters
+        set_lo, set_hi, set_count = self._setters
         set_lo(self, lo)
         set_hi(self, hi)
         set_count(self, n)
-        set_extras(self, extras)
 
     @classmethod
     def default_for(cls, pair: MomentPair1D, count: int = 121) -> "GridSpec":
@@ -104,16 +111,17 @@ class GridSpec(FrozenRecord):
         hi = max(pair.p_side.mean, pair.q_side.mean) + pad
         return cls(lo, hi, count)
 
-    def with_extra(self, points) -> "GridSpec":
-        return GridSpec(self.lo, self.hi, self.count, self.extra_points + tuple(points))
 
-
-def build_grid(spec: GridSpec) -> np.ndarray:
+def build_grid(spec: GridSpec, extra_points=()) -> np.ndarray:
     """Sorted union of the uniform grid and the extra points, deduplicated
-    by ``DiscreteDist``'s merge rule at the grid's largest magnitude."""
+    by ``DiscreteDist``'s merge rule at the grid's largest magnitude.
+    An extra point that is not finite raises ``ValueError``."""
+    extras = [float(x) for x in extra_points]
+    if not all(map(math.isfinite, extras)):
+        raise ValueError("extra points must be finite")
     values = np.linspace(spec.lo, spec.hi, spec.count).tolist()
-    if spec.extra_points:
-        values = sorted(values + list(spec.extra_points))
+    if extras:
+        values = sorted(values + extras)
     # the largest magnitude sits at one end of the sorted values
     tol = _merge_tol((values[0], values[-1]))
     kept = values[:1]
@@ -284,12 +292,11 @@ def minimize_tv_on_grid(
     """
     if spec is None:
         spec = GridSpec.default_for(pair)
+    extras = ()
     if include_witness_points and gap(pair) != 0.0:
-        witness = construct_tight_witness(pair)
         # the tight witness puts both sides on one support
-        spec = spec.with_extra(witness.p_dist.support)
-    grid = build_grid(spec)
-    return solve(formulate(pair, grid))
+        extras = construct_tight_witness(pair).p_dist.support
+    return solve(formulate(pair, build_grid(spec, extras)))
 
 
 def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
@@ -311,16 +318,20 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     matrices of finite draws, symmetric and PSD up to a round-off far inside
     the tolerances of ``MomentsND``, so they are not re-checked; the bound
     reads only their traces, which symmetrizing would leave unchanged.
-    A batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates
-    (``trials * atoms * d``) raises ``BadParameterError`` before any draw.
+    A count that is not a whole number, a negative seed, and a batch of more
+    than ``ND_CHECK_MAX_DRAWS`` normal coordinates (``trials * atoms * d``)
+    raise ``BadParameterError`` before any draw.
     """
-    if not 1 <= int(d) <= 4:
+    d, atoms, trials = _whole("d", d), _whole("atoms", atoms), _whole("trials", trials)
+    seed = _whole("seed", seed)
+    if not 1 <= d <= 4:
         raise BadParameterError(f"d must be in [1, 4], got {d}")
-    if int(atoms) < int(d) + 2:
+    if atoms < d + 2:
         raise BadParameterError(f"atoms must be >= d + 2, got {atoms}")
-    if int(trials) < 1:
+    if trials < 1:
         raise BadParameterError(f"trials must be >= 1, got {trials}")
-    d, atoms, trials = int(d), int(atoms), int(trials)
+    if seed < 0:
+        raise BadParameterError(f"seed must be >= 0, got {seed}")
     if trials * atoms * d > ND_CHECK_MAX_DRAWS:
         raise BadParameterError(
             f"trials * atoms * d = {trials} * {atoms} * {d} is more than "

@@ -65,7 +65,9 @@ class WitnessKind(enum.Enum):
 
 
 class WitnessPair(FrozenRecord):
-    """Two distributions on a shared support with a verified TV value."""
+    """Two distributions with a verified TV value.  The tight, two-point and
+    anchored witnesses put both sides on one support; the vanishing
+    sequence with unequal stddevs does not (its sides have 4 and 2 atoms)."""
 
     __slots__ = ("p_dist", "q_dist", "claimed_tv", "kind")
 

@@ -614,6 +614,28 @@ def test_nd_bound_refuses_an_overflowing_trace(capsys, tmp_path, side):
     )
 
 
+@pytest.mark.parametrize(
+    "mean_p,mean_q", [([1e200, 0], [0, 0]), ([1e308, 0], [-1e308, 0])]
+)
+def test_nd_bound_refuses_an_overflowing_squared_gap(capsys, tmp_path, mean_p, mean_q):
+    # |a|^2 used to print as Infinity and the bound as NaN, neither of them
+    # JSON, with exit 0 after three numpy RuntimeWarnings
+    payload = {
+        "mean_p": mean_p,
+        "cov_p": [[1, 0], [0, 1]],
+        "mean_q": mean_q,
+        "cov_q": [[1, 0], [0, 1]],
+    }
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the squared mean gap overflows the float range: "
+        "the means lie about 1.34e154 or more apart\n"
+    )
+
+
 def test_nd_bound_stays_positive_past_a_doubled_trace_sum(capsys, tmp_path):
     # 2 * (tr Sp + tr Sq) = 2e308 passes the float range, and the bound
     # used to read 0 there
@@ -629,6 +651,25 @@ def test_nd_bound_stays_positive_past_a_doubled_trace_sum(capsys, tmp_path):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["bound"] == 0.5 / 1e308 > 0.0
+
+
+def test_nd_bound_stays_positive_past_an_overflowing_denominator(capsys, tmp_path):
+    # |a|^2 / 2 + tr Sp + tr Sq = 8.45e307 + 1e308 passes the float range,
+    # and the bound used to read 0 there after a numpy RuntimeWarning
+    payload = {
+        "mean_p": [1.3e154, 0.0],
+        "cov_p": [[5e307, 0.0], [0.0, 0.0]],
+        "mean_q": [0.0, 0.0],
+        "cov_q": [[5e307, 0.0], [0.0, 0.0]],
+    }
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    # gap / (2e308 + gap), with both parts quartered to stay in range
+    quarter = report["gap_norm_sq"] / 4
+    assert report["bound"] == pytest.approx(quarter / (5e307 + quarter), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -725,6 +766,12 @@ def test_nd_check_refuses_an_oversized_batch(capsys):
         "error: trials * atoms * d = 1000000000000 * 8 * 4 is more than "
         "ND_CHECK_MAX_DRAWS = 10000000; run fewer trials per seed\n"
     )
+
+
+def test_nd_check_refuses_a_negative_seed(capsys):
+    # numpy's "expected non-negative integer" used to be the message
+    code, out, err = run_cli(capsys, "nd-check", "--dims", "2", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
 # --------------------------------------------------------------------- sweep

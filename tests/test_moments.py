@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from tvbounds import (
     tv_lower_bound_nd,
     two_point_tv,
 )
-from tvbounds.nd import COV_PSD_TOL
+from tvbounds.nd import COV_PSD_TOL, trace_bound
 
 from conftest import ref_moments
 
@@ -535,6 +536,50 @@ def test_nd_bound_respected_by_moment_matched_cross_pairs():
         keys_q = {tuple(a) for a in atoms_q}
         tv = len(keys_p ^ keys_q) / (4.0 * d)
         assert tv >= target - 1e-12
+
+
+@pytest.mark.parametrize(
+    "mean_p,mean_q", [([1e200, 0.0], [0.0, 0.0]), ([1e308], [-1e308])]
+)
+def test_nd_bound_refuses_an_overflowing_squared_gap(mean_p, mean_q):
+    # |a|^2 used to read inf and the bound nan, after numpy RuntimeWarnings
+    eye = np.eye(len(mean_p))
+    nd_pair = MomentPairND(MomentsND(mean_p, eye), MomentsND(mean_q, eye))
+    with pytest.raises(BadParameterError) as raised:
+        tv_lower_bound_nd(nd_pair)
+    assert str(raised.value) == (
+        "the squared mean gap overflows the float range: "
+        "the means lie about 1.34e154 or more apart"
+    )
+
+
+def test_nd_bound_keeps_a_squared_gap_just_inside_the_float_range():
+    eye = np.eye(2)
+    nd_pair = MomentPairND(MomentsND([1e154, 0.0], eye), MomentsND([0.0, 0.0], eye))
+    assert tv_lower_bound_nd(nd_pair) == 1.0
+
+
+def test_nd_bound_keeps_a_denominator_past_the_float_range():
+    # |a|^2 / 2 + tr Sp + tr Sq = 8.45e307 + 1e308 overflows, though each
+    # term is finite; the bound used to read 0 there after a RuntimeWarning
+    cov = [[5e307, 0.0], [0.0, 0.0]]
+    nd_pair = MomentPairND(MomentsND([1.3e154, 0.0], cov), MomentsND([0.0, 0.0], cov))
+    gap = Fraction(1.3e154) ** 2
+    exact = gap / (2 * (Fraction(5e307) + Fraction(5e307)) + gap)
+    assert tv_lower_bound_nd(nd_pair) == pytest.approx(float(exact), rel=1e-15)
+
+
+def test_trace_bound_rescales_only_the_overflowing_entries():
+    gap = np.array([1.69e308, 2.0, 0.0, 1.69e308])
+    trace_p = np.array([5e307, 1.0, 1e308, 1e308])
+    trace_q = np.array([5e307, 1.0, 1e308, 1e308])
+    bound = trace_bound(gap, trace_p, trace_q)
+    assert bound[0] == pytest.approx(0.845 / 1.845, rel=1e-15)
+    assert bound[1] == 1.0 / 3.0  # untouched: (2 / 2) / (1 + 1 + 2 / 2)
+    assert bound[2] == 0.0  # equal means, whatever the traces
+    # here tr Sp + tr Sq alone passes the float range
+    exact = Fraction(1.69e308) / (4 * Fraction(1e308) + Fraction(1.69e308))
+    assert bound[3] == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_nd_dimension_mismatch():

@@ -42,8 +42,19 @@ def pair(mp, sp, mq, sq):
 def test_build_grid_examples():
     np.testing.assert_allclose(build_grid(GridSpec(0, 1, 3)), [0.0, 0.5, 1.0])
     np.testing.assert_allclose(
-        build_grid(GridSpec(-1, 1, 2, (0.0,))), [-1.0, 0.0, 1.0]
+        build_grid(GridSpec(-1, 1, 2), (0.0,)), [-1.0, 0.0, 1.0]
     )
+
+
+def test_grid_spec_holds_lo_hi_and_count_only():
+    assert GridSpec.__slots__ == ("lo", "hi", "count")
+    assert not hasattr(GridSpec, "with_extra")
+
+
+@pytest.mark.parametrize("count", [5, 5.0, np.int64(5), np.float64(5.0)])
+def test_grid_spec_takes_a_whole_count_of_any_numeric_type(count):
+    spec = GridSpec(0.0, 1.0, count)
+    assert type(spec.count) is int and spec == GridSpec(0.0, 1.0, 5)
 
 
 def test_grid_spec_refuses_a_count_past_its_limit_before_allocating(monkeypatch):
@@ -62,7 +73,7 @@ def test_grid_spec_refuses_a_count_past_its_limit_before_allocating(monkeypatch)
 
 
 def test_build_grid_merges_extras():
-    grid = build_grid(GridSpec(-6, 6, 121, (0.5, 3.0, -2.0)))
+    grid = build_grid(GridSpec(-6, 6, 121), (0.5, 3.0, -2.0))
     assert np.all(np.diff(grid) > 0)
     for wanted in (-2.0, 0.5, 3.0):
         assert np.min(np.abs(grid - wanted)) <= 1e-9
@@ -71,7 +82,7 @@ def test_build_grid_merges_extras():
 
 
 def test_build_grid_dedupes_coincident_extras():
-    grid = build_grid(GridSpec(0, 1, 2, (0.0, 1.0, 0.5)))
+    grid = build_grid(GridSpec(0, 1, 2), (0.0, 1.0, 0.5))
     assert grid.tolist() == [0.0, 0.5, 1.0]
 
 
@@ -80,9 +91,9 @@ def test_build_grid_dedupes_coincident_extras():
 # magnitude over the whole array.
 
 
-def _ref_build_grid(spec):
+def _ref_build_grid(spec, extra_points=()):
     pts = np.concatenate(
-        [np.linspace(spec.lo, spec.hi, spec.count), np.asarray(spec.extra_points)]
+        [np.linspace(spec.lo, spec.hi, spec.count), np.asarray(extra_points, dtype=float)]
     )
     pts.sort(kind="stable")
     tol = discrete.SUPPORT_MERGE_REL * (1.0 + float(np.max(np.abs(pts))))
@@ -94,37 +105,37 @@ def _ref_build_grid(spec):
     return np.array(kept)
 
 
-def _assert_same_grid(spec):
-    got, want = build_grid(spec), _ref_build_grid(spec)
+def _assert_same_grid(spec, extra_points=()):
+    got, want = build_grid(spec, extra_points), _ref_build_grid(spec, extra_points)
     assert got.dtype == want.dtype
     # bytes, so that -0.0 and 0.0 count as different
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, extra_points",
     [
         # a chain of extras, each within tol of the last, spanning more than tol
-        GridSpec(-1.0, 1.0, 5, tuple(0.1 + k * 0.6e-12 for k in range(8))),
-        GridSpec(-1.0, 1.0, 5, (0.5, 0.5 + 1e-12, 0.5 + 2.5e-12, 0.5 - 1e-12)),
+        (GridSpec(-1.0, 1.0, 5), tuple(0.1 + k * 0.6e-12 for k in range(8))),
+        (GridSpec(-1.0, 1.0, 5), (0.5, 0.5 + 1e-12, 0.5 + 2.5e-12, 0.5 - 1e-12)),
         # extras outside [lo, hi], on both sides
-        GridSpec(0.0, 1.0, 4, (-3.0, 7.5, -1e-9, 1.0 + 1e-9)),
+        (GridSpec(0.0, 1.0, 4), (-3.0, 7.5, -1e-9, 1.0 + 1e-9)),
         # -0.0 next to 0.0, from the extras and from the uniform grid
-        GridSpec(-1.0, 1.0, 3, (-0.0, 0.0)),
-        GridSpec(-1.0, 1.0, 3, (0.0, -0.0)),
-        GridSpec(-0.0, 1.0, 2, (0.0,)),
-        GridSpec(-1.0, 0.0, 5, (-0.0,)),
+        (GridSpec(-1.0, 1.0, 3), (-0.0, 0.0)),
+        (GridSpec(-1.0, 1.0, 3), (0.0, -0.0)),
+        (GridSpec(-0.0, 1.0, 2), (0.0,)),
+        (GridSpec(-1.0, 0.0, 5), (-0.0,)),
         # offsets where the uniform points merge under the tolerance
-        GridSpec(1e6, 1e6 + 1e-5, 121),
-        GridSpec(-1e7 - 3.0, -1e7 + 3.0, 121, (-1e7, -1e7 + 1e-6)),
-        GridSpec(1e16, 1e16 + 64.0, 121, (1e16 + 2.0,)),
-        GridSpec(1e300, 1.0000000000001e300, 9),
+        (GridSpec(1e6, 1e6 + 1e-5, 121), ()),
+        (GridSpec(-1e7 - 3.0, -1e7 + 3.0, 121), (-1e7, -1e7 + 1e-6)),
+        (GridSpec(1e16, 1e16 + 64.0, 121), (1e16 + 2.0,)),
+        (GridSpec(1e300, 1.0000000000001e300, 9), ()),
         # subnormal span: the uniform step underflows to 0
-        GridSpec(0.0, 5e-324, 4),
+        (GridSpec(0.0, 5e-324, 4), ()),
     ],
 )
-def test_build_grid_matches_reference_on_adversarial_specs(spec):
-    _assert_same_grid(spec)
+def test_build_grid_matches_reference_on_adversarial_specs(spec, extra_points):
+    _assert_same_grid(spec, extra_points)
 
 
 def test_build_grid_matches_reference_on_random_specs():
@@ -143,7 +154,7 @@ def test_build_grid_matches_reference_on_random_specs():
                 + [e + rng.uniform(-2, 2) * 1e-12 * (1 + abs(e)) for e in extras]
             )
             extras.append(x)
-        _assert_same_grid(GridSpec(lo, hi, rng.randrange(2, 130), tuple(extras)))
+        _assert_same_grid(GridSpec(lo, hi, rng.randrange(2, 130)), tuple(extras))
 
 
 def test_grid_spec_validation():
@@ -151,8 +162,14 @@ def test_grid_spec_validation():
         GridSpec(1.0, 1.0, 5)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 5, (math.inf,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_build_grid_refuses_a_non_finite_extra_point(bad):
+    with pytest.raises(ValueError) as raised:
+        build_grid(GridSpec(0.0, 1.0, 5), (0.0, bad))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "extra points must be finite"
 
 
 def test_grid_spec_default_covers_witness_support():
@@ -242,7 +259,7 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
 
 
 def _witness_grid_lp(this):
-    return formulate(this, build_grid(GridSpec(-6, 6, 121, (0.5, 3.0, -2.0))))
+    return formulate(this, build_grid(GridSpec(-6, 6, 121), (0.5, 3.0, -2.0)))
 
 
 def test_solve_demotes_an_optimum_whose_mass_is_off_one():
@@ -266,8 +283,8 @@ def test_solve_demotes_an_optimum_that_misses_the_pair():
 
 def test_witness_grid_attains_bound():
     this = pair(1, 1, 0, 1)
-    spec = GridSpec(-6, 6, 121, (0.5, 3.0, -2.0))
-    result = solve(formulate(this, build_grid(spec)))
+    grid = build_grid(GridSpec(-6, 6, 121), (0.5, 3.0, -2.0))
+    result = solve(formulate(this, grid))
     assert result.status is OracleStatus.OPTIMAL
     assert abs(result.tv_min - 0.2) <= 1e-6
 
@@ -290,10 +307,16 @@ def test_minimize_equal_means_follows_vanishing_sequence():
     n = 121
     k = 31  # ceil(n / 4); the element's TV 1/k is below 4/n
     element = construct_vanishing_sequence(0.0, 2.0, 1.0, k)
-    spec = GridSpec(-13, 13, n, element.p_dist.support + element.q_dist.support)
-    result = minimize_tv_on_grid(pair(0, 2, 0, 1), spec)
+    grid = build_grid(
+        GridSpec(-13, 13, n), element.p_dist.support + element.q_dist.support
+    )
+    result = solve(formulate(pair(0, 2, 0, 1), grid))
     assert result.status is OracleStatus.OPTIMAL
     assert result.tv_min <= 4.0 / n + 1e-9
+    # equal means have no tight witness: minimize_tv_on_grid adds no points
+    # rather than raise GapZeroError
+    plain = minimize_tv_on_grid(pair(0, 2, 0, 1), GridSpec(-13, 13, n))
+    assert plain.status is OracleStatus.OPTIMAL
 
 
 def test_optimizers_certify_their_moments():
@@ -307,10 +330,9 @@ def test_optimizers_certify_their_moments():
 
 def test_grid_refinement_never_raises_optimum():
     this = pair(1.2, 0.8, -0.3, 1.1)
-    coarse_spec = GridSpec(-8, 8, 41)
-    fine_spec = GridSpec(-8, 8, 41, (-1.234, 0.777, 2.5))
-    coarse = minimize_tv_on_grid(this, coarse_spec, include_witness_points=False)
-    fine = minimize_tv_on_grid(this, fine_spec, include_witness_points=False)
+    spec = GridSpec(-8, 8, 41)
+    coarse = solve(formulate(this, build_grid(spec)))
+    fine = solve(formulate(this, build_grid(spec, (-1.234, 0.777, 2.5))))
     assert fine.tv_min <= coarse.tv_min + 1e-9
 
 
@@ -417,11 +439,11 @@ def _ref_minimize(p, include_witness_points):
     """``minimize_tv_on_grid`` on the reference ``build_grid`` and the
     reference simplex kernel, with the extraction and certification as they
     stood before both sides went through one pass."""
-    spec = GridSpec.default_for(p)
+    extras = ()
     if include_witness_points:
         w = oracle.construct_tight_witness(p)
-        spec = spec.with_extra(w.p_dist.support + w.q_dist.support)
-    lp = formulate(p, _ref_build_grid(spec))
+        extras = w.p_dist.support + w.q_dist.support
+    lp = formulate(p, _ref_build_grid(GridSpec.default_for(p), extras))
     res = _ref_solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
     if res.status == "infeasible":
         return oracle.OracleResult(OracleStatus.INFEASIBLE, None, None, None, res.iterations)
@@ -542,6 +564,21 @@ def test_nd_check_deterministic():
 def test_nd_check_parameter_validation(d, atoms, trials):
     with pytest.raises(BadParameterError):
         check_nd_bound_random(d, atoms, trials, 0)
+
+
+@pytest.mark.parametrize("name", ["d", "atoms", "trials", "seed"])
+@pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, bad):
+    args = dict(d=2, atoms=6, trials=10, seed=0)
+    monkeypatch.setattr(oracle.np.random, "default_rng", None)
+    with pytest.raises(BadParameterError) as raised:
+        check_nd_bound_random(**{**args, name: bad})
+    assert str(raised.value) == f"{name} must be a whole number, got {bad!r}"
+
+
+def test_nd_check_takes_whole_counts_of_any_numeric_type():
+    want = check_nd_bound_random(2, 6, 40, 3)
+    assert check_nd_bound_random(2.0, np.int64(6), np.float64(40.0), 3.0) == want
 
 
 def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):

@@ -142,7 +142,7 @@ RECORDS = [
     (
         GridSpec,
         lambda: dict(lo=-1.0, hi=1.0, count=5),
-        dict(extra_points=()),
+        {},
         True,
         [
             (dict(hi=-1.0), ValueError, "need finite lo < hi, got lo=-1.0, hi=-1.0"),
@@ -158,7 +158,10 @@ RECORDS = [
                 ValueError,
                 "count must be at most GRID_MAX_COUNT = 500000, got 500001",
             ),
-            (dict(extra_points=(0.0, math.inf)), ValueError, "extra points must be finite"),
+            (dict(count=2.9), ValueError, "count must be a whole number, got 2.9"),
+            (dict(count=math.inf), ValueError, "count must be a whole number, got inf"),
+            (dict(count=math.nan), ValueError, "count must be a whole number, got nan"),
+            (dict(count="5"), ValueError, "count must be a whole number, got '5'"),
         ],
     ),
     (

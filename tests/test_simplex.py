@@ -156,11 +156,11 @@ def _oracle_lps(seed, count, grid_n):
         mp = float(rng.uniform(-2, 2))
         sp, sq = (float(s) for s in rng.uniform(0.2, 2, size=2))
         pair = MomentPair1D.from_scalars(mp, sp, 0.0, sq)
-        spec = GridSpec.default_for(pair, grid_n)
+        extras = ()
         if k % 2 == 0:
             w = construct_tight_witness(pair)
-            spec = spec.with_extra(w.p_dist.support + w.q_dist.support)
-        lp = formulate(pair, build_grid(spec))
+            extras = w.p_dist.support + w.q_dist.support
+        lp = formulate(pair, build_grid(GridSpec.default_for(pair, grid_n), extras))
         yield lp.objective, lp.constraint_matrix, lp.rhs
 
 
