@@ -5,8 +5,9 @@ discrete pairs that attain it; an embedded linear-programming oracle
 re-derives the bound numerically as an independent check.  A trace bound
 covers distributions on d-space.
 
-Only the d-dimensional bound (:mod:`tvbounds.nd`), the oracle and its
-simplex import numpy; their names are resolved here on first use.
+Only the d-dimensional layer (:mod:`tvbounds.nd`) imports numpy.  Its
+names, and those of the grid oracle, which only ``verify`` needs, are
+resolved here on first use.
 """
 
 # Each module's ``__all__`` declares its public names; the package republishes
@@ -18,9 +19,10 @@ from .witness import *
 
 __version__ = "0.1.0"
 
-#: Names whose modules import numpy, by the module that defines them.  They
-#: are loaded on first access, so that the one-dimensional closed forms and
-#: witnesses, and the CLI commands built on them, never import numpy.
+#: Names loaded on first access, by the module that defines them: the n-d
+#: layer's, whose module imports numpy, and the grid oracle's.  So the
+#: one-dimensional commands, ``verify`` included, never import numpy, and
+#: the closed forms and witnesses never import the oracle either.
 _LAZY = {
     "MomentsND": ".nd",
     "MomentPairND": ".nd",
@@ -30,7 +32,7 @@ _LAZY = {
     "OracleResult": ".oracle",
     "OracleStatus": ".oracle",
     "build_grid": ".oracle",
-    "check_nd_bound_random": ".oracle",
+    "check_nd_bound_random": ".nd",
     "formulate": ".oracle",
     "minimize_tv_on_grid": ".oracle",
     "solve": ".oracle",

@@ -35,8 +35,9 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 
 def __getattr__(name: str) -> Any:
-    # The handlers that need numpy-side names import them when they run,
-    # so the other commands never load numpy.  The names still resolve
+    # The handlers that need the oracle's or the n-d layer's names import
+    # them when they run, so the other commands never load those modules,
+    # and only the n-d commands load numpy.  The names still resolve
     # here, through the package's table, and are bound on first access as
     # a module-level import binds them: a caller that swaps one out and
     # back, such as a tracer, then restores the original, not a forwarder.
@@ -308,7 +309,7 @@ def _cmd_nd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
 
 
 def _cmd_nd_check(params: Mapping[str, Any]) -> tuple[dict, int]:
-    from .oracle import check_nd_bound_random
+    from .nd import check_nd_bound_random
 
     dims = params["dims"]
     atoms = params["atoms"] if params["atoms"] is not None else dims + 4

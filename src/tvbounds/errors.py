@@ -42,3 +42,16 @@ class WitnessConstructionError(TVBoundError):
     that the claimed TV value and the declared moments are actually realized
     by the atoms it built.
     """
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int if it is a finite whole number of any numeric
+    type, else ``BadParameterError`` naming ``name``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    # int() truncates 2.9 to 2: only a value equal to its int is whole
+    if n is None or n != value:
+        raise BadParameterError(f"{name} must be a whole number, got {value!r}")
+    return n

@@ -1,39 +1,35 @@
-"""Grid LP verification of the one-dimensional bound, plus a randomized
-check of the d-dimensional trace bound.
+"""Grid LP verification of the one-dimensional bound.
 
 ``minimize_tv_on_grid`` minimizes the TV distance over all pairs of
-distributions supported on a finite grid subject to exact mean and raw
-second-moment equality on both sides.  The program is written through the
+distributions supported on a finite grid subject to exact mean and
+variance equality on both sides.  The program is written through the
 common part of the two distributions: ``p = w + u`` and ``q = w + v`` with
 ``w, u, v >= 0``, minimizing ``sum u``.  Only the six moment rows constrain
-it, so the simplex works on a 6-row tableau whatever the grid size.  Its
+it, so the simplex works on a 6 x 6 basis whatever the grid size.  Its
 optimum is an upper bound on the true infimum over all distributions; when
 the support of the tight witness is folded into the grid the optimum
 collapses onto the closed-form bound, which is what the ``verify`` path
 certifies.  The moment constraints are genuine equalities, not bands, so
 "optimum equals bound" is a sharp test.
 
-The d-dimensional routine never solves an LP: it draws random discrete
-pairs, computes their exact moments and exact TV, and counts violations of
-the trace bound evaluated at those computed moments.  It works on all
-trials at once, as numpy stacks over a leading trial axis.
+The rows are written in centred, scale-free units, ``t = (x - c) / s`` with
+``c`` the midpoint of the means and ``s`` the sum of the standard
+deviations, so that no row or right-hand side is a difference of large
+terms at any offset or scale.  The module needs no numpy.  The randomized
+check of the d-dimensional trace bound lives in :mod:`tvbounds.nd`; its
+names still resolve here, loading that module and numpy on first access.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
-import numpy as np
-
 from .discrete import DiscreteDist, _merge_tol, check_moments
-from .errors import BadParameterError
-from .moments import FrozenRecord, MomentPair1D, gap
-from .nd import trace_bound
-# nothing here calls these; they stay bound because benchmarks/spans.py
-# wraps the n-d layer under these names and resolves each one at install
-from .nd import MomentsND, tv_lower_bound_nd  # noqa: F401
+from .errors import BadParameterError, _whole
+from .moments import FrozenRecord, MomentPair1D, Moments1D, gap
 from .simplex import SimplexResult, solve_dense
 from .witness import construct_tight_witness
 
@@ -46,38 +42,33 @@ __all__ = [
     "formulate",
     "solve",
     "minimize_tv_on_grid",
-    "check_nd_bound_random",
 ]
 
-#: Moment tolerance the extracted optimizers must certify.
+#: Moment tolerance the extracted optimizers must certify, in centred units.
 ORACLE_MOMENT_TOL = 1e-7
-#: Violation slack for the randomized d-dimensional check.
-ND_CHECK_TOL = 1e-10
-#: Most normal coordinates (trials * atoms * d) one randomized d-dimensional
-#: check draws; a larger batch is refused before anything is drawn.  A batch
-#: at the limit peaks at 0.55 to 0.65 GB resident, the most at d = 1.
-ND_CHECK_MAX_DRAWS = 10_000_000
 #: Most uniform points a grid may ask for; a larger count is refused before
-#: anything is allocated.  ``verify`` peaks at 34 MB resident at 10^4 points
-#: and 84 MB at 10^5, about 0.55 KB a point, so about 0.3 GB at the limit.
+#: anything is allocated.  ``verify`` peaks at 16 MB resident at 10^4 points,
+#: 27 MB at 10^5 and 76 MB at the limit, about 0.12 KB a point (Python 3.11).
 GRID_MAX_COUNT = 500_000
 
+#: The n-d layer's names this module answers to, bound on first access.
+_ND_NAMES = ("check_nd_bound_random", "MomentsND", "tv_lower_bound_nd")
 
-def _whole(name: str, value, error: type[ValueError] = BadParameterError) -> int:
-    """``value`` as an int if it is a finite whole number of any numeric
-    type, else ``error`` naming ``name``, so each caller keeps one type."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    # int() truncates 2.9 to 2: only a value equal to its int is whole
-    if n is None or n != value:
-        raise error(f"{name} must be a whole number, got {value!r}")
-    return n
+
+def __getattr__(name: str):
+    # nothing here calls these; they resolve here because benchmarks/spans.py
+    # wraps the n-d layer under these names
+    if name not in _ND_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import nd
+
+    value = globals()[name] = getattr(nd, name)
+    return value
 
 
 class GridSpec(FrozenRecord):
-    """A uniform grid of ``count`` points on [lo, hi]."""
+    """A uniform grid of ``count`` points on [lo, hi].  Every refusal
+    raises ``BadParameterError``."""
 
     __slots__ = ("lo", "hi", "count")
 
@@ -85,14 +76,16 @@ class GridSpec(FrozenRecord):
         lo = float(lo)
         hi = float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
+            raise BadParameterError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
         if not math.isfinite(hi - lo):
-            raise ValueError(f"the span hi - lo overflows, got lo={lo!r}, hi={hi!r}")
-        n = _whole("count", count, ValueError)
+            raise BadParameterError(
+                f"the span hi - lo overflows, got lo={lo!r}, hi={hi!r}"
+            )
+        n = _whole("count", count)
         if n < 2:
-            raise ValueError(f"count must be >= 2, got {count}")
+            raise BadParameterError(f"count must be >= 2, got {count}")
         if n > GRID_MAX_COUNT:
-            raise ValueError(
+            raise BadParameterError(
                 f"count must be at most GRID_MAX_COUNT = {GRID_MAX_COUNT}, got {count}"
             )
         set_lo, set_hi, set_count = self._setters
@@ -112,14 +105,25 @@ class GridSpec(FrozenRecord):
         return cls(lo, hi, count)
 
 
-def build_grid(spec: GridSpec, extra_points=()) -> np.ndarray:
+def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     """Sorted union of the uniform grid and the extra points, deduplicated
     by ``DiscreteDist``'s merge rule at the grid's largest magnitude.
-    An extra point that is not finite raises ``ValueError``."""
+    An extra point that is not finite raises ``ValueError``.
+
+    The uniform points are those of ``numpy.linspace(lo, hi, count)``, bit
+    for bit: ``lo + i * step``, or ``lo + (i / (count - 1)) * (hi - lo)``
+    where the step underflows to 0, and ``hi`` itself last.
+    """
     extras = [float(x) for x in extra_points]
     if not all(map(math.isfinite, extras)):
         raise ValueError("extra points must be finite")
-    values = np.linspace(spec.lo, spec.hi, spec.count).tolist()
+    lo, hi, div = spec.lo, spec.hi, spec.count - 1
+    step = (hi - lo) / div
+    if step == 0.0:
+        values = [i / div * (hi - lo) + lo for i in range(div)]
+    else:
+        values = [i * step + lo for i in range(div)]
+    values.append(hi)
     if extras:
         values = sorted(values + extras)
     # the largest magnitude sits at one end of the sorted values
@@ -128,17 +132,116 @@ def build_grid(spec: GridSpec, extra_points=()) -> np.ndarray:
     for x in values[1:]:
         if x - kept[-1] > tol:
             kept.append(x)
-    return np.fromiter(kept, dtype=float, count=len(kept))
+    return kept
+
+
+def _centring(pair: MomentPair1D) -> tuple[float, float]:
+    """The centre ``c`` and scale ``s`` of the units ``t = (x - c) / s``:
+    the midpoint of the means and the sum of the standard deviations, or
+    the distance of the means when both are 0, or 1 when that is 0 too.
+    Raises ``ValueError`` if that sum or distance passes the float range:
+    every row coefficient would divide down to 0."""
+    mp, mq = pair.p_side.mean, pair.q_side.mean
+    scale = pair.p_side.stddev + pair.q_side.stddev or abs(mp - mq) or 1.0
+    if not math.isfinite(scale):
+        raise ValueError("LP coefficients must be finite: the centring scale overflows")
+    return 0.5 * mp + 0.5 * mq, scale
+
+
+class GridColumns:
+    """The constraint matrix of the grid LP, held as the grid it lives on.
+
+    Column ``j = k * n + i`` is family ``k`` (0 for ``w``, 1 for ``u``, 2
+    for ``v``) at grid point ``i``, whose centred value is
+    ``t_i = (x_i - centre) / scale``.  The p side's rows 0-2 read
+    ``1, t, (t - t_p)^2`` on ``w`` and ``u``, the q side's rows 3-5
+    ``1, t, (t - t_q)^2`` on ``w`` and ``v``.  A column set for
+    ``solve_dense``: each family prices as one quadratic in ``t``, so its
+    cheapest column over the sorted grid lies beside the quadratic's vertex
+    when it is convex, and at an end of the grid otherwise.  ``price``
+    reads the costs at the first column of each family, so ``c`` must be
+    constant on each, as ``formulate`` writes it.  Raises ``ValueError`` if
+    a row coefficient is not finite.
+    """
+
+    __slots__ = ("t", "t_p", "t_q", "shape")
+
+    def __init__(
+        self, grid: list[float], centre: float, scale: float, t_p: float, t_q: float
+    ) -> None:
+        self.t = [(x - centre) / scale for x in grid]
+        self.t_p, self.t_q = t_p, t_q
+        self.shape = (6, 3 * len(grid))
+        # the largest |t| and squared deviations sit at the ends of the grid
+        ends = [self.t[0], self.t[-1]]
+        ends += [(t - mean) * (t - mean) for t in ends[:2] for mean in (t_p, t_q)]
+        if not all(map(math.isfinite, ends)):
+            raise ValueError("LP coefficients must be finite")
+
+    def column(self, j: int) -> list[float]:
+        family, i = divmod(j, len(self.t))
+        t = self.t[i]
+        dp, dq = t - self.t_p, t - self.t_q
+        if family == 0:
+            return [1.0, t, dp * dp, 1.0, t, dq * dq]
+        if family == 1:
+            return [1.0, t, dp * dp, 0.0, 0.0, 0.0]
+        return [0.0, 0.0, 0.0, 1.0, t, dq * dq]
+
+    def price(self, y: list[float], c) -> tuple[int, float]:
+        # the reduced cost of a column at t is its family's cost less
+        # p(t) = y0 + y1 t + y2 (t - t_p)^2 on w and u, and less
+        # q(t) = y3 + y4 t + y5 (t - t_q)^2 on w and v
+        y0, y1, y2, y3, y4, y5 = y
+        t, t_p, t_q = self.t, self.t_p, self.t_q
+        n = len(t)
+        c_w, c_u, c_v = (0.0, 0.0, 0.0) if c is None else (c[0], c[n], c[2 * n])
+        # the slope of -p(t) is k_p - 2 y2 t, and of -q(t) is k_q - 2 y5 t
+        k_p, k_q = 2.0 * y2 * t_p - y1, 2.0 * y5 * t_q - y4
+        i = _cheapest(t, y2 + y5, k_p + k_q)
+        ti = t[i]
+        dp, dq = ti - t_p, ti - t_q
+        best_j = i
+        best = c_w - (y0 + y3 + (y1 + y4) * ti + y2 * (dp * dp) + y5 * (dq * dq))
+        i = _cheapest(t, y2, k_p)
+        ti = t[i]
+        dp = ti - t_p
+        reduced = c_u - (y0 + y1 * ti + y2 * (dp * dp))
+        if reduced < best:
+            best_j, best = n + i, reduced
+        i = _cheapest(t, y5, k_q)
+        ti = t[i]
+        dq = ti - t_q
+        reduced = c_v - (y3 + y4 * ti + y5 * (dq * dq))
+        if reduced < best:
+            best_j, best = 2 * n + i, reduced
+        return best_j, best
+
+
+def _cheapest(t: list[float], g: float, k: float) -> int:
+    """The index of the smallest value over the sorted ``t`` of a quadratic
+    ``d`` whose slope is ``k - 2 g t``.  Convex (``g < 0``): of the two
+    points beside its vertex, the nearer, as ``d`` is symmetric about it.
+    Otherwise: the lower end, as the sign of
+    ``d(t_last) - d(t_0) = (t_last - t_0) (k - g (t_0 + t_last))`` tells."""
+    if g < 0.0:
+        vertex = k / (2.0 * g)
+        i = bisect_left(t, vertex)
+        if i == len(t) or (i and vertex - t[i - 1] <= t[i] - vertex):
+            i -= 1
+        return i
+    return 0 if k > g * (t[0] + t[-1]) else len(t) - 1
 
 
 class LPStandardForm(FrozenRecord):
     """``min objective . x  s.t.  constraint_matrix x = rhs, x >= 0``.
 
-    ``pair`` holds the moments the rows encode and ``grid`` the support the
+    ``constraint_matrix`` is a column set for ``solve_dense``.  ``pair``
+    holds the moments the rows encode and ``grid`` the support the
     probability variables live on, so that a solve can hand back the
     optimizers as distributions and certify them against the pair itself;
     neither plays a role in the algebra.  Compares by identity: its fields
-    are arrays.
+    are lists and a column set.
     """
 
     __slots__ = ("objective", "constraint_matrix", "rhs", "pair", "grid")
@@ -146,14 +249,9 @@ class LPStandardForm(FrozenRecord):
     __hash__ = object.__hash__
 
     def __init__(
-        self,
-        objective: np.ndarray,
-        constraint_matrix: np.ndarray,
-        rhs: np.ndarray,
-        pair: MomentPair1D,
-        grid: tuple[float, ...],
+        self, objective, constraint_matrix, rhs, pair: MomentPair1D, grid: tuple[float, ...]
     ) -> None:
-        if constraint_matrix.shape != (rhs.size, objective.size):
+        if tuple(constraint_matrix.shape) != (len(rhs), len(objective)):
             raise ValueError("inconsistent LP dimensions")
         set_objective, set_matrix, set_rhs, set_pair, set_grid = self._setters
         set_objective(self, objective)
@@ -166,36 +264,35 @@ class LPStandardForm(FrozenRecord):
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     """Encode grid-supported TV minimization under exact moment equality.
 
-    The variables are three blocks over the grid: the common part ``w``
-    and the two excesses ``u`` and ``v``, so that ``p = w + u`` and
-    ``q = w + v``.  Six equality rows pin total mass, mean and raw second
-    moment of ``p`` (on ``w + u``) and of ``q`` (on ``w + v``); the
-    objective is ``sum u``.  Any grid pair is feasible with
-    ``w = min(p, q)``, where ``sum u = 1 - sum min(p, q) = TV(p, q)``, and
-    every feasible point has ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.
-    The optimum is therefore the minimal TV over grid pairs.  Upper bounds
-    such as ``p_i <= 1`` are implied by non-negativity and the mass rows.
+    The variables are three blocks over the sorted grid: the common part
+    ``w`` and the two excesses ``u`` and ``v``, so that ``p = w + u`` and
+    ``q = w + v``.  Six equality rows (see ``GridColumns``) pin the total
+    mass, the mean ``t_p`` and the variance ``(sd_p / s)^2`` about it of
+    ``p`` in centred units, and the same of ``q``; the objective is
+    ``sum u``.  Any grid pair is feasible with ``w = min(p, q)``, where
+    ``sum u = 1 - sum min(p, q) = TV(p, q)``, and every feasible point has
+    ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.  The optimum is
+    therefore the minimal TV over grid pairs.  Upper bounds such as
+    ``p_i <= 1`` are implied by non-negativity and the mass rows.  A grid of
+    fewer than 2 points raises ``BadParameterError``; a point that is not
+    finite, a row coefficient past the float range, or a centring scale
+    past it (see ``_centring``), ``ValueError``.
     """
-    x = np.asarray(grid, dtype=float).reshape(-1)
-    n = x.size
+    x = list(map(float, grid))
+    n = len(x)
     if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got {n}")
-    # rows 0-2 carry the powers 1, x, x^2 of the grid on the w and u
-    # blocks, rows 3-5 on the w and v blocks
-    A = np.zeros((6, 3 * n))
-    A[0, :n] = 1.0
-    A[1, :n] = x
-    # a square that overflows leaves inf in the row, which solve_dense
-    # rejects with a specific error; numpy need not warn about it as well
-    with np.errstate(over="ignore"):
-        A[2, :n] = x * x
-    A[0:3, n : 2 * n] = A[3:6, :n] = A[3:6, 2 * n :] = A[0:3, :n]
-    mp, vp = pair.p_side.mean, pair.p_side.variance
-    mq, vq = pair.q_side.mean, pair.q_side.variance
-    b = np.array([1.0, mp, mp * mp + vp, 1.0, mq, mq * mq + vq])
-    c = np.zeros(3 * n)
-    c[n : 2 * n] = 1.0
-    return LPStandardForm(c, A, b, pair, tuple(x.tolist()))
+        raise BadParameterError(f"grid needs at least 2 points, got {n}")
+    if not all(map(math.isfinite, x)):
+        raise ValueError("LP coefficients must be finite")
+    x.sort()
+    centre, scale = _centring(pair)
+    t_p = (pair.p_side.mean - centre) / scale
+    t_q = (pair.q_side.mean - centre) / scale
+    r_p, r_q = pair.p_side.stddev / scale, pair.q_side.stddev / scale
+    rhs = [1.0, t_p, r_p * r_p, 1.0, t_q, r_q * r_q]
+    objective = [0.0] * n + [1.0] * n + [0.0] * n
+    columns = GridColumns(x, centre, scale, t_p, t_q)
+    return LPStandardForm(objective, columns, rhs, pair, tuple(x))
 
 
 class OracleStatus(enum.Enum):
@@ -224,32 +321,44 @@ class OracleResult(NamedTuple):
 
 
 def _extract_pair(
-    x: np.ndarray, grid: tuple[float, ...]
+    x: dict[int, float], grid: tuple[float, ...]
 ) -> tuple[DiscreteDist, DiscreteDist] | None:
     """The optimizers ``p = w + u`` and ``q = w + v`` of an LP solution laid
-    out as ``formulate`` does, or None if they are too corrupted to certify.
+    out as ``formulate`` does, read from its basic columns ``x``, or None if
+    they are too corrupted to certify.
 
-    Both sides go through the same steps at once, as the rows of one (2, n)
-    array: no mass may lie below -1e-9, and each side, with its negative
-    entries clamped to 0, must total within 1e-9 of 1 and is divided by
-    its total.
+    Both sides go through the same steps: no mass may lie below -1e-9, and
+    each side, with its negative entries clamped to 0, must total within
+    1e-9 of 1 and is divided by its total.
     """
-    blocks = x.reshape(3, -1)
-    # rows u + w and v + w: float addition commutes exactly
-    raw = blocks[1:] + blocks[0]
-    if float(raw.min()) < -1e-9:
-        return None
-    np.maximum(raw, 0.0, out=raw)
-    totals = raw.sum(axis=1)
-    if any(abs(total - 1.0) > 1e-9 for total in totals.tolist()):
-        return None
-    raw /= totals[:, None]
-    # only the atoms that carry mass: the grid has n points, an optimizer a few
-    side, kept = raw.nonzero()
-    atoms: tuple[list, list] = ([], [])
-    for s, i, prob in zip(side.tolist(), kept.tolist(), raw[side, kept].tolist()):
-        atoms[s].append((grid[i], prob))
-    return tuple(DiscreteDist(*zip(*side_atoms)) for side_atoms in atoms)
+    n = len(grid)
+    sides: tuple[dict, dict] = ({}, {})
+    for j, value in x.items():
+        family, i = divmod(j, n)
+        # w joins both sides, u the p side and v the q side
+        for side in ((0, 1), (0,), (1,))[family]:
+            masses = sides[side]
+            masses[i] = masses.get(i, 0.0) + value
+    optimizers = []
+    for masses in sides:
+        if masses and min(masses.values()) < -1e-9:
+            return None
+        kept = sorted((i, m) for i, m in masses.items() if m > 0.0)
+        total = math.fsum(m for _, m in kept)
+        if abs(total - 1.0) > 1e-9:
+            return None
+        optimizers.append(
+            DiscreteDist(tuple(grid[i] for i, _ in kept), tuple(m / total for _, m in kept))
+        )
+    return tuple(optimizers)
+
+
+def _certified(dist: DiscreteDist, target: Moments1D, centre: float, scale: float) -> bool:
+    """Whether ``dist`` has the moments of ``target`` in the units
+    ``t = (x - centre) / scale``, at ``ORACLE_MOMENT_TOL``."""
+    centred = DiscreteDist(tuple((x - centre) / scale for x in dist.support), dist.probs)
+    wanted = Moments1D((target.mean - centre) / scale, target.stddev / scale)
+    return check_moments(centred, wanted, ORACLE_MOMENT_TOL)
 
 
 def solve(lp: LPStandardForm) -> OracleResult:
@@ -257,10 +366,11 @@ def solve(lp: LPStandardForm) -> OracleResult:
 
     An optimal solve yields the minimal TV (clamped to [0, 1] against
     terminal rounding) and the two optimizing distributions ``p = w + u``
-    and ``q = w + v`` on ``lp.grid``, read from the blocks ``formulate``
-    lays out, keeping only the atoms that carry mass.  Each optimizer must
-    match its side of ``lp.pair`` at ``ORACLE_MOMENT_TOL``; if either does
-    not, the result is demoted to ``NUMERIC_FAILURE`` rather than trusted.
+    and ``q = w + v`` on ``lp.grid``, read from the at most six basic
+    columns, keeping only the atoms that carry mass.  Each optimizer must
+    match its side of ``lp.pair`` at ``ORACLE_MOMENT_TOL`` in the centred
+    units of the rows; if either does not, the result is demoted to
+    ``NUMERIC_FAILURE`` rather than trusted.  The atoms are reported in x.
     """
     res: SimplexResult = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
     if res.status == "infeasible":
@@ -271,8 +381,9 @@ def solve(lp: LPStandardForm) -> OracleResult:
     optimizers = _extract_pair(res.x, lp.grid)
     if optimizers is None:
         return failed
+    centre, scale = _centring(lp.pair)
     for dist, target in zip(optimizers, lp.pair):
-        if not check_moments(dist, target, ORACLE_MOMENT_TOL):
+        if not _certified(dist, target, centre, scale):
             return failed
     tv = min(1.0, max(0.0, res.objective))
     return OracleResult(OracleStatus.OPTIMAL, tv, *optimizers, res.iterations)
@@ -297,55 +408,3 @@ def minimize_tv_on_grid(
         # the tight witness puts both sides on one support
         extras = construct_tight_witness(pair).p_dist.support
     return solve(formulate(pair, build_grid(spec, extras)))
-
-
-def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
-    """Count violations of the d-dimensional trace bound on random pairs.
-
-    Each trial draws ``atoms`` shared points from a standard normal in
-    d-space and two Dirichlet(1, ..., 1) probability vectors, computes the
-    exact means, covariances and TV of the resulting pair, and evaluates
-    the trace bound at those computed moments.  A correct implementation
-    returns 0 for any seed; every violation beyond ``ND_CHECK_TOL`` counts.
-    Fully reproducible for a fixed seed.
-
-    The draws come in one batch, and so does the rest: first the points of
-    every trial, then one Dirichlet draw of ``2 * trials`` weight vectors,
-    the p side's ``trials`` first, then the q side's.  The moments of both
-    sides of every trial are stacks of shape ``(2, trials, d)`` and
-    ``(2, trials, d, d)``, and the bound is ``trace_bound``, which
-    ``tv_lower_bound_nd`` also uses.  The covariances are weighted Gram
-    matrices of finite draws, symmetric and PSD up to a round-off far inside
-    the tolerances of ``MomentsND``, so they are not re-checked; the bound
-    reads only their traces, which symmetrizing would leave unchanged.
-    A count that is not a whole number, a negative seed, and a batch of more
-    than ``ND_CHECK_MAX_DRAWS`` normal coordinates (``trials * atoms * d``)
-    raise ``BadParameterError`` before any draw.
-    """
-    d, atoms, trials = _whole("d", d), _whole("atoms", atoms), _whole("trials", trials)
-    seed = _whole("seed", seed)
-    if not 1 <= d <= 4:
-        raise BadParameterError(f"d must be in [1, 4], got {d}")
-    if atoms < d + 2:
-        raise BadParameterError(f"atoms must be >= d + 2, got {atoms}")
-    if trials < 1:
-        raise BadParameterError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise BadParameterError(f"seed must be >= 0, got {seed}")
-    if trials * atoms * d > ND_CHECK_MAX_DRAWS:
-        raise BadParameterError(
-            f"trials * atoms * d = {trials} * {atoms} * {d} is more than "
-            f"ND_CHECK_MAX_DRAWS = {ND_CHECK_MAX_DRAWS}; run fewer trials per seed"
-        )
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(trials, atoms, d))
-    # both sides at once: axis 0 is the side (p, q), axis 1 the trial
-    weights = rng.dirichlet(np.ones(atoms), size=(2, trials))
-    tv = 0.5 * np.abs(weights[0] - weights[1]).sum(axis=1)
-    means = (weights[:, :, None, :] @ points)[:, :, 0, :]
-    centred = points - means[:, :, None, :]
-    covs = centred.swapaxes(-1, -2) @ (centred * weights[..., None])
-    traces = np.einsum("stii->st", covs)
-    a = means[0] - means[1]
-    bound = trace_bound(np.einsum("ti,ti->t", a, a), traces[0], traces[1])
-    return int(np.count_nonzero(tv < bound - ND_CHECK_TOL))

@@ -1,196 +1,247 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Two-phase revised simplex for small equality-form linear programs.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0`` on a dense tableau.  Phase 1
-starts from one artificial variable per row and drives the artificials to
-zero; Phase 2 optimizes the real objective.  Pivoting uses Dantzig's rule
-for speed with Bland's rule as the anti-cycling fallback: a run of
-degenerate pivots switches column selection to smallest-index until the
-objective moves again, which rules out cycling while staying fully
-deterministic.  Each call owns a private tableau, so independent solves
-can run concurrently.
+Solves ``min c.x  s.t.  A x = b, x >= 0`` for at most ``ROWS`` = 6 rows,
+keeping only what the basis needs, as plain Python floats: the 6 x 6 basis
+inverse, the basic values and the duals.  The matrix is never stored
+whole.  It comes as a *column set*: an object with a ``shape`` of
+``(m, n)``, a ``column(j)`` that returns column ``j`` as ``ROWS`` floats,
+zero below row m, and a ``price(y, c)`` that returns ``(j, d)``, the
+column of most negative reduced cost ``d = c_j - y.A_j`` against the
+``ROWS`` duals ``y`` (the lowest index among ties), with ``c`` None
+standing for a cost of 0 on every column.  The grid oracle's programs are
+such a set, whose column families each price as one quadratic over a
+sorted grid, so that a pivot costs no scan of the columns.
 
-The programs the grid oracle hands over have six rows and hundreds of
-columns, so a pivot costs little arithmetic and the kernel keeps its NumPy
-calls few: the entering column comes from one ``argmin`` over the reduced
-costs, the ratio test runs in plain Python over the m rows, and the update
-is one row scale plus one rank-1 update of the whole tableau.  The rank-1
-term is a BLAS product of the pivot column and the pivot row (inner
-dimension 1, so every entry is one rounded multiply, as ``np.outer``
-gives) written into a buffer allocated once per solve, then subtracted in
-place.  Phase 2 runs on the phase-1 tableau: the artificial columns stay
-and keep being updated, but only the first ``n`` columns are priced, and
-since every entry updates on its own the real columns and the right-hand
-side carry the same values as on a tableau with the artificials stripped.
+Phase 1 starts from one artificial variable per row, signed so that it
+starts at ``|b_i|``, and drives their sum to zero; phase 2 prices the real
+objective from the phase-1 basis.  An artificial left basic at zero stays
+in the basis and leaves, at a step of zero, as soon as an entering column
+has a nonzero entry in its row, so that a vacuous row never needs to be
+dropped.  The entering column follows Dantzig's rule, the most negative
+reduced cost.  The leaving row follows the lexicographic ratio rule of
+Dantzig, Orden and Wolfe (1955): among the rows tied at the smallest ratio,
+the one whose row of the basis inverse, divided by its entry of the
+entering column, is lexicographically smallest.  Starting from the signed
+identity, that rule keeps every row of the basic values and the inverse
+lexicographically positive, so the walk cannot revisit a basis.  The one
+pivot outside the rule is an artificial's exit in phase 2, on the entry of
+largest magnitude whatever its sign: each artificial leaves at most once,
+as none is priced again, but a negative entry can leave its row
+lexicographically negative, and from then on it is the iteration budget,
+not the rule, that ends the walk.  A basic value rounded a hair below zero
+bounds the step at zero, so that no step is negative.
+
+The basis has the grid oracle's 6 rows; a program with fewer is padded
+with empty rows, each of which keeps its artificial basic at zero.  Every
+product with a row of the inverse is written out over the 6 entries in a
+fixed order, which keeps a pivot cheap in plain Python and its result the
+same on every Python.  The duals and the basic values move with each pivot, and the
+optimum's basic values then take one step of iterative refinement on the
+basis's own columns, which takes out the drift the updates left in them.
 """
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = ["SimplexResult", "solve_dense"]
 
+#: Rows of the basis: a program with fewer rows is padded with empty ones,
+#: each of which keeps its artificial basic at zero, since no pivot touches
+#: a row every column is zero on.  The products with the inverse are
+#: written out for this many entries.
+ROWS = 6
 #: Entries at or below this magnitude never serve as pivots.
 PIVOT_TOL = 1e-11
 #: Reduced costs above the negative of this are treated as optimal.
 OPT_TOL = 1e-9
 #: Phase-1 objective above this means the program is infeasible.
 PHASE1_TOL = 1e-9
-#: Consecutive degenerate pivots tolerated before Bland's rule kicks in.
-DEGENERATE_STREAK = 12
+#: Pivots allowed, over both phases, per row and per column, artificials
+#: included, of the program.
+BUDGET_PER_DIMENSION = 50
 
 
 class SimplexResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
-    x: np.ndarray | None
+    #: The value of each basic column, by column index; every other is 0.
+    x: dict[int, float] | None
     objective: float | None
     iterations: int
 
 
-def _apply_pivot(
-    T: np.ndarray, buf: np.ndarray, basis: list[int], row: int, col: int
-) -> None:
-    """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update
-    formed in ``buf``, a C-contiguous array of ``T``'s shape."""
-    prow = T[row]
-    prow /= prow[col]
-    # the pivot column, zeroed in the pivot row, holds the multiples of the
-    # pivot row to subtract; the column itself is rewritten below
-    T[row, col] = 0.0
-    np.dot(T[:, col : col + 1], prow[None, :], out=buf)
-    T -= buf
-    # keep the basic column an exact unit vector
-    T[:, col] = 0.0
-    prow[col] = 1.0
-    basis[row] = col
+class _Basis:
+    """The basis of a program with n real columns, padded to ``ROWS`` rows.
 
+    ``basis[i]`` is the column basic in row i (``n + i`` is row i's
+    artificial).  ``rows[i]``, for i below ``ROWS``, is row i of the basis
+    inverse followed by the basic value of row i; ``rows[ROWS]`` holds the
+    duals, followed by a value never read.  A pivot updates all of them by
+    one rank-1 step, written out entry by entry in a fixed order, as is
+    every product with a row of the inverse.
+    """
 
-def _pivot_loop(
-    T: np.ndarray,
-    buf: np.ndarray,
-    basis: list[int],
-    m: int,
-    ncols: int,
-    iterations: int,
-    max_iterations: int,
-) -> tuple[str, int]:
-    """Run pivots until the tableau's bottom row shows optimality."""
-    bland = False
-    stalled = 0
-    # views into T, which every pivot updates in place
-    reduced = T[m, :ncols]
-    rhs = T[:m, -1]
-    while True:
-        if bland:
-            eligible = (reduced < -OPT_TOL).nonzero()[0]
-            if eligible.size == 0:
-                return "optimal", iterations
-            col = int(eligible[0])
+    __slots__ = ("columns", "n", "basis", "rows")
+
+    def __init__(self, columns, b: list[float]) -> None:
+        self.n = n = columns.shape[1]
+        self.columns = columns
+        self.basis = list(range(n, n + ROWS))
+        # artificial i is the column sign(b_i) e_i, so it starts at |b_i|
+        self.rows = [
+            [(-1.0 if b[i] < 0.0 else 1.0) if k == i else 0.0 for k in range(ROWS)]
+            + [abs(b[i])]
+            for i in range(ROWS)
+        ]
+        self.rows.append([0.0] * (ROWS + 1))
+
+    def basic_column(self, j: int, b: list[float]) -> list[float]:
+        """Column ``j``, or for an artificial its signed unit column."""
+        if j < self.n:
+            return self.columns.column(j)
+        column = [0.0] * ROWS
+        column[j - self.n] = -1.0 if b[j - self.n] < 0.0 else 1.0
+        return column
+
+    def values(self) -> list[float]:
+        return [row[ROWS] for row in self.rows[:ROWS]]
+
+    def refined_values(self, b: list[float]) -> list[float]:
+        """The basic values after one step of iterative refinement: the
+        residual ``b - B x``, summed exactly on the basis's own columns, is
+        mapped through the updated inverse and added, which takes out the
+        drift the updates left in the values."""
+        values = self.values()
+        negated = [-v for v in values]
+        columns = [self.basic_column(j, b) for j in self.basis]
+        r0, r1, r2, r3, r4, r5 = [
+            math.fsum([b_i, *map(mul, row, negated)]) for b_i, row in zip(b, zip(*columns))
+        ]
+        return [
+            v + (u0 * r0 + u1 * r1 + u2 * r2 + u3 * r3 + u4 * r4 + u5 * r5)
+            for v, (u0, u1, u2, u3, u4, u5, _) in zip(values, self.rows)
+        ]
+
+    def artificial_rows(self) -> list[int]:
+        return [i for i, j in enumerate(self.basis) if j >= self.n]
+
+    def reset_duals(self, c: list[float] | None) -> None:
+        """Set the duals to ``c_B`` times the basis inverse, for phase 1
+        when ``c`` is None (cost 1 on every artificial, 0 on every real
+        column), else for phase 2 on ``c`` (cost 0 on every artificial)."""
+        n = self.n
+        if c is None:
+            costs = [1.0 if j >= n else 0.0 for j in self.basis]
         else:
-            col = int(reduced.argmin())
-            if reduced[col] >= -OPT_TOL:
+            costs = [c[j] if j < n else 0.0 for j in self.basis]
+        c0, c1, c2, c3, c4, c5 = costs
+        u = self.rows
+        self.rows[ROWS] = [
+            c0 * u[0][k] + c1 * u[1][k] + c2 * u[2][k] + c3 * u[3][k] + c4 * u[4][k] + c5 * u[5][k]
+            for k in range(ROWS)
+        ] + [0.0]
+
+    def lexicographic_row(self, alpha: list[float], ratios: list[float], step: float) -> int:
+        """Of the rows tied at the smallest ratio ``step``, the one whose row
+        of the inverse, divided by its entry of ``alpha``, is smallest."""
+        tied = [i for i, ratio in enumerate(ratios) if ratio == step]
+        return min(tied, key=lambda i: [v / alpha[i] for v in self.rows[i][:ROWS]])
+
+    def run(self, c: list[float] | None, iterations: int, budget: int) -> tuple[str, int]:
+        """Pivot, for the phase ``c`` names (see ``reset_duals``), until no
+        column prices below ``-OPT_TOL``.  The duals are computed afresh once,
+        and then move with each pivot by the entering reduced cost times the
+        new pivot row of the inverse, which prices the entering column at 0.
+        In phase 2 an artificial still basic sits at zero, and leaves at a
+        step of zero as soon as an entering column reaches its row."""
+        column, price = self.columns.column, self.columns.price
+        basis, rows, inf = self.basis, self.rows, math.inf
+        optimal, tiny = -OPT_TOL, PIVOT_TOL
+        artificials = self.artificial_rows() if c is not None else []
+        self.reset_duals(c)
+        while True:
+            col, reduced = price(rows[ROWS][:ROWS], c)
+            if reduced >= optimal:
                 return "optimal", iterations
-        # ratio test over the m rows: smallest rhs / entry among entries
-        # above PIVOT_TOL; the smallest basis index among ties keeps the
-        # walk deterministic
-        row = -1
-        best = 0.0
-        entries = T[:m, col].tolist()
-        for i, (entry, value) in enumerate(zip(entries, rhs.tolist())):
-            if entry > PIVOT_TOL:
-                ratio = value / entry
-                if (
-                    row < 0
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[row])
-                ):
-                    row, best = i, ratio
-        if row < 0:
-            return "unbounded", iterations
-        _apply_pivot(T, buf, basis, row, col)
-        iterations += 1
-        if iterations >= max_iterations:
-            return "iteration_limit", iterations
-        if best <= PIVOT_TOL:
-            stalled += 1
-            if stalled >= DEGENERATE_STREAK:
-                bland = True
-        else:
-            stalled = 0
-            bland = False
+            a0, a1, a2, a3, a4, a5 = column(col)
+            alpha = [
+                r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5
+                for r0, r1, r2, r3, r4, r5, _ in rows[:ROWS]
+            ]
+            reached = artificials and [i for i in artificials if abs(alpha[i]) > tiny]
+            if reached:
+                row = max(reached, key=lambda i: abs(alpha[i]))
+                artificials.remove(row)
+                step = 0.0
+            else:
+                # a value rounded a hair below zero bounds the step at zero
+                ratios = [
+                    (r[ROWS] / entry if r[ROWS] > 0.0 else 0.0) if entry > tiny else inf
+                    for entry, r in zip(alpha, rows)
+                ]
+                step = min(ratios)
+                if step == inf:
+                    return "unbounded", iterations
+                row = ratios.index(step)
+                if ratios.count(step) > 1:
+                    row = self.lexicographic_row(alpha, ratios, step)
+            scale = alpha[row]
+            p0, p1, p2, p3, p4, p5, _ = rows[row]
+            p0, p1, p2 = p0 / scale, p1 / scale, p2 / scale
+            p3, p4, p5 = p3 / scale, p4 / scale, p5 / scale
+            # the duals' row takes -reduced times the pivot row, which moves
+            # the duals by reduced times the new pivot row of the inverse
+            alpha.append(-reduced)
+            rows[:] = [
+                [
+                    r0 - f * p0, r1 - f * p1, r2 - f * p2,
+                    r3 - f * p3, r4 - f * p4, r5 - f * p5, r6 - f * step,
+                ]
+                for (r0, r1, r2, r3, r4, r5, r6), f in zip(rows, alpha)
+            ]
+            rows[row] = [p0, p1, p2, p3, p4, p5, step]
+            basis[row] = col
+            iterations += 1
+            if iterations >= budget:
+                return "iteration_limit", iterations
 
 
 def solve_dense(c, A, b) -> SimplexResult:
     """Solve ``min c.x  s.t.  A x = b, x >= 0``.
 
-    Deterministic: the same inputs always produce bit-identical results.
-    The iteration budget is ``50 * (rows + columns)`` counted across both
-    phases, after which the solve reports ``iteration_limit``.  Raises
-    ``ValueError`` on inconsistent dimensions or a non-finite coefficient.
+    ``A`` is a column set of at most ``ROWS`` rows (see the module
+    docstring).  Deterministic:
+    the same inputs always produce bit-identical results.  The iteration
+    budget is ``BUDGET_PER_DIMENSION * (2 * rows + columns)``, the rows
+    counted once more for their artificials, across both phases, after
+    which the solve reports ``iteration_limit``.  Raises ``ValueError`` on
+    inconsistent dimensions, more than ``ROWS`` rows, or a non-finite cost
+    or right-hand side.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    b = [float(v) for v in b]
     m, n = A.shape
-    if b.size != m or c.size != n:
+    if len(b) != m or len(c) != n:
         raise ValueError("inconsistent LP dimensions")
-
-    # the tableau holds copies, so the caller's arrays are never written to
-    ncols = n + m
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    if not (np.isfinite(T).all() and np.isfinite(c).all()):
-        # a NaN fails every ratio test and pivot comparison, so the walk
-        # would run to the iteration budget on garbage
+    if m > ROWS:
+        raise ValueError(f"the kernel takes at most {ROWS} rows, got {m}")
+    if not (all(map(math.isfinite, b)) and all(map(math.isfinite, c))):
         raise ValueError("LP coefficients must be finite")
-    # orient every row so the right-hand side is non-negative
-    for i, value in enumerate(b.tolist()):
-        if value < 0.0:
-            T[i] *= -1.0
-    # phase 1 starts from one artificial per row
-    T[:m, n:ncols] = np.eye(m)
-    T[m, :n] = -T[:m, :n].sum(axis=0)
-    T[m, -1] = -T[:m, -1].sum()
-    basis = list(range(n, ncols))
-    buf = np.empty_like(T)
 
-    max_iterations = 50 * (m + ncols)
-    status, iterations = _pivot_loop(T, buf, basis, m, ncols, 0, max_iterations)
+    b += [0.0] * (ROWS - m)
+    basis = _Basis(A, b)
+    budget = BUDGET_PER_DIMENSION * (2 * m + n)
+    status, iterations = basis.run(None, 0, budget)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
-    if -T[m, -1] > PHASE1_TOL:
+    values = basis.values()
+    residual = math.fsum(values[i] for i in basis.artificial_rows())
+    if residual > PHASE1_TOL:
         return SimplexResult("infeasible", None, None, iterations)
-    # basic artificials sit at zero; pivot them onto real columns,
-    # or drop their row entirely when it has become vacuous
-    drop: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = (np.abs(T[i, :n]) > PIVOT_TOL).nonzero()[0]
-            if candidates.size:
-                _apply_pivot(T, buf, basis, i, int(candidates[0]))
-                iterations += 1
-            else:
-                drop.append(i)
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        T = T[keep + [m], :]
-        buf = buf[: len(keep) + 1]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-
-    # phase 2 on the real objective and the same tableau: the artificial
-    # columns stay, but only the first n columns are priced, and the bottom
-    # row past them is never read again
-    T[m, :n] = c
-    for i, cost in enumerate(c[basis].tolist()):
-        if cost != 0.0:
-            T[m, :] -= cost * T[i, :]
-    status, iterations = _pivot_loop(T, buf, basis, m, n, iterations, max_iterations)
+    status, iterations = basis.run(c, iterations, budget)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
-
-    x = np.zeros(n)
-    x[basis] = T[:m, -1]
-    return SimplexResult("optimal", x, float(c @ x), iterations)
+    x = {j: v for j, v in zip(basis.basis, basis.refined_values(b)) if j < n}
+    objective = math.fsum(c[j] * v for j, v in x.items())
+    return SimplexResult("optimal", x, objective, iterations)

@@ -101,8 +101,9 @@ def expected(name, code):
     )
 
 
-#: The commands that import numpy; the others must run without it.
-NUMPY_COMMANDS = ("verify", "nd-bound", "nd-check")
+#: The commands that import numpy; the others, ``verify`` among them, must
+#: run without it.
+NUMPY_COMMANDS = ("nd-bound", "nd-check")
 
 
 def main(argv) -> int:

@@ -442,6 +442,16 @@ def test_verify_overflowing_grid_is_an_error(capsys):
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
+def test_verify_overflowing_centring_scale_is_an_error(capsys):
+    # sp + sq overflows while every moment and grid point is finite; divided
+    # by that scale the rows collapsed to TV 0, which printed "violated"
+    args = ("--mp", "0", "--sp", "1e308", "--mq", "1e307", "--sq", "1e308")
+    grid = ("--grid-lo=-1e307", "--grid-hi", "1e307", "--include-witness", "false")
+    code, out, err = run_cli(capsys, "verify", *args, *grid)
+    assert (code, out) == (1, "")
+    assert err == "error: LP coefficients must be finite: the centring scale overflows\n"
+
+
 @pytest.mark.parametrize("command", ["witness", "verify"])
 def test_overflowing_witness_moments_are_an_error(capsys, command):
     # the witness atoms' squared deviations overflow, so the moment check
@@ -491,7 +501,7 @@ def test_verify_refuses_a_grid_past_its_limit(capsys, monkeypatch, grid):
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was allocated")
 
-    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr("tvbounds.oracle.build_grid", refuse)
     code, out, err = run_cli(
         capsys, "verify", *PAIR_FLAGS, *grid, "--grid-n", "1000000000000"
     )
@@ -1008,8 +1018,9 @@ def test_bad_bool_is_invalid_input(capsys):
 
 # ----------------------------------------------------------- import boundary
 
-# Runs in a fresh interpreter: the commands given first must not load any
-# module in NUMPY_SIDE; the ones given second then load what they need.
+# Runs in a fresh interpreter: importing the oracle and running the commands
+# given first, ``verify`` among them, must not load any module in
+# NUMPY_SIDE; the ones given second then load what they need.
 _COLD_RUN = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -1019,8 +1030,9 @@ before = set(sys.modules)
 
 import tvbounds
 import tvbounds.cli
+import tvbounds.oracle
 
-NUMPY_SIDE = ("numpy", "tvbounds.nd", "tvbounds.oracle", "tvbounds.simplex")
+NUMPY_SIDE = ("numpy", "tvbounds.nd")
 # record-class machinery that costs the 1-D commands more than the package
 HEAVY = ("dataclasses", "inspect")
 
@@ -1060,9 +1072,10 @@ def test_one_d_commands_never_import_numpy(capsys, tmp_path):
         ["sequence", "--sp", "2", "--sq", "1", "--k", "10"],
         ["sweep", "--param", "sp", "--start", "0.5", "--stop", "2", "--step", "0.5",
          "--mp", "1", "--mq", "0", "--sq", "1"],
+        ["verify", *PAIR_FLAGS, "--grid-n", "21"],
+        ["verify", *PAIR_FLAGS, "--grid-n", "21", "--include-witness", "false"],
     ]
     numpy_side = [
-        ["verify", *PAIR_FLAGS, "--grid-n", "21"],
         ["nd-bound", str(nd_path)],
         ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"],
     ]
@@ -1134,11 +1147,6 @@ ORACLE_REPRODUCERS = {
 }
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP item 1: the grid LP's raw-power rows are not scale-free, so "
-    "verify says infeasible, violated, sound or numeric_failure",
-)
 @pytest.mark.parametrize("flags", ORACLE_REPRODUCERS.values(), ids=ORACLE_REPRODUCERS)
 def test_verify_is_tight_on_the_oracle_reproducers(capsys, flags):
     code, payload = run_json(capsys, "verify", *flags)

@@ -262,11 +262,6 @@ def base_verdicts():
     return [verdict(x, include) for x, include in VERIFY_CASES]
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP item 1: the grid oracle breaks the symmetries the "
-    "closed forms keep, mostly on point-mass sides",
-)
 @pytest.mark.parametrize("name", MAPS)
 def test_verify_verdict_is_invariant_under_the_map(name, base_verdicts):
     changed = [

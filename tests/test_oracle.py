@@ -24,12 +24,14 @@ from tvbounds import (
     solve,
     tv_lower_bound_1d,
     tv_lower_bound_nd,
+    WitnessConstructionError,
 )
 import tvbounds.discrete as discrete
+import tvbounds.nd as nd
 import tvbounds.oracle as oracle
 from tvbounds.simplex import solve_dense
 
-from test_simplex import _ref_solve_dense
+from conftest import DenseColumns
 
 
 def pair(mp, sp, mq, sq):
@@ -61,19 +63,46 @@ def test_grid_spec_refuses_a_count_past_its_limit_before_allocating(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was allocated")
 
-    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(oracle, "build_grid", refuse)
     limit = oracle.GRID_MAX_COUNT
     assert GridSpec(0.0, 1.0, limit).count == limit
     for count in (limit + 1, 10**12):
-        with pytest.raises(ValueError) as raised:
-            GridSpec(0.0, 1.0, count)
+        with pytest.raises(BadParameterError) as raised:
+            oracle.minimize_tv_on_grid(pair(0, 1, 0.5, 1), GridSpec(0.0, 1.0, count))
         assert str(raised.value) == (
             f"count must be at most GRID_MAX_COUNT = {limit}, got {count}"
         )
 
 
+@pytest.mark.parametrize(
+    "lo, hi, count, message",
+    [
+        (1.0, 1.0, 5, "need finite lo < hi, got lo=1.0, hi=1.0"),
+        (2.0, 1.0, 5, "need finite lo < hi, got lo=2.0, hi=1.0"),
+        (math.nan, 1.0, 5, "need finite lo < hi, got lo=nan, hi=1.0"),
+        (0.0, math.inf, 5, "need finite lo < hi, got lo=0.0, hi=inf"),
+        (-1e308, 1e308, 5, "the span hi - lo overflows, got lo=-1e+308, hi=1e+308"),
+        (0.0, 1.0, 1, "count must be >= 2, got 1"),
+        (0.0, 1.0, -3, "count must be >= 2, got -3"),
+        (0.0, 1.0, 2.5, "count must be a whole number, got 2.5"),
+        (0.0, 1.0, math.inf, "count must be a whole number, got inf"),
+        (0.0, 1.0, 10**6, "count must be at most GRID_MAX_COUNT = 500000, got 1000000"),
+    ],
+)
+def test_grid_spec_refuses_with_bad_parameter_error(lo, hi, count, message):
+    with pytest.raises(BadParameterError) as raised:
+        GridSpec(lo, hi, count)
+    assert str(raised.value) == message
+
+
+def test_a_grid_of_one_point_is_refused_with_bad_parameter_error():
+    with pytest.raises(BadParameterError) as raised:
+        formulate(pair(0, 1, 0, 1), [0.5])
+    assert str(raised.value) == "grid needs at least 2 points, got 1"
+
+
 def test_build_grid_merges_extras():
-    grid = build_grid(GridSpec(-6, 6, 121), (0.5, 3.0, -2.0))
+    grid = np.array(build_grid(GridSpec(-6, 6, 121), (0.5, 3.0, -2.0)))
     assert np.all(np.diff(grid) > 0)
     for wanted in (-2.0, 0.5, 3.0):
         assert np.min(np.abs(grid - wanted)) <= 1e-9
@@ -83,7 +112,7 @@ def test_build_grid_merges_extras():
 
 def test_build_grid_dedupes_coincident_extras():
     grid = build_grid(GridSpec(0, 1, 2), (0.0, 1.0, 0.5))
-    assert grid.tolist() == [0.0, 0.5, 1.0]
+    assert grid == [0.0, 0.5, 1.0]
 
 
 # `build_grid` as it stood before it built its values as a Python list:
@@ -107,9 +136,9 @@ def _ref_build_grid(spec, extra_points=()):
 
 def _assert_same_grid(spec, extra_points=()):
     got, want = build_grid(spec, extra_points), _ref_build_grid(spec, extra_points)
-    assert got.dtype == want.dtype
+    assert all(type(x) is float for x in got)
     # bytes, so that -0.0 and 0.0 count as different
-    assert got.tobytes() == want.tobytes()
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -191,29 +220,56 @@ def test_grid_spec_default_pads_two_point_masses_by_one():
 # -------------------------------------------------------------- formulation
 
 
-def test_formulate_shapes_and_content():
-    grid = np.array([-1.0, 0.0, 1.0])
+def test_formulate_writes_centred_rows():
+    # centre 0.125, scale 0.75: t = (x - 0.125) / 0.75, t_p = 1/6, t_q = -1/6
+    grid = [1.0, -1.0, 0.0]
     lp = formulate(pair(0.25, 0.5, 0.0, 0.25), grid)
     n = 3
-    W, U, V = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    A = lp.constraint_matrix
-    assert A.shape == (6, 3 * n)
-    assert lp.objective.size == 3 * n
-    assert lp.rhs.size == 6
+    columns = lp.constraint_matrix
+    assert columns.shape == (6, 3 * n)
+    assert lp.grid == (-1.0, 0.0, 1.0)  # sorted
     # objective: the mass of the p-side excess u, nothing else
-    assert np.all(lp.objective[U] == 1.0)
-    assert np.count_nonzero(lp.objective) == n
-    np.testing.assert_allclose(lp.rhs, [1.0, 0.25, 0.3125, 1.0, 0.0, 0.0625])
+    assert lp.objective == [0.0] * n + [1.0] * n + [0.0] * n
+    t_p, t_q = 0.125 / 0.75, -0.125 / 0.75
+    assert lp.rhs == [1.0, t_p, (0.5 / 0.75) ** 2, 1.0, t_q, (0.25 / 0.75) ** 2]
     # p = w + u carries rows 0-2 and q = w + v rows 3-5; u never meets q
     # and v never meets p
-    for k, power in enumerate((np.ones(n), grid, grid * grid)):
-        np.testing.assert_array_equal(A[k, W], power)
-        np.testing.assert_array_equal(A[k, U], power)
-        assert np.all(A[k, V] == 0.0)
-        np.testing.assert_array_equal(A[3 + k, W], power)
-        np.testing.assert_array_equal(A[3 + k, V], power)
-        assert np.all(A[3 + k, U] == 0.0)
-    assert lp.grid == (-1.0, 0.0, 1.0)
+    for i, x in enumerate(lp.grid):
+        t = (x - 0.125) / 0.75
+        p_rows, q_rows = [1.0, t, (t - t_p) ** 2], [1.0, t, (t - t_q) ** 2]
+        assert columns.column(i) == pytest.approx(p_rows + q_rows, abs=1e-15)
+        assert columns.column(n + i) == pytest.approx(p_rows + [0.0] * 3, abs=1e-15)
+        assert columns.column(2 * n + i) == pytest.approx([0.0] * 3 + q_rows, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "moments, centre, scale",
+    [
+        ((3.0, 1.0, 1.0, 2.0), 2.0, 3.0),
+        ((0.5, 0.0, -2.0, 0.0), -0.75, 2.5),  # both point masses: the gap
+        ((4.0, 0.0, 4.0, 0.0), 4.0, 1.0),  # one point mass twice: 1
+    ],
+)
+def test_centring_is_the_midpoint_and_the_summed_stddevs(moments, centre, scale):
+    assert oracle._centring(pair(*moments)) == (centre, scale)
+
+
+def test_formulate_refuses_a_row_past_the_float_range():
+    # the grid reaches 1e160 from a centre near 5e159, whose square overflows
+    with pytest.raises(ValueError, match="^LP coefficients must be finite$"):
+        formulate(pair(1e160, 1, 0, 1), [-1.0, 0.0, 1e160])
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [(0, 1e308, 1e307, 1e308), (1e308, 0, -1e308, 0)],
+    ids=["summed_stddevs", "distance_of_the_means"],
+)
+def test_formulate_refuses_a_centring_scale_past_the_float_range(moments):
+    # an infinite scale would divide every row coefficient down to 0, and
+    # the collapsed program would report TV 0 for pairs with a positive bound
+    with pytest.raises(ValueError, match="^LP coefficients must be finite: the centring"):
+        formulate(pair(*moments), [-1e307, 0.0, 1e307])
 
 
 def test_formulate_identical_moments_reaches_zero():
@@ -250,7 +306,7 @@ def test_solve_detects_infeasibility():
 def test_solve_reports_numeric_failure_on_unbounded_program():
     lp = LPStandardForm(
         objective=np.array([-1.0, 0.0]),
-        constraint_matrix=np.array([[1.0, -1.0]]),
+        constraint_matrix=DenseColumns([[1.0, -1.0]]),
         rhs=np.array([0.0]),
         pair=pair(0, 1, 0, 1),
         grid=(-1.0, 1.0),
@@ -392,7 +448,7 @@ def test_plain_grid_optimum_matches_reference_lp():
     # from the grid alone and solved by HiGHS
     linprog = pytest.importorskip("scipy.optimize").linprog
     for this in _sweep_pairs(43, 30):
-        grid = build_grid(GridSpec.default_for(this))
+        grid = np.array(build_grid(GridSpec.default_for(this)))
         n = grid.size
         eye, zero = np.eye(n), np.zeros((3, n))
         powers = np.vstack([np.ones(n), grid, grid**2])
@@ -422,99 +478,102 @@ def test_plain_grid_optimum_matches_reference_lp():
         assert abs(result.tv_min - reference.fun) <= 1e-9, (this, result.tv_min)
 
 
-# ------------------------------------------------------------ simplex engine
+# ------------------------------------------------------- robustness sweep
+# The rows are centred and scale-free, so an offset or a scale that floats
+# can represent must not make the oracle fail or undercut the bound.
 
 
-def _lattice_pairs(seed, pool=149, lattice=(1, 12, 44)):
-    """The pairs of the benchmark's ``verify_grid`` workload: a rank-1
-    lattice over (mean_p, sd_p, sd_q), shifted at random by ``seed``."""
+def _robustness_inputs(seed=2207, count=1000):
+    """Offsets 0 (a quarter) or +-10^U(0, 7), scales 10^U(-6, 6), a
+    point-mass side in three pairs of four (p, q or both), grids of 3 to
+    200 points; each input runs in both grid modes."""
     rng = random.Random(seed)
-    shift = [rng.random() for _ in lattice]
-    for i in range(pool):
-        u, v, w = (((i * g % pool) / pool + s) % 1.0 for g, s in zip(lattice, shift))
-        yield pair(-2.0 + 4.0 * u, 0.2 + 1.8 * v, 0.0, 0.2 + 1.8 * w)
+    for _ in range(count):
+        offset = 0.0 if rng.random() < 0.25 else rng.choice((-1, 1)) * 10 ** rng.uniform(0, 7)
+        scale = 10 ** rng.uniform(-6, 6)
+        sp, sq = (rng.uniform(0.05, 2) * scale for _ in "pq")
+        if rng.random() < 0.75:
+            which = rng.randrange(3)
+            sp, sq = (0.0 if which != 1 else sp), (0.0 if which != 0 else sq)
+        mp, mq = (offset + rng.uniform(-2, 2) * scale for _ in "pq")
+        yield (mp, sp, mq, sq), rng.randint(3, 200)
 
 
-def _ref_minimize(p, include_witness_points):
-    """``minimize_tv_on_grid`` on the reference ``build_grid`` and the
-    reference simplex kernel, with the extraction and certification as they
-    stood before both sides went through one pass."""
-    extras = ()
-    if include_witness_points:
-        w = oracle.construct_tight_witness(p)
-        extras = w.p_dist.support + w.q_dist.support
-    lp = formulate(p, _ref_build_grid(GridSpec.default_for(p), extras))
-    res = _ref_solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
-    if res.status == "infeasible":
-        return oracle.OracleResult(OracleStatus.INFEASIBLE, None, None, None, res.iterations)
-    failed = oracle.OracleResult(
-        OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations
-    )
-    if res.status != "optimal":
-        return failed
-    n = len(lp.grid)
-    dists = []
-    for raw in (res.x[:n] + res.x[n : 2 * n], res.x[:n] + res.x[2 * n :]):
-        if float(raw.min(initial=0.0)) < -1e-9:
-            return failed
-        w = np.where(raw < 0.0, 0.0, raw)
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            return failed
-        w = w / total
-        kept = np.flatnonzero(w)
-        dists.append(
-            oracle.DiscreteDist(
-                tuple(lp.grid[i] for i in kept.tolist()), tuple(w[kept].tolist())
-            )
-        )
-    for dist, row in zip(dists, (1, 4)):
-        mean = float(lp.rhs[row])
-        var = max(0.0, float(lp.rhs[row + 1]) - mean * mean)
-        if not check_moments(dist, Moments1D(mean, var**0.5), oracle.ORACLE_MOMENT_TOL):
-            return failed
-    tv = min(1.0, max(0.0, res.objective))
-    return oracle.OracleResult(OracleStatus.OPTIMAL, tv, *dists, res.iterations)
+def _verdict(x, count, seeded):
+    this = pair(*x)
+    try:
+        result = minimize_tv_on_grid(this, GridSpec.default_for(this, count), seeded)
+    except WitnessConstructionError:
+        # the witness layer refuses to seed the grid (ROADMAP item 3)
+        return "witness refused"
+    if result.status is not OracleStatus.OPTIMAL:
+        return result.status.value
+    bound = tv_lower_bound_1d(this)
+    if result.tv_min < bound - 1e-8:
+        return "violated"
+    return "tight" if abs(result.tv_min - bound) <= 1e-6 else "sound"
+
+
+@pytest.fixture(scope="module")
+def robustness_sweep():
+    return [
+        (x, count, seeded, _verdict(x, count, seeded))
+        for x, count in _robustness_inputs()
+        for seeded in (True, False)
+    ]
+
+
+def test_robustness_sweep_never_lands_below_the_bound(robustness_sweep):
+    assert [case for case in robustness_sweep if case[3] == "violated"] == []
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "plain"])
+def test_robustness_sweep_has_no_numeric_failure(robustness_sweep, seeded):
+    in_mode = [case for case in robustness_sweep if case[2] is seeded]
+    assert [case for case in in_mode if case[3] == "numeric_failure"] == []
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="FOUND: at offsets more than about 3e8 times the spread, build_grid's "
+    "merge tolerance 1e-12 (1 + |x|) exceeds the grid spacing and merges "
+    "witness atoms away: mp 457295.6663124084, sp 0, mq 457295.66630742175, "
+    "sq 4.451693381157417e-06 on 176 points keeps 88, without either "
+    "witness atom, and is infeasible (ROADMAP items 1 and 3)",
+)
+def test_robustness_sweep_seeded_grid_is_tight(robustness_sweep):
+    loose = [case for case in robustness_sweep if case[2] and case[3] != "tight"]
+    assert loose == []
+
+
+# ------------------------------------------------------------ simplex engine
 
 
 def test_extract_pair_clamps_and_refuses():
     grid = (-1.0, 0.0, 1.0)
-    # the w, u and v blocks; p = w + u holds -5e-10 at x = 1, within -1e-9,
-    # which is clamped to 0 and dropped with the other empty atoms
-    x = np.array([0.25, 0.25, 0.0, 0.5, 0.0, -5e-10, 0.0, 0.5, 0.0])
+    # the basic columns of the w, u and v blocks; p = w + u holds -5e-10 at
+    # x = 1, within -1e-9, which is clamped to 0 and dropped with the other
+    # empty atoms
+    x = {0: 0.25, 1: 0.25, 3: 0.5, 5: -5e-10, 7: 0.5, 8: 0.0}
     p, q = oracle._extract_pair(x, grid)
     assert (p.support, p.probs) == ((-1.0, 0.0), (0.75, 0.25))
     assert (q.support, q.probs) == ((-1.0, 0.0), (0.25, 0.75))
     # mass below -1e-9 on either side, or a total off 1 by more than 1e-9
-    x[5] = -2e-9
-    assert oracle._extract_pair(x, grid) is None
-    x[5] = 0.0
-    x[7] = 0.5 + 2e-9
-    assert oracle._extract_pair(x, grid) is None
-
-
-@pytest.mark.parametrize("include_witness_points", [True, False])
-def test_oracle_result_equals_reference_on_benchmark_lattice(include_witness_points):
-    # compared with ==: the same statuses, TVs, iteration counts and atoms
-    statuses = set()
-    for p in _lattice_pairs(seed=3):
-        got = minimize_tv_on_grid(p, include_witness_points=include_witness_points)
-        assert got == _ref_minimize(p, include_witness_points)
-        statuses.add(got.status)
-    assert OracleStatus.OPTIMAL in statuses
+    assert oracle._extract_pair({**x, 5: -2e-9}, grid) is None
+    assert oracle._extract_pair({**x, 5: 0.0, 7: 0.5 + 2e-9}, grid) is None
 
 
 def test_simplex_small_equality_program():
     # min x + y  s.t.  x + 2y = 4, x >= 0, y >= 0
-    res = solve_dense([1.0, 1.0], [[1.0, 2.0]], [4.0])
+    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 2.0]]), [4.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(res.x, [0.0, 2.0], atol=1e-12)
+    assert res.x == pytest.approx({1: 2.0}, abs=1e-12)
 
 
 def test_simplex_handles_negative_rhs():
     # same program written with a negated row
-    res = solve_dense([1.0, 1.0], [[-1.0, -2.0]], [-4.0])
+    res = solve_dense([1.0, 1.0], DenseColumns([[-1.0, -2.0]]), [-4.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0, abs=1e-12)
 
@@ -529,19 +588,19 @@ def test_simplex_beale_cycling_example():
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
     ]
     b = [0.0, 0.0, 1.0]
-    res = solve_dense(c, A, b)
+    res = solve_dense(c, DenseColumns(A), b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-12)
 
 
 def test_simplex_unbounded():
-    res = solve_dense([-1.0, 0.0], [[1.0, -1.0]], [0.0])
+    res = solve_dense([-1.0, 0.0], DenseColumns([[1.0, -1.0]]), [0.0])
     assert res.status == "unbounded"
 
 
 def test_simplex_infeasible():
     # x1 + x2 = -1 has no non-negative solution
-    res = solve_dense([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
     assert res.status == "infeasible"
 
 
@@ -570,7 +629,7 @@ def test_nd_check_parameter_validation(d, atoms, trials):
 @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
 def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, bad):
     args = dict(d=2, atoms=6, trials=10, seed=0)
-    monkeypatch.setattr(oracle.np.random, "default_rng", None)
+    monkeypatch.setattr(nd.np.random, "default_rng", None)
     with pytest.raises(BadParameterError) as raised:
         check_nd_bound_random(**{**args, name: bad})
     assert str(raised.value) == f"{name} must be a whole number, got {bad!r}"
@@ -582,10 +641,10 @@ def test_nd_check_takes_whole_counts_of_any_numeric_type():
 
 
 def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
-    monkeypatch.setattr(oracle, "ND_CHECK_MAX_DRAWS", 2 * 5 * 10)
+    monkeypatch.setattr(nd, "ND_CHECK_MAX_DRAWS", 2 * 5 * 10)
     assert check_nd_bound_random(2, 5, 10, 0) == 0
     # no generator is made, so nothing is drawn or allocated
-    monkeypatch.setattr(oracle.np.random, "default_rng", None)
+    monkeypatch.setattr(nd.np.random, "default_rng", None)
     with pytest.raises(BadParameterError, match="ND_CHECK_MAX_DRAWS = 100"):
         check_nd_bound_random(2, 5, 11, 0)
 
@@ -615,20 +674,20 @@ def _loop_margins(d, atoms, trials, seed):
 def test_nd_check_agrees_with_per_trial_loop(d, extra_atoms, seed, monkeypatch):
     # the loop draws each side's weights with a call of its own, so equal
     # counts pin the batch's one draw to the p side first, at any shape
-    atoms, tol = d + extra_atoms, oracle.ND_CHECK_TOL
+    atoms, tol = d + extra_atoms, nd.ND_CHECK_TOL
     for trials in (120, 1):
         margins = _loop_margins(d, atoms, trials, seed)
-        monkeypatch.setattr(oracle, "ND_CHECK_TOL", tol)
+        monkeypatch.setattr(nd, "ND_CHECK_TOL", tol)
         violations = sum(m < -tol for m in margins)
         assert check_nd_bound_random(d, atoms, trials, seed) == violations
         # the lowest margin agrees to 1e-12: no trial sits further below it,
         # and one sits within 1e-12 of it
         lowest = min(margins)
-        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest - 1e-12))
+        monkeypatch.setattr(nd, "ND_CHECK_TOL", -(lowest - 1e-12))
         assert check_nd_bound_random(d, atoms, trials, seed) == 0
-        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -(lowest + 1e-12))
+        monkeypatch.setattr(nd, "ND_CHECK_TOL", -(lowest + 1e-12))
         assert check_nd_bound_random(d, atoms, trials, seed) >= 1
         # a tolerance of -1 makes every trial a violation, so the counter
         # is live
-        monkeypatch.setattr(oracle, "ND_CHECK_TOL", -1.0)
+        monkeypatch.setattr(nd, "ND_CHECK_TOL", -1.0)
         assert check_nd_bound_random(d, atoms, trials, seed) == trials

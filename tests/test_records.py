@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tvbounds import (
+    BadParameterError,
     BoundReport1D,
     DimensionMismatchError,
     DiscreteDist,
@@ -145,23 +146,23 @@ RECORDS = [
         {},
         True,
         [
-            (dict(hi=-1.0), ValueError, "need finite lo < hi, got lo=-1.0, hi=-1.0"),
-            (dict(lo=math.nan), ValueError, "need finite lo < hi, got lo=nan, hi=1.0"),
+            (dict(hi=-1.0), BadParameterError, "need finite lo < hi, got lo=-1.0, hi=-1.0"),
+            (dict(lo=math.nan), BadParameterError, "need finite lo < hi, got lo=nan, hi=1.0"),
             (
                 dict(lo=-1e308, hi=1e308),
-                ValueError,
+                BadParameterError,
                 "the span hi - lo overflows, got lo=-1e+308, hi=1e+308",
             ),
-            (dict(count=1), ValueError, "count must be >= 2, got 1"),
+            (dict(count=1), BadParameterError, "count must be >= 2, got 1"),
             (
                 dict(count=500_001),
-                ValueError,
+                BadParameterError,
                 "count must be at most GRID_MAX_COUNT = 500000, got 500001",
             ),
-            (dict(count=2.9), ValueError, "count must be a whole number, got 2.9"),
-            (dict(count=math.inf), ValueError, "count must be a whole number, got inf"),
-            (dict(count=math.nan), ValueError, "count must be a whole number, got nan"),
-            (dict(count="5"), ValueError, "count must be a whole number, got '5'"),
+            (dict(count=2.9), BadParameterError, "count must be a whole number, got 2.9"),
+            (dict(count=math.inf), BadParameterError, "count must be a whole number, got inf"),
+            (dict(count=math.nan), BadParameterError, "count must be a whole number, got nan"),
+            (dict(count="5"), BadParameterError, "count must be a whole number, got '5'"),
         ],
     ),
     (

@@ -1,244 +1,215 @@
-"""The dense simplex's pivot kernel against a reference copy of the NumPy
-kernel it replaced.
+"""The revised simplex kernel: its optimum against HiGHS, its determinism,
+its termination, its budget and its refusals.
 
-The kernel does its ratio test in plain Python, forms each rank-1 update as
-a BLAS product into a buffer, and runs phase 2 on the phase-1 tableau; the
-reference uses ``np.outer``, array ratio tests and a phase-2 tableau with
-the artificial columns stripped.  Every entry still goes through the same
-floating-point operations, so the two must agree by value: same status,
-same iteration count, same objective and the same ``x``, compared with
-``==`` and ``array_equal``, not with a tolerance.  Only the sign of a zero
-may differ, because a BLAS product can return +0.0 where ``np.outer``
-returns -0.0, and ``==`` treats the two as equal.
+HiGHS (``scipy.optimize.linprog``, a test dependency only) solves each grid
+program as a dense matrix on the raw-power rows ``1, x, x^2``, built here
+from the grid alone, so it shares neither the kernel nor the centred rows
+of ``formulate``; both must reach the same optimum within 1e-9.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from tvbounds import (
-    GridSpec,
-    MomentPair1D,
-    build_grid,
-    construct_tight_witness,
-    formulate,
-)
-from tvbounds.simplex import (
-    DEGENERATE_STREAK,
-    OPT_TOL,
-    PHASE1_TOL,
-    PIVOT_TOL,
-    SimplexResult,
-    solve_dense,
-)
+import tvbounds.oracle as oracle
+import tvbounds.simplex as simplex
+from tvbounds import GridSpec, MomentPair1D, OracleStatus, build_grid, formulate, solve
+from tvbounds.simplex import solve_dense
 
-# ------------------------------------------------------ reference kernel
-# The NumPy kernel as it stood before the Python ratio test: np.outer for
-# the update, np.flatnonzero and np.argmin for the choices, the ratio test
-# as array arithmetic over the eligible rows.
+from conftest import DenseColumns
+
+linprog = pytest.importorskip("scipy.optimize").linprog
 
 
-def _ref_apply_pivot(T, basis, row, col):
-    T[row, :] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+def pair(mp, sp, mq, sq):
+    return MomentPair1D.from_scalars(mp, sp, mq, sq)
 
 
-def _ref_pivot_loop(T, basis, m, ncols, iterations, max_iterations):
-    bland = False
-    stalled = 0
-    while True:
-        reduced = T[m, :ncols]
-        if bland:
-            eligible = np.flatnonzero(reduced < -OPT_TOL)
-            if eligible.size == 0:
-                return "optimal", iterations
-            col = int(eligible[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -OPT_TOL:
-                return "optimal", iterations
-        direction = T[:m, col]
-        rows = np.flatnonzero(direction > PIVOT_TOL)
-        if rows.size == 0:
-            return "unbounded", iterations
-        ratios = T[rows, -1] / direction[rows]
-        best = float(ratios.min())
-        tied = rows[ratios == best]
-        row = int(tied[np.argmin(basis[tied])]) if tied.size > 1 else int(tied[0])
-        _ref_apply_pivot(T, basis, row, col)
-        iterations += 1
-        if iterations >= max_iterations:
-            return "iteration_limit", iterations
-        if best <= PIVOT_TOL:
-            stalled += 1
-            if stalled >= DEGENERATE_STREAK:
-                bland = True
-        else:
-            stalled = 0
-            bland = False
+def lattice_pairs(seed, pool=149, lattice=(1, 12, 44)):
+    """The pairs of the benchmark's ``verify_grid`` workload: a rank-1
+    lattice over (mean_p, sd_p, sd_q), shifted at random by ``seed``."""
+    rng = random.Random(seed)
+    shift = [rng.random() for _ in lattice]
+    for i in range(pool):
+        u, v, w = (((i * g % pool) / pool + s) % 1.0 for g, s in zip(lattice, shift))
+        yield pair(-2.0 + 4.0 * u, 0.2 + 1.8 * v, 0.0, 0.2 + 1.8 * w)
 
 
-def _ref_solve_dense(c, A, b):
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float).reshape(-1)
-    c = np.array(c, dtype=float).reshape(-1)
-    m, n = A.shape
-    negative = b < 0.0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
-    ncols = n + m
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A
-    T[:m, n:ncols] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = np.arange(n, ncols)
-    max_iterations = 50 * (m + ncols)
-    status, iterations = _ref_pivot_loop(T, basis, m, ncols, 0, max_iterations)
-    if status != "optimal":
-        return SimplexResult(status, None, None, iterations)
-    if -T[m, -1] > PHASE1_TOL:
-        return SimplexResult("infeasible", None, None, iterations)
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-            if candidates.size:
-                _ref_apply_pivot(T, basis, i, int(candidates[0]))
-                iterations += 1
-            else:
-                drop.append(i)
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        T = T[keep + [m], :]
-        basis = basis[keep]
-        m = len(keep)
-    T = np.hstack([T[:, :n], T[:, -1:]])
-    T[m, :n] = c
-    T[m, -1] = 0.0
-    for i in range(m):
-        if c[basis[i]] != 0.0:
-            T[m, :] -= c[basis[i]] * T[i, :]
-    status, iterations = _ref_pivot_loop(T, basis, m, n, iterations, max_iterations)
-    if status != "optimal":
-        return SimplexResult(status, None, None, iterations)
-    x = np.zeros(n)
-    x[basis] = T[:m, -1]
-    return SimplexResult("optimal", x, float(c @ x), iterations)
+def grid_of(p, seeded, spec=None):
+    extras = oracle.construct_tight_witness(p).p_dist.support if seeded else ()
+    return build_grid(spec or GridSpec.default_for(p), extras)
 
 
-# -------------------------------------------------------------- helpers
+def highs(p, grid):
+    """HiGHS on the common-part program over ``grid``, raw-power rows."""
+    x = np.asarray(grid)
+    n, zero = x.size, np.zeros((3, x.size))
+    powers = np.vstack([np.ones(n), x, x * x])
+    rows = np.block([[powers, powers, zero], [powers, zero, powers]])
+    mp, sp, mq, sq = p.p_side.mean, p.p_side.stddev, p.q_side.mean, p.q_side.stddev
+    rhs = [1.0, mp, mp * mp + sp * sp, 1.0, mq, mq * mq + sq * sq]
+    cost = np.concatenate([np.zeros(n), np.ones(n), np.zeros(n)])
+    return linprog(cost, A_eq=rows, b_eq=rhs, bounds=(0, None), method="highs")
 
 
-def assert_bit_identical(c, A, b):
-    got = solve_dense(c, A, b)
-    want = _ref_solve_dense(c, A, b)
-    assert got.status == want.status
-    assert got.iterations == want.iterations
-    if want.x is None:
-        assert got.x is None and got.objective is None
-    else:
-        assert got.objective == want.objective
-        assert np.array_equal(got.x, want.x)
+def assert_agrees_with_highs(p, grid):
+    got, want = solve(formulate(p, grid)), highs(p, grid)
+    if want.status == 2:
+        assert got.status is OracleStatus.INFEASIBLE, (p, grid)
+        return got
+    assert want.status == 0, want.message
+    assert got.status is OracleStatus.OPTIMAL, (p, got.status)
+    assert abs(got.tv_min - want.fun) <= 1e-9, (p, got.tv_min, want.fun)
     return got
 
 
-def _oracle_lps(seed, count, grid_n):
-    """``count`` grid LPs as ``verify`` builds them, half on the plain grid
-    and half with the tight witness's support folded in."""
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        mp = float(rng.uniform(-2, 2))
-        sp, sq = (float(s) for s in rng.uniform(0.2, 2, size=2))
-        pair = MomentPair1D.from_scalars(mp, sp, 0.0, sq)
-        extras = ()
-        if k % 2 == 0:
-            w = construct_tight_witness(pair)
-            extras = w.p_dist.support + w.q_dist.support
-        lp = formulate(pair, build_grid(GridSpec.default_for(pair, grid_n), extras))
-        yield lp.objective, lp.constraint_matrix, lp.rhs
+# ------------------------------------------------------------- the optimum
 
 
-# ---------------------------------------------------------------- tests
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "plain"])
+@pytest.mark.parametrize("seed", [5, 977, 1809])
+def test_optimum_equals_highs_on_the_benchmark_lattice(seed, seeded):
+    for p in lattice_pairs(seed):
+        assert_agrees_with_highs(p, grid_of(p, seeded))
 
 
-@pytest.mark.parametrize("grid_n,count", [(21, 120), (121, 120), (241, 80)])
-def test_oracle_lps_bit_identical_to_reference(grid_n, count):
+def test_optimum_equals_highs_on_random_grids():
+    # unevenly spaced points, some too narrow for the variances, and pairs
+    # with a point-mass side, whose mean is then a grid point
+    rng = random.Random(31)
     statuses = set()
-    for c, A, b in _oracle_lps(1000 + grid_n, count, grid_n):
-        statuses.add(assert_bit_identical(c, A, b).status)
-    assert "optimal" in statuses
+    for _ in range(60):
+        mp, mq = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        sp, sq = (0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2) for _ in "pq")
+        lo, hi = min(mp, mq) - rng.uniform(0.0, 8), max(mp, mq) + rng.uniform(0.0, 8)
+        points = [rng.uniform(lo, hi) for _ in range(rng.randrange(3, 150))]
+        points += [m for m, s in ((mp, sp), (mq, sq)) if s == 0.0]
+        p = pair(mp, sp, mq, sq)
+        if rng.random() < 0.5:
+            points += oracle.construct_tight_witness(p).p_dist.support
+        statuses.add(assert_agrees_with_highs(p, sorted(set(points))).status)
+    assert statuses == {OracleStatus.OPTIMAL, OracleStatus.INFEASIBLE}
 
 
-def test_beale_cycling_program_bit_identical():
+def test_repeated_runs_are_bit_identical():
+    for k, p in enumerate(lattice_pairs(21, pool=31)):
+        first = oracle.minimize_tv_on_grid(p, include_witness_points=k % 2 == 0)
+        again = oracle.minimize_tv_on_grid(p, include_witness_points=k % 2 == 0)
+        # == on the floats and the atoms; repr tells -0.0 from 0.0 as well
+        assert first == again and repr(first) == repr(again)
+
+
+# ----------------------------------------------------- termination, budget
+
+
+def test_beale_cycling_program_terminates_optimal():
+    # a classic degenerate program on which most-negative pivoting with the
+    # first tied row cycles forever; the lexicographic rule must end it
     c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
     A = [
         [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
         [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
     ]
-    assert assert_bit_identical(c, A, [0.0, 0.0, 1.0]).status == "optimal"
+    res = solve_dense(c, DenseColumns(A), [0.0, 0.0, 1.0])
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-0.05, abs=1e-12)
+
+
+def test_hitting_the_iteration_budget_reports_iteration_limit(monkeypatch):
+    p = pair(1, 1, 0, 0.5)
+    lp = formulate(p, grid_of(p, True))
+    assert solve_dense(lp.objective, lp.constraint_matrix, lp.rhs).status == "optimal"
+    # with no pivot allowed, the first one exhausts the budget
+    monkeypatch.setattr(simplex, "BUDGET_PER_DIMENSION", 0)
+    res = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
+    assert (res.status, res.iterations, res.x) == ("iteration_limit", 1, None)
+    assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "plain"])
+def test_a_100001_point_solve_takes_few_pivots(seeded):
+    # a count of pivots, not a time: pricing never scans the grid, and the
+    # walk does not grow with it
+    p = pair(1, 1, 0, 0.5)
+    result = oracle.minimize_tv_on_grid(p, GridSpec.default_for(p, 100_001), seeded)
+    assert result.status is OracleStatus.OPTIMAL
+    assert result.iterations < 300
+
+
+# ------------------------------------------------------- small programs
 
 
 @pytest.mark.parametrize(
-    "c,A,b,status",
+    "c,A,b,status,objective",
     [
-        ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal"),  # negative rhs
-        ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded"),
-        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible"),
-        # a redundant row: its artificial stays basic with a vacuous row,
-        # which phase 2 drops
-        ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal"),
+        ([1.0, 1.0], [[1.0, 2.0]], [4.0], "optimal", 2.0),
+        ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal", 2.0),  # negative rhs
+        ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", None),
+        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible", None),
+        # a redundant row: its artificial stays basic at zero in phase 2
+        ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal", 0.0),
     ],
 )
-def test_small_programs_bit_identical(c, A, b, status):
-    assert assert_bit_identical(c, A, b).status == status
+def test_small_programs(c, A, b, status, objective):
+    res = solve_dense(c, DenseColumns(A), b)
+    assert res.status == status
+    if objective is None:
+        assert res.x is None and res.objective is None
+    else:
+        assert res.objective == pytest.approx(objective, abs=1e-12)
 
 
-def test_ratio_tie_goes_to_smallest_basis_index():
-    # Phase 1 pivots x1 into row 1 and x0 into row 2, which leaves the
-    # basis (artificial 3, x1, x0).  Column 2's ratio test then ties rows 0
-    # and 1 at 2, and the smaller basis index sits in the later row: the
-    # walk drives x1 out of row 1 and takes four pivots, where taking the
-    # first tied row would drive the artificial out and take three.
-    c = [1.0, 1.0, -1.0]
-    A = [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]]
-    b = [2.0, 2.0, 2.0]
-    res = assert_bit_identical(c, A, b)
+def test_basic_artificial_leaves_when_a_column_reaches_its_row():
+    # both rhs are 0: phase 1 ends with an artificial basic at zero, and
+    # phase 2 swaps it for a real column at a step of zero
+    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 1.0], [1.0, -1.0]]), [0.0, 0.0])
     assert res.status == "optimal"
-    assert res.iterations == 4
-    assert res.x.tolist() == [1.0, 0.0, 2.0]
+    assert res.objective == 0.0 and all(v == 0.0 for v in res.x.values())
 
 
-def test_basic_artificial_pivots_out_onto_real_column():
-    # both rhs are 0: phase 1 pivots x0 into row 0 (a tie at ratio 0) and
-    # ends with the second artificial basic at zero; its row still holds
-    # -2 on x1, so it is pivoted out onto x1 before phase 2
-    res = assert_bit_identical([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
+def test_a_basic_value_rounded_below_zero_bounds_the_step_at_zero():
+    # rounding in the rank-1 updates leaves such values, about 1e-16 below
+    # zero, on seeded witness grids; set one by hand and take one pivot.
+    # x0 enters (phase-1 reduced cost -2) and row 1 has the smallest ratio:
+    # the step must be 0, not -1e-17 / 1, which would bring x0 in below zero
+    A = DenseColumns([[1.0, 1.0], [1.0, -1.0]])
+    b = [1.0, 0.0] + [0.0] * (simplex.ROWS - 2)
+    basis = simplex._Basis(A, b)
+    basis.rows[1][simplex.ROWS] = -1e-17
+    assert basis.run(None, 0, 1) == ("iteration_limit", 1)
+    assert basis.basis[:2] == [2, 0]
+    assert basis.values()[:2] == [1.0, 0.0]
+
+
+def test_optimal_x_holds_the_basic_columns_only():
+    A = DenseColumns([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
+    res = solve_dense([1.0, 1.0, -1.0], A, [2.0] * 3)
     assert res.status == "optimal"
-    assert res.iterations == 2
+    assert {j: round(v, 12) for j, v in res.x.items() if v} == {0: 1.0, 2: 2.0}
+    assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "c, A, b",
-    [([1.0], [[1.0, 2.0]], [1.0]), ([1.0, 1.0], [[1.0, 2.0]], [1.0, 2.0])],
-    ids=["short-c", "long-b"],
+    [([1.0], [[1.0, 2.0]], [1.0]), ([1.0, 1.0], [[1.0, 2.0]], [1.0, 2.0]),
+     ([1.0, 1.0], [[1.0, 2.0], [1.0]], [1.0, 2.0])],
+    ids=["short-c", "long-b", "ragged"],
 )
 def test_inconsistent_dimensions_are_rejected(c, A, b):
     with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
-        solve_dense(c, A, b)
+        solve_dense(c, DenseColumns(A), b)
+
+
+def test_more_rows_than_the_basis_holds_are_rejected():
+    with pytest.raises(ValueError, match="^the kernel takes at most 6 rows, got 7$"):
+        solve_dense([1.0], DenseColumns([[1.0]] * 7), [1.0] * 7)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        solve_dense([1.0, 1.0], [[1.0, 2.0]], [bad])
+        solve_dense([1.0, 1.0], DenseColumns([[1.0, 2.0]]), [bad])
     with pytest.raises(ValueError, match="finite"):
-        solve_dense([1.0, 1.0], [[1.0, bad]], [4.0])
-    with pytest.raises(ValueError, match="finite"):
-        solve_dense([bad, 1.0], [[1.0, 2.0]], [4.0])
+        solve_dense([bad, 1.0], DenseColumns([[1.0, 2.0]]), [4.0])
