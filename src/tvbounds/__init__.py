@@ -39,16 +39,23 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+def _lazy_getattr(namespace: dict):
+    """A module ``__getattr__`` that loads a name of ``_LAZY`` on first
+    access and binds it in ``namespace``, the module's globals, as an import
+    would: a tracer that swaps it out and back restores the original."""
 
-    value = getattr(import_module(module, __name__), name)
-    # bind it, so later lookups no longer reach this hook
-    globals()[name] = value
-    return value
+    def __getattr__(name: str):
+        if name not in _LAZY:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = namespace[name] = getattr(import_module(_LAZY[name], __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals())
 
 
 # the imports above bind each submodule's name here

@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Any, Mapping, NamedTuple
 
-from . import _LAZY
+from . import _lazy_getattr
 from .errors import BadParameterError, TVBoundError
 from .moments import MomentPair1D, bound_report, tv_lower_bound_1d
 from .witness import (
@@ -34,17 +34,11 @@ from .witness import (
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 
-def __getattr__(name: str) -> Any:
-    # The handlers that need the oracle's or the n-d layer's names import
-    # them when they run, so the other commands never load those modules,
-    # and only the n-d commands load numpy.  The names still resolve
-    # here, through the package's table, and are bound on first access as
-    # a module-level import binds them: a caller that swaps one out and
-    # back, such as a tracer, then restores the original, not a forwarder.
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
-    return value
+# The handlers that need the oracle's or the n-d layer's names import them
+# when they run, so the other commands never load those modules, and only
+# the n-d commands load numpy.  The names still resolve here, bound on
+# first access.
+__getattr__ = _lazy_getattr(globals())
 
 
 #: |tv_min - bound| at or below this certifies the grid optimum as tight.

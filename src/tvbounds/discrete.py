@@ -128,11 +128,20 @@ class DiscreteDist(FrozenRecord):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DiscreteDist":
-        """Inverse of ``to_json_dict``.  Every entry must be a JSON number
-        that fits in a float: a string, a boolean, ``null`` or an integer
-        past the float range raises ``ValueError`` naming its field."""
-        fields = payload["support"], payload["probs"]
-        for name, values in zip(("support", "probs"), fields):
+        """Inverse of ``to_json_dict``.  ``payload`` must be an object
+        whose ``support`` and ``probs`` are lists, and every entry a JSON
+        number that fits in a float: any other shape, or a string, a
+        boolean, ``null`` or an integer past the float range, raises
+        ``ValueError`` naming its field."""
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise ValueError(f"a distribution must be a JSON object, got {kind}")
+        for name in ("support", "probs"):
+            if name not in payload:
+                raise ValueError(f"a distribution needs the field {name!r}")
+            values = payload[name]
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ValueError(f"{name} holds {value!r}, not a number")
@@ -143,7 +152,7 @@ class DiscreteDist(FrozenRecord):
                         f"{name} holds an integer of {value.bit_length()} bits, "
                         "past the float range"
                     ) from None
-        return cls(*fields)
+        return cls(payload["support"], payload["probs"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

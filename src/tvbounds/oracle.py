@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
+from . import _lazy_getattr
 from .discrete import DiscreteDist, _merge_tol, check_moments
 from .errors import BadParameterError, _whole
 from .moments import FrozenRecord, MomentPair1D, Moments1D, gap
@@ -48,22 +49,13 @@ __all__ = [
 ORACLE_MOMENT_TOL = 1e-7
 #: Most uniform points a grid may ask for; a larger count is refused before
 #: anything is allocated.  ``verify`` peaks at 16 MB resident at 10^4 points,
-#: 27 MB at 10^5 and 76 MB at the limit, about 0.12 KB a point (Python 3.11).
+#: 25 MB at 10^5 and 65 MB at the limit, about 0.10 KB a point (Python 3.11).
 GRID_MAX_COUNT = 500_000
 
-#: The n-d layer's names this module answers to, bound on first access.
-_ND_NAMES = ("check_nd_bound_random", "MomentsND", "tv_lower_bound_nd")
-
-
-def __getattr__(name: str):
-    # nothing here calls these; they resolve here because benchmarks/spans.py
-    # wraps the n-d layer under these names
-    if name not in _ND_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import nd
-
-    value = globals()[name] = getattr(nd, name)
-    return value
+# nothing here calls the n-d layer's names; they resolve here, loading
+# tvbounds.nd on first access, because benchmarks/spans.py wraps that layer
+# under them
+__getattr__ = _lazy_getattr(globals())
 
 
 class GridSpec(FrozenRecord):
@@ -158,10 +150,9 @@ class GridColumns:
     ``1, t, (t - t_q)^2`` on ``w`` and ``v``.  A column set for
     ``solve_dense``: each family prices as one quadratic in ``t``, so its
     cheapest column over the sorted grid lies beside the quadratic's vertex
-    when it is convex, and at an end of the grid otherwise.  ``price``
-    reads the costs at the first column of each family, so ``c`` must be
-    constant on each, as ``formulate`` writes it.  Raises ``ValueError`` if
-    a row coefficient is not finite.
+    when it is convex, and at an end of the grid otherwise.  The cost is
+    the objective ``sum u``: 1 on each ``u`` column, 0 on the others.
+    Raises ``ValueError`` if a row coefficient is not finite.
     """
 
     __slots__ = ("t", "t_p", "t_q", "shape")
@@ -188,21 +179,25 @@ class GridColumns:
             return [1.0, t, dp * dp, 0.0, 0.0, 0.0]
         return [0.0, 0.0, 0.0, 1.0, t, dq * dq]
 
-    def price(self, y: list[float], c) -> tuple[int, float]:
+    def cost(self, j: int) -> float:
+        return 1.0 if j // len(self.t) == 1 else 0.0
+
+    def price(self, y: list[float], phase2: bool) -> tuple[int, float]:
         # the reduced cost of a column at t is its family's cost less
         # p(t) = y0 + y1 t + y2 (t - t_p)^2 on w and u, and less
-        # q(t) = y3 + y4 t + y5 (t - t_q)^2 on w and v
+        # q(t) = y3 + y4 t + y5 (t - t_q)^2 on w and v; the cost is 0 on w
+        # and v, and on u too in phase 1
         y0, y1, y2, y3, y4, y5 = y
         t, t_p, t_q = self.t, self.t_p, self.t_q
         n = len(t)
-        c_w, c_u, c_v = (0.0, 0.0, 0.0) if c is None else (c[0], c[n], c[2 * n])
+        c_u = 1.0 if phase2 else 0.0
         # the slope of -p(t) is k_p - 2 y2 t, and of -q(t) is k_q - 2 y5 t
         k_p, k_q = 2.0 * y2 * t_p - y1, 2.0 * y5 * t_q - y4
         i = _cheapest(t, y2 + y5, k_p + k_q)
         ti = t[i]
         dp, dq = ti - t_p, ti - t_q
         best_j = i
-        best = c_w - (y0 + y3 + (y1 + y4) * ti + y2 * (dp * dp) + y5 * (dq * dq))
+        best = -(y0 + y3 + (y1 + y4) * ti + y2 * (dp * dp) + y5 * (dq * dq))
         i = _cheapest(t, y2, k_p)
         ti = t[i]
         dp = ti - t_p
@@ -212,7 +207,7 @@ class GridColumns:
         i = _cheapest(t, y5, k_q)
         ti = t[i]
         dq = ti - t_q
-        reduced = c_v - (y3 + y4 * ti + y5 * (dq * dq))
+        reduced = -(y3 + y4 * ti + y5 * (dq * dq))
         if reduced < best:
             best_j, best = 2 * n + i, reduced
         return best_j, best
@@ -233,32 +228,20 @@ def _cheapest(t: list[float], g: float, k: float) -> int:
     return 0 if k > g * (t[0] + t[-1]) else len(t) - 1
 
 
-class LPStandardForm(FrozenRecord):
-    """``min objective . x  s.t.  constraint_matrix x = rhs, x >= 0``.
+class LPStandardForm(NamedTuple):
+    """``min c.x  s.t.  constraint_matrix x = rhs, x >= 0``.
 
-    ``constraint_matrix`` is a column set for ``solve_dense``.  ``pair``
-    holds the moments the rows encode and ``grid`` the support the
-    probability variables live on, so that a solve can hand back the
-    optimizers as distributions and certify them against the pair itself;
-    neither plays a role in the algebra.  Compares by identity: its fields
-    are lists and a column set.
+    ``constraint_matrix`` is a column set for ``solve_dense``, which also
+    prices the costs ``c``.  ``pair`` holds the moments the rows encode and
+    ``grid`` the support the probability variables live on, so that a
+    solve can hand back the optimizers as distributions and certify them
+    against the pair itself; neither plays a role in the algebra.
     """
 
-    __slots__ = ("objective", "constraint_matrix", "rhs", "pair", "grid")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self, objective, constraint_matrix, rhs, pair: MomentPair1D, grid: tuple[float, ...]
-    ) -> None:
-        if tuple(constraint_matrix.shape) != (len(rhs), len(objective)):
-            raise ValueError("inconsistent LP dimensions")
-        set_objective, set_matrix, set_rhs, set_pair, set_grid = self._setters
-        set_objective(self, objective)
-        set_matrix(self, constraint_matrix)
-        set_rhs(self, rhs)
-        set_pair(self, pair)
-        set_grid(self, grid)
+    constraint_matrix: GridColumns
+    rhs: tuple[float, ...]
+    pair: MomentPair1D
+    grid: tuple[float, ...]
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
@@ -268,15 +251,15 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     ``w`` and the two excesses ``u`` and ``v``, so that ``p = w + u`` and
     ``q = w + v``.  Six equality rows (see ``GridColumns``) pin the total
     mass, the mean ``t_p`` and the variance ``(sd_p / s)^2`` about it of
-    ``p`` in centred units, and the same of ``q``; the objective is
-    ``sum u``.  Any grid pair is feasible with ``w = min(p, q)``, where
-    ``sum u = 1 - sum min(p, q) = TV(p, q)``, and every feasible point has
-    ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.  The optimum is
-    therefore the minimal TV over grid pairs.  Upper bounds such as
-    ``p_i <= 1`` are implied by non-negativity and the mass rows.  A grid of
-    fewer than 2 points raises ``BadParameterError``; a point that is not
-    finite, a row coefficient past the float range, or a centring scale
-    past it (see ``_centring``), ``ValueError``.
+    ``p`` in centred units, and the same of ``q``; the objective, which
+    the columns price, is ``sum u``.  Any grid pair is feasible with
+    ``w = min(p, q)``, where ``sum u = 1 - sum min(p, q) = TV(p, q)``, and
+    every feasible point has ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.
+    The optimum is therefore the minimal TV over grid pairs.  Upper bounds
+    such as ``p_i <= 1`` are implied by non-negativity and the mass rows.  A
+    grid of fewer than 2 points raises ``BadParameterError``; a point that
+    is not finite, a row coefficient past the float range, or a centring
+    scale past it (see ``_centring``), ``ValueError``.
     """
     x = list(map(float, grid))
     n = len(x)
@@ -289,10 +272,9 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     t_p = (pair.p_side.mean - centre) / scale
     t_q = (pair.q_side.mean - centre) / scale
     r_p, r_q = pair.p_side.stddev / scale, pair.q_side.stddev / scale
-    rhs = [1.0, t_p, r_p * r_p, 1.0, t_q, r_q * r_q]
-    objective = [0.0] * n + [1.0] * n + [0.0] * n
+    rhs = (1.0, t_p, r_p * r_p, 1.0, t_q, r_q * r_q)
     columns = GridColumns(x, centre, scale, t_p, t_q)
-    return LPStandardForm(objective, columns, rhs, pair, tuple(x))
+    return LPStandardForm(columns, rhs, pair, tuple(x))
 
 
 class OracleStatus(enum.Enum):
@@ -372,7 +354,7 @@ def solve(lp: LPStandardForm) -> OracleResult:
     units of the rows; if either does not, the result is demoted to
     ``NUMERIC_FAILURE`` rather than trusted.  The atoms are reported in x.
     """
-    res: SimplexResult = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
+    res: SimplexResult = solve_dense(lp.constraint_matrix, lp.rhs)
     if res.status == "infeasible":
         return OracleResult(OracleStatus.INFEASIBLE, None, None, None, res.iterations)
     failed = OracleResult(OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations)

@@ -2,15 +2,16 @@
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` for at most ``ROWS`` = 6 rows,
 keeping only what the basis needs, as plain Python floats: the 6 x 6 basis
-inverse, the basic values and the duals.  The matrix is never stored
-whole.  It comes as a *column set*: an object with a ``shape`` of
-``(m, n)``, a ``column(j)`` that returns column ``j`` as ``ROWS`` floats,
-zero below row m, and a ``price(y, c)`` that returns ``(j, d)``, the
-column of most negative reduced cost ``d = c_j - y.A_j`` against the
-``ROWS`` duals ``y`` (the lowest index among ties), with ``c`` None
-standing for a cost of 0 on every column.  The grid oracle's programs are
-such a set, whose column families each price as one quadratic over a
-sorted grid, so that a pivot costs no scan of the columns.
+inverse, the basic values and the duals.  Neither the matrix nor the costs
+are stored whole.  Both come as a *column set*: an object with a ``shape``
+of ``(m, n)``, a ``column(j)`` that returns column ``j`` as ``ROWS``
+floats, zero below row m, a ``cost(j)`` that returns its cost ``c_j``,
+and a ``price(y, phase2)`` that returns ``(j, d)``, the column of most
+negative reduced cost ``d = c_j - y.A_j`` against the ``ROWS`` duals ``y``
+(the lowest index among ties), with a cost of 0 on every column unless
+``phase2``.  The grid oracle's programs are such a set, whose column
+families each price as one quadratic over a sorted grid, so that a pivot
+costs no scan of the columns.
 
 Phase 1 starts from one artificial variable per row, signed so that it
 starts at ``|b_i|``, and drives their sum to zero; phase 2 prices the real
@@ -127,15 +128,15 @@ class _Basis:
     def artificial_rows(self) -> list[int]:
         return [i for i, j in enumerate(self.basis) if j >= self.n]
 
-    def reset_duals(self, c: list[float] | None) -> None:
+    def reset_duals(self, phase2: bool) -> None:
         """Set the duals to ``c_B`` times the basis inverse, for phase 1
-        when ``c`` is None (cost 1 on every artificial, 0 on every real
-        column), else for phase 2 on ``c`` (cost 0 on every artificial)."""
-        n = self.n
-        if c is None:
-            costs = [1.0 if j >= n else 0.0 for j in self.basis]
+        (cost 1 on every artificial, 0 on every real column), or for phase 2
+        on the column set's costs (cost 0 on every artificial)."""
+        n, cost = self.n, self.columns.cost
+        if phase2:
+            costs = [cost(j) if j < n else 0.0 for j in self.basis]
         else:
-            costs = [c[j] if j < n else 0.0 for j in self.basis]
+            costs = [1.0 if j >= n else 0.0 for j in self.basis]
         c0, c1, c2, c3, c4, c5 = costs
         u = self.rows
         self.rows[ROWS] = [
@@ -149,8 +150,8 @@ class _Basis:
         tied = [i for i, ratio in enumerate(ratios) if ratio == step]
         return min(tied, key=lambda i: [v / alpha[i] for v in self.rows[i][:ROWS]])
 
-    def run(self, c: list[float] | None, iterations: int, budget: int) -> tuple[str, int]:
-        """Pivot, for the phase ``c`` names (see ``reset_duals``), until no
+    def run(self, phase2: bool, iterations: int, budget: int) -> tuple[str, int]:
+        """Pivot, in phase 1 or 2 (see ``reset_duals``), until no
         column prices below ``-OPT_TOL``.  The duals are computed afresh once,
         and then move with each pivot by the entering reduced cost times the
         new pivot row of the inverse, which prices the entering column at 0.
@@ -159,10 +160,10 @@ class _Basis:
         column, price = self.columns.column, self.columns.price
         basis, rows, inf = self.basis, self.rows, math.inf
         optimal, tiny = -OPT_TOL, PIVOT_TOL
-        artificials = self.artificial_rows() if c is not None else []
-        self.reset_duals(c)
+        artificials = self.artificial_rows() if phase2 else []
+        self.reset_duals(phase2)
         while True:
-            col, reduced = price(rows[ROWS][:ROWS], c)
+            col, reduced = price(rows[ROWS][:ROWS], phase2)
             if reduced >= optimal:
                 return "optimal", iterations
             a0, a1, a2, a3, a4, a5 = column(col)
@@ -208,40 +209,40 @@ class _Basis:
                 return "iteration_limit", iterations
 
 
-def solve_dense(c, A, b) -> SimplexResult:
-    """Solve ``min c.x  s.t.  A x = b, x >= 0``.
+def solve_dense(A, b) -> SimplexResult:
+    """Solve ``min c.x  s.t.  A x = b, x >= 0``, the costs ``c`` those of
+    the column set ``A``.
 
-    ``A`` is a column set of at most ``ROWS`` rows (see the module
-    docstring).  Deterministic:
-    the same inputs always produce bit-identical results.  The iteration
-    budget is ``BUDGET_PER_DIMENSION * (2 * rows + columns)``, the rows
-    counted once more for their artificials, across both phases, after
-    which the solve reports ``iteration_limit``.  Raises ``ValueError`` on
-    inconsistent dimensions, more than ``ROWS`` rows, or a non-finite cost
-    or right-hand side.
+    ``A`` has at most ``ROWS`` rows (see the module docstring).
+    Deterministic: the same inputs always produce bit-identical results.
+    The iteration budget is ``BUDGET_PER_DIMENSION * (2 * rows + columns)``,
+    the rows counted once more for their artificials, across both phases,
+    after which the solve reports ``iteration_limit``.  Raises
+    ``ValueError`` on a right-hand side of the wrong length or not finite,
+    or more than ``ROWS`` rows.
     """
     b = [float(v) for v in b]
     m, n = A.shape
-    if len(b) != m or len(c) != n:
+    if len(b) != m:
         raise ValueError("inconsistent LP dimensions")
     if m > ROWS:
         raise ValueError(f"the kernel takes at most {ROWS} rows, got {m}")
-    if not (all(map(math.isfinite, b)) and all(map(math.isfinite, c))):
+    if not all(map(math.isfinite, b)):
         raise ValueError("LP coefficients must be finite")
 
     b += [0.0] * (ROWS - m)
     basis = _Basis(A, b)
     budget = BUDGET_PER_DIMENSION * (2 * m + n)
-    status, iterations = basis.run(None, 0, budget)
+    status, iterations = basis.run(False, 0, budget)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
     values = basis.values()
     residual = math.fsum(values[i] for i in basis.artificial_rows())
     if residual > PHASE1_TOL:
         return SimplexResult("infeasible", None, None, iterations)
-    status, iterations = basis.run(c, iterations, budget)
+    status, iterations = basis.run(True, iterations, budget)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
     x = {j: v for j, v in zip(basis.basis, basis.refined_values(b)) if j < n}
-    objective = math.fsum(c[j] * v for j, v in x.items())
+    objective = math.fsum(A.cost(j) * v for j, v in x.items())
     return SimplexResult("optimal", x, objective, iterations)

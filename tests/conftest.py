@@ -89,19 +89,22 @@ def gaussian_tv(mp: float, sp: float, mq: float, sq: float) -> float:
 
 class DenseColumns:
     """A column set for ``solve_dense`` over an explicit matrix, given as a
-    sequence of rows, so that tests can hand the kernel small programs.
-    Its columns come padded to ``ROWS`` entries with zeros, as the kernel's
-    empty rows, and it prices by scanning every column.
+    sequence of rows, and its costs ``c``, so that tests can hand the
+    kernel small programs.  Its columns come padded to ``ROWS`` entries
+    with zeros, as the kernel's empty rows, and it prices by scanning every
+    column, at a cost of 0 on each unless ``phase2``.
 
-    Raises ``ValueError`` on rows of unequal length or a non-finite entry.
+    Raises ``ValueError`` on rows of unequal length, a cost vector of
+    another length, or a non-finite entry or cost.
     """
 
-    def __init__(self, rows) -> None:
+    def __init__(self, rows, c) -> None:
         rows = [[float(a) for a in row] for row in rows]
+        self._costs = [float(a) for a in c]
         m, n = len(rows), len(rows[0]) if rows else 0
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in rows) or len(self._costs) != n:
             raise ValueError("inconsistent LP dimensions")
-        if not all(math.isfinite(a) for row in rows for a in row):
+        if not all(math.isfinite(a) for row in [*rows, self._costs] for a in row):
             raise ValueError("LP coefficients must be finite")
         self.shape = (m, n)
         padding = [0.0] * (ROWS - m)
@@ -110,10 +113,13 @@ class DenseColumns:
     def column(self, j: int) -> list[float]:
         return self._columns[j]
 
-    def price(self, y: list[float], c) -> tuple[int, float]:
+    def cost(self, j: int) -> float:
+        return self._costs[j]
+
+    def price(self, y: list[float], phase2: bool) -> tuple[int, float]:
         best_j, best = -1, math.inf
         for j, column in enumerate(self._columns):
-            reduced = (0.0 if c is None else c[j]) - math.fsum(map(mul, y, column))
+            reduced = (self._costs[j] if phase2 else 0.0) - math.fsum(map(mul, y, column))
             if reduced < best:
                 best_j, best = j, reduced
         return best_j, best

@@ -257,8 +257,17 @@ def test_json_shape_and_determinism():
             '{"support": [0, 1], "probs": [-1' + "0" * 400 + ', 0.5]}',
             "probs holds an integer of 1329 bits, past the float range",
         ),
+        # a malformed shape is refused by its field too
+        ("{}", "a distribution needs the field 'support'"),
+        ('{"support": [0.0]}', "a distribution needs the field 'probs'"),
+        ("[1, 2]", "a distribution must be a JSON object, got list"),
+        ('{"support": 5, "probs": 1}', "support must be a list, got int"),
+        ('{"support": [0.0], "probs": {"0": 1}}', "probs must be a list, got dict"),
     ],
-    ids=["string", "boolean", "null", "string-mass", "huge-integer", "huge-integer-mass"],
+    ids=[
+        "string", "boolean", "null", "string-mass", "huge-integer", "huge-integer-mass",
+        "empty-object", "no-probs", "array", "number-fields", "object-probs",
+    ],
 )
 def test_json_refuses_what_is_not_a_json_number(text, message):
     with pytest.raises(ValueError) as info:

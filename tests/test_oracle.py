@@ -229,9 +229,9 @@ def test_formulate_writes_centred_rows():
     assert columns.shape == (6, 3 * n)
     assert lp.grid == (-1.0, 0.0, 1.0)  # sorted
     # objective: the mass of the p-side excess u, nothing else
-    assert lp.objective == [0.0] * n + [1.0] * n + [0.0] * n
+    assert [columns.cost(j) for j in range(3 * n)] == [0.0] * n + [1.0] * n + [0.0] * n
     t_p, t_q = 0.125 / 0.75, -0.125 / 0.75
-    assert lp.rhs == [1.0, t_p, (0.5 / 0.75) ** 2, 1.0, t_q, (0.25 / 0.75) ** 2]
+    assert lp.rhs == (1.0, t_p, (0.5 / 0.75) ** 2, 1.0, t_q, (0.25 / 0.75) ** 2)
     # p = w + u carries rows 0-2 and q = w + v rows 3-5; u never meets q
     # and v never meets p
     for i, x in enumerate(lp.grid):
@@ -252,6 +252,12 @@ def test_formulate_writes_centred_rows():
 )
 def test_centring_is_the_midpoint_and_the_summed_stddevs(moments, centre, scale):
     assert oracle._centring(pair(*moments)) == (centre, scale)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_formulate_refuses_a_grid_point_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="^LP coefficients must be finite$"):
+        formulate(pair(0, 1, 0, 1), [-1.0, bad, 1.0])
 
 
 def test_formulate_refuses_a_row_past_the_float_range():
@@ -305,9 +311,8 @@ def test_solve_detects_infeasibility():
 
 def test_solve_reports_numeric_failure_on_unbounded_program():
     lp = LPStandardForm(
-        objective=np.array([-1.0, 0.0]),
-        constraint_matrix=DenseColumns([[1.0, -1.0]]),
-        rhs=np.array([0.0]),
+        constraint_matrix=DenseColumns([[1.0, -1.0]], [-1.0, 0.0]),
+        rhs=(0.0,),
         pair=pair(0, 1, 0, 1),
         grid=(-1.0, 1.0),
     )
@@ -322,7 +327,8 @@ def test_solve_demotes_an_optimum_whose_mass_is_off_one():
     # the mass rows ask for 2, so each optimizer totals 2 and extraction
     # refuses it
     lp = _witness_grid_lp(pair(1, 1, 0, 1))
-    lp.rhs[0] = lp.rhs[3] = 2.0
+    _, t_p, var_p, _, t_q, var_q = lp.rhs
+    lp = lp._replace(rhs=(2.0, t_p, var_p, 2.0, t_q, var_q))
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
 
@@ -330,9 +336,7 @@ def test_solve_demotes_an_optimum_that_misses_the_pair():
     # the rows encode sp = 1, but the pair the optimizers are certified
     # against has sp = 2
     rows = _witness_grid_lp(pair(1, 1, 0, 1))
-    lp = LPStandardForm(
-        rows.objective, rows.constraint_matrix, rows.rhs, pair(1, 2, 0, 1), rows.grid
-    )
+    lp = rows._replace(pair=pair(1, 2, 0, 1))
     assert solve(rows).status is OracleStatus.OPTIMAL
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
@@ -565,7 +569,7 @@ def test_extract_pair_clamps_and_refuses():
 
 def test_simplex_small_equality_program():
     # min x + y  s.t.  x + 2y = 4, x >= 0, y >= 0
-    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 2.0]]), [4.0])
+    res = solve_dense(DenseColumns([[1.0, 2.0]], [1.0, 1.0]), [4.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0, abs=1e-12)
     assert res.x == pytest.approx({1: 2.0}, abs=1e-12)
@@ -573,7 +577,7 @@ def test_simplex_small_equality_program():
 
 def test_simplex_handles_negative_rhs():
     # same program written with a negated row
-    res = solve_dense([1.0, 1.0], DenseColumns([[-1.0, -2.0]]), [-4.0])
+    res = solve_dense(DenseColumns([[-1.0, -2.0]], [1.0, 1.0]), [-4.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0, abs=1e-12)
 
@@ -588,19 +592,19 @@ def test_simplex_beale_cycling_example():
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
     ]
     b = [0.0, 0.0, 1.0]
-    res = solve_dense(c, DenseColumns(A), b)
+    res = solve_dense(DenseColumns(A, c), b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-12)
 
 
 def test_simplex_unbounded():
-    res = solve_dense([-1.0, 0.0], DenseColumns([[1.0, -1.0]]), [0.0])
+    res = solve_dense(DenseColumns([[1.0, -1.0]], [-1.0, 0.0]), [0.0])
     assert res.status == "unbounded"
 
 
 def test_simplex_infeasible():
     # x1 + x2 = -1 has no non-negative solution
-    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
+    res = solve_dense(DenseColumns([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]), [1.0, 2.0])
     assert res.status == "infeasible"
 
 

@@ -42,10 +42,11 @@ def _witness_kwargs():
 
 
 def _lp_kwargs():
+    # a NamedTuple checks nothing, so a tuple of rows stands in for the
+    # column set, and the record compares by the values of its fields
     return dict(
-        objective=np.zeros(2),
-        constraint_matrix=np.zeros((1, 2)),
-        rhs=np.zeros(1),
+        constraint_matrix=((1.0, 2.0),),
+        rhs=(1.0,),
         pair=MomentPair1D.from_scalars(1.0, 1.0, 0.0, 1.0),
         grid=(-1.0, 1.0),
     )
@@ -169,8 +170,8 @@ RECORDS = [
         LPStandardForm,
         _lp_kwargs,
         {},
-        False,
-        [(dict(rhs=np.zeros(2)), ValueError, "inconsistent LP dimensions")],
+        True,
+        [],
     ),
     (
         OracleResult,
@@ -283,7 +284,7 @@ def test_every_validating_record_checks_in_its_own_init():
     # the base has no constructor for a record to fall back on
     assert "__init__" not in FrozenRecord.__dict__
     validating = [entry[0] for entry in RECORDS if issubclass(entry[0], FrozenRecord)]
-    assert len(validating) == 7
+    assert len(validating) == 6
     assert all("__init__" in cls.__dict__ for cls in validating)
 
 

@@ -112,7 +112,7 @@ def test_beale_cycling_program_terminates_optimal():
         [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
     ]
-    res = solve_dense(c, DenseColumns(A), [0.0, 0.0, 1.0])
+    res = solve_dense(DenseColumns(A, c), [0.0, 0.0, 1.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05, abs=1e-12)
 
@@ -120,10 +120,10 @@ def test_beale_cycling_program_terminates_optimal():
 def test_hitting_the_iteration_budget_reports_iteration_limit(monkeypatch):
     p = pair(1, 1, 0, 0.5)
     lp = formulate(p, grid_of(p, True))
-    assert solve_dense(lp.objective, lp.constraint_matrix, lp.rhs).status == "optimal"
+    assert solve_dense(lp.constraint_matrix, lp.rhs).status == "optimal"
     # with no pivot allowed, the first one exhausts the budget
     monkeypatch.setattr(simplex, "BUDGET_PER_DIMENSION", 0)
-    res = solve_dense(lp.objective, lp.constraint_matrix, lp.rhs)
+    res = solve_dense(lp.constraint_matrix, lp.rhs)
     assert (res.status, res.iterations, res.x) == ("iteration_limit", 1, None)
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
@@ -153,7 +153,7 @@ def test_a_100001_point_solve_takes_few_pivots(seeded):
     ],
 )
 def test_small_programs(c, A, b, status, objective):
-    res = solve_dense(c, DenseColumns(A), b)
+    res = solve_dense(DenseColumns(A, c), b)
     assert res.status == status
     if objective is None:
         assert res.x is None and res.objective is None
@@ -164,7 +164,7 @@ def test_small_programs(c, A, b, status, objective):
 def test_basic_artificial_leaves_when_a_column_reaches_its_row():
     # both rhs are 0: phase 1 ends with an artificial basic at zero, and
     # phase 2 swaps it for a real column at a step of zero
-    res = solve_dense([1.0, 1.0], DenseColumns([[1.0, 1.0], [1.0, -1.0]]), [0.0, 0.0])
+    res = solve_dense(DenseColumns([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0]), [0.0, 0.0])
     assert res.status == "optimal"
     assert res.objective == 0.0 and all(v == 0.0 for v in res.x.values())
 
@@ -174,42 +174,39 @@ def test_a_basic_value_rounded_below_zero_bounds_the_step_at_zero():
     # zero, on seeded witness grids; set one by hand and take one pivot.
     # x0 enters (phase-1 reduced cost -2) and row 1 has the smallest ratio:
     # the step must be 0, not -1e-17 / 1, which would bring x0 in below zero
-    A = DenseColumns([[1.0, 1.0], [1.0, -1.0]])
+    A = DenseColumns([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
     b = [1.0, 0.0] + [0.0] * (simplex.ROWS - 2)
     basis = simplex._Basis(A, b)
     basis.rows[1][simplex.ROWS] = -1e-17
-    assert basis.run(None, 0, 1) == ("iteration_limit", 1)
+    assert basis.run(False, 0, 1) == ("iteration_limit", 1)
     assert basis.basis[:2] == [2, 0]
     assert basis.values()[:2] == [1.0, 0.0]
 
 
 def test_optimal_x_holds_the_basic_columns_only():
-    A = DenseColumns([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
-    res = solve_dense([1.0, 1.0, -1.0], A, [2.0] * 3)
+    A = DenseColumns([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [2.0, 1.0, 0.0]], [1.0, 1.0, -1.0])
+    res = solve_dense(A, [2.0] * 3)
     assert res.status == "optimal"
     assert {j: round(v, 12) for j, v in res.x.items() if v} == {0: 1.0, 2: 2.0}
     assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "c, A, b",
-    [([1.0], [[1.0, 2.0]], [1.0]), ([1.0, 1.0], [[1.0, 2.0]], [1.0, 2.0]),
-     ([1.0, 1.0], [[1.0, 2.0], [1.0]], [1.0, 2.0])],
-    ids=["short-c", "long-b", "ragged"],
+    "A, b",
+    [([[1.0, 2.0]], [1.0, 2.0]), ([[1.0, 2.0], [1.0]], [1.0, 2.0])],
+    ids=["long-b", "ragged"],
 )
-def test_inconsistent_dimensions_are_rejected(c, A, b):
+def test_inconsistent_dimensions_are_rejected(A, b):
     with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
-        solve_dense(c, DenseColumns(A), b)
+        solve_dense(DenseColumns(A, [1.0, 1.0]), b)
 
 
 def test_more_rows_than_the_basis_holds_are_rejected():
     with pytest.raises(ValueError, match="^the kernel takes at most 6 rows, got 7$"):
-        solve_dense([1.0], DenseColumns([[1.0]] * 7), [1.0] * 7)
+        solve_dense(DenseColumns([[1.0]] * 7, [1.0]), [1.0] * 7)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        solve_dense([1.0, 1.0], DenseColumns([[1.0, 2.0]]), [bad])
-    with pytest.raises(ValueError, match="finite"):
-        solve_dense([bad, 1.0], DenseColumns([[1.0, 2.0]]), [4.0])
+        solve_dense(DenseColumns([[1.0, 2.0]], [1.0, 1.0]), [bad])
