@@ -282,16 +282,10 @@ def _load_nd_pair(path: str):
 
 
 def _cmd_nd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
-    from .nd import gap_norm_sq, trace_bound
+    from .nd import finite_traces, gap_norm_sq, trace_bound
 
     pair = _load_nd_pair(params["path"])
-    trace_p, trace_q = pair.p_side.trace, pair.q_side.trace
-    for side, trace in (("p", trace_p), ("q", trace_q)):
-        if not math.isfinite(trace):
-            raise BadParameterError(
-                f"the {side} side's covariance trace overflows the float range: "
-                "its diagonal sums past about 1.8e308"
-            )
+    trace_p, trace_q = finite_traces(pair)
     gap = gap_norm_sq(pair)
     return {
         "dimension": pair.dim,

@@ -3,10 +3,11 @@
 Every function here is a pure function of the first two moments of a pair of
 distributions.  The one-dimensional bound ``tv_lower_bound_1d`` is tight: it
 is attained by explicit two- or three-atom pairs (see
-:mod:`tvbounds.witness`).  The companion quantities exposed alongside it,
-the two-point value, the sign-branch value and the anchored values, are the
-other stationary levels of the underlying minimization and always dominate
-the tight bound, which makes them useful consistency diagnostics.
+:mod:`tvbounds.witness`).  ``bound_report`` reports it together with
+``radical_v`` and the other stationary levels of the underlying
+minimization, the two-point value, the sign-branch value and the anchored
+values, which always dominate the tight bound and so serve as consistency
+diagnostics; it is the one path to those values.
 """
 
 from __future__ import annotations
@@ -14,23 +15,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    BadParameterError,
-    DegenerateVarianceError,
-    GapZeroError,
-)
+from .errors import BadParameterError
 
 __all__ = [
     "Moments1D",
     "MomentPair1D",
     "BoundReport1D",
-    "SiblingBranch",
     "gap",
-    "radical_v",
     "tv_lower_bound_1d",
-    "two_point_tv",
-    "sibling_branch_tv",
-    "anchored_tv",
     "bound_report",
 ]
 
@@ -117,21 +109,24 @@ class MomentPair1D(NamedTuple):
         return cls(Moments1D(mean_p, sd_p), Moments1D(mean_q, sd_q))
 
 
-class SiblingBranch(NamedTuple):
-    """Value and side-condition flag of the alternate sign branch."""
-
-    value: float
-    valid: bool
-
-
 class BoundReport1D(NamedTuple):
     """Tight bound plus the dominating stationary diagnostics for one pair.
+
+    With ``a`` the mean gap and ``vp``, ``vq`` the variances, ``radical_v``
+    is ``sqrt((vq - vp)^2 + 2 a^2 (vp + vq) + a^4)``; ``two_point_tv``,
+    ``a^2 / radical_v``, is the TV of the unique pair on a shared two-point
+    support; ``sibling_branch_tv`` is ``a^2 / ((sd_p - sd_q)^2 + a^2)``, and
+    ``sibling_branch_valid`` whether the mean gap and the stddev gap have
+    opposite signs, so that a three-point configuration realizes it;
+    ``anchored_p_tv``, ``2 a^2 / (radical_v + vp - vq + a^2)``, is the TV
+    of the three-point family in which the p side keeps an exclusive atom,
+    and ``anchored_q_tv`` the same with the sides switched.
 
     ``attained`` is False exactly when the means agree but the standard
     deviations differ: the bound is then 0 as an infimum that no pair
     realizes.  Diagnostics that are undefined for the input (equal means, or
-    a vanishing standard deviation on the side an anchored value needs) are
-    reported as None.
+    a vanishing standard deviation on the side an anchored value needs to
+    spread over two atoms) are reported as None.
     """
 
     gap_a: float
@@ -200,18 +195,6 @@ def _radical_v(scaled: _Scaled) -> float:
         ) from None
 
 
-def radical_v(pair: MomentPair1D) -> float:
-    """Normalizer of the two-point TV value.
-
-    Computes ``sqrt((vq - vp)^2 + 2 a^2 (vp + vq) + a^4)`` with ``a`` the
-    mean gap and ``vp``, ``vq`` the variances.  Zero if and only if the
-    means agree and the standard deviations coincide.  The value scales
-    quadratically with the inputs and raises ``BadParameterError`` once it
-    overflows, at a mean gap or stddev above about 1.34e154.
-    """
-    return _radical_v(_scaled_quantities(pair))
-
-
 def _tight_bound(scaled: _Scaled) -> float:
     a, sp, sq, _ = scaled
     if a == 0.0:
@@ -232,7 +215,7 @@ def tv_lower_bound_1d(pair: MomentPair1D) -> float:
 
 
 # The helpers below take the scaled quantities of a pair whose unscaled gap
-# is nonzero; their public wrappers refuse equal means first.
+# is nonzero; bound_report and the witnesses test for equal means first.
 
 
 def _two_point(scaled: _Scaled) -> float:
@@ -250,24 +233,7 @@ def _two_point(scaled: _Scaled) -> float:
     return min(1.0, (a * a) / v)
 
 
-def two_point_tv(pair: MomentPair1D) -> float:
-    """TV of the unique pair supported on a common two-point set.
-
-    Equals ``a^2 / v`` and strictly dominates ``tv_lower_bound_1d`` whenever
-    both standard deviations are positive; they coincide when one of them
-    vanishes.
-
-    Raises
-    ------
-    GapZeroError
-        If the means are equal; no such pair exists then.
-    """
-    if gap(pair) == 0.0:
-        raise GapZeroError("two-point value is undefined for equal means")
-    return _two_point(_scaled_quantities(pair))
-
-
-def _sibling_branch(unscaled: float, scaled: _Scaled) -> SiblingBranch:
+def _sibling_branch(unscaled: float, scaled: _Scaled) -> tuple[float, bool]:
     a, sp, sq, _ = scaled
     ds = sp - sq
     denom = ds * ds + a * a
@@ -275,22 +241,7 @@ def _sibling_branch(unscaled: float, scaled: _Scaled) -> SiblingBranch:
     value = 1.0 if denom == 0.0 else min(1.0, (a * a) / denom)
     # the sign comes from the unscaled gap, which scaling can round to 0
     valid = ds != 0.0 and (unscaled > 0.0) != (ds > 0.0)
-    return SiblingBranch(value, valid)
-
-
-def sibling_branch_tv(pair: MomentPair1D) -> SiblingBranch:
-    """Stationary value of the alternate sign branch, with its side condition.
-
-    The value ``a^2 / ((sd_p - sd_q)^2 + a^2)`` always dominates the tight
-    bound and is reported unconditionally as an ordering diagnostic.  The
-    branch corresponds to an actual three-point stationary configuration
-    only when the mean gap and the stddev gap have opposite signs; ``valid``
-    reports that condition and is False whenever the stddevs are equal.
-    """
-    unscaled = gap(pair)
-    if unscaled == 0.0:
-        raise GapZeroError("sign-branch value is undefined for equal means")
-    return _sibling_branch(unscaled, _scaled_quantities(pair))
+    return value, valid
 
 
 def _anchored(scaled: _Scaled, p_anchor: bool) -> float:
@@ -315,44 +266,12 @@ def _anchored(scaled: _Scaled, p_anchor: bool) -> float:
     return min(1.0, 2.0 * a2 / (v - excess + a2))
 
 
-def anchored_tv(pair: MomentPair1D, anchor: str) -> float:
-    """Stationary TV of the three-point family where one side keeps an
-    exclusive atom.
-
-    ``anchor="p"`` gives ``2 a^2 / (v + vp - vq + a^2)`` (the first measure
-    holds an atom the second puts no mass on); ``anchor="q"`` is the same
-    expression with the two sides switched.  Both dominate the tight bound,
-    strictly so when both standard deviations are positive.
-
-    Raises
-    ------
-    GapZeroError
-        If the means are equal.
-    DegenerateVarianceError
-        If the standard deviation of the non-anchored side is zero (the
-        construction needs it to spread over two atoms).
-    BadParameterError
-        If ``anchor`` is not ``"p"`` or ``"q"``.
-    """
-    if gap(pair) == 0.0:
-        raise GapZeroError("anchored values are undefined for equal means")
-    if anchor == "p":
-        if pair.q_side.stddev == 0.0:
-            raise DegenerateVarianceError(
-                "p-anchored value needs a positive stddev on the q side"
-            )
-    elif anchor == "q":
-        if pair.p_side.stddev == 0.0:
-            raise DegenerateVarianceError(
-                "q-anchored value needs a positive stddev on the p side"
-            )
-    else:
-        raise BadParameterError(f"anchor must be 'p' or 'q', got {anchor!r}")
-    return _anchored(_scaled_quantities(pair), anchor == "p")
-
-
 def bound_report(pair: MomentPair1D) -> BoundReport1D:
-    """Evaluate the tight bound and every diagnostic defined for ``pair``."""
+    """Evaluate the tight bound and every diagnostic defined for ``pair``.
+
+    Raises ``BadParameterError`` once ``radical_v`` overflows, at a mean gap
+    or stddev above about 1.34e154, where ``tv_lower_bound_1d`` still answers.
+    """
     a = gap(pair)
     scaled = _scaled_quantities(pair)
     v = _radical_v(scaled)
@@ -362,15 +281,15 @@ def bound_report(pair: MomentPair1D) -> BoundReport1D:
     attained = a != 0.0 or sd_p == sd_q
     if a == 0.0:
         return BoundReport1D(a, v, tight, attained)
-    sibling = _sibling_branch(a, scaled)
+    sibling_value, sibling_valid = _sibling_branch(a, scaled)
     return BoundReport1D(
         gap_a=a,
         radical_v=v,
         tight_bound=tight,
         attained=attained,
         two_point_tv=_two_point(scaled),
-        sibling_branch_tv=sibling.value,
-        sibling_branch_valid=sibling.valid,
+        sibling_branch_tv=sibling_value,
+        sibling_branch_valid=sibling_valid,
         anchored_p_tv=_anchored(scaled, True) if sd_q > 0.0 else None,
         anchored_q_tv=_anchored(scaled, False) if sd_p > 0.0 else None,
     )

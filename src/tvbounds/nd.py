@@ -21,6 +21,7 @@ __all__ = [
     "MomentPairND",
     "tv_lower_bound_nd",
     "gap_norm_sq",
+    "finite_traces",
     "trace_bound",
     "check_nd_bound_random",
 ]
@@ -166,6 +167,20 @@ def gap_norm_sq(pair: MomentPairND) -> float:
     return value
 
 
+def finite_traces(pair: MomentPairND) -> tuple[float, float]:
+    """The covariance traces of the p and q sides.  Raises
+    ``BadParameterError`` naming the first side whose trace overflows the
+    float range, though each diagonal entry is finite."""
+    traces = pair.p_side.trace, pair.q_side.trace
+    for side, trace in zip("pq", traces):
+        if not math.isfinite(trace):
+            raise BadParameterError(
+                f"the {side} side's covariance trace overflows the float range: "
+                "its diagonal sums past about 1.8e308"
+            )
+    return traces
+
+
 def tv_lower_bound_nd(pair: MomentPairND) -> float:
     """Trace lower bound on TV(P, Q) for distributions on d-space.
 
@@ -173,9 +188,11 @@ def tv_lower_bound_nd(pair: MomentPairND) -> float:
     difference of the mean vectors, and 0 when the means coincide.  For
     d = 1 this never exceeds ``tv_lower_bound_1d`` and matches it exactly
     when the standard deviations agree.  Raises ``BadParameterError`` when
-    ``|a|^2`` overflows the float range.
+    a covariance trace or ``|a|^2`` overflows the float range, the traces
+    checked first.
     """
-    return float(trace_bound(gap_norm_sq(pair), pair.p_side.trace, pair.q_side.trace))
+    trace_p, trace_q = finite_traces(pair)
+    return float(trace_bound(gap_norm_sq(pair), trace_p, trace_q))
 
 
 def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:

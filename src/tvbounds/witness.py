@@ -240,12 +240,12 @@ def construct_tight_witness(pair: MomentPair1D) -> WitnessPair:
 def construct_two_point(pair: MomentPair1D) -> WitnessPair:
     """The unique pair supported on a common two-point set.
 
-    Its TV is ``a^2 / v`` (see :func:`tvbounds.moments.two_point_tv`).  The
+    Its TV is ``a^2 / v``, ``bound_report``'s ``two_point_tv``.  The
     canonical labeling puts the larger support point first; the relabeled
     twin describes the same pair and is not exposed.  With a point mass on
     either side the pair is the tight witness, relabeled: the point mass
-    sits on one of the two shared points, and ``two_point_tv`` is the tight
-    bound there.  A stddev that squares past the float range raises
+    sits on one of the two shared points, and the two-point value is the
+    tight bound there.  A stddev that squares past the float range raises
     ``BadParameterError``.
     """
     a = gap(pair)

@@ -21,17 +21,15 @@ from tvbounds import (
     MomentPairND,
     MomentsND,
     OracleStatus,
-    anchored_tv,
+    bound_report,
     check_moments,
     check_nd_bound_random,
     construct_tight_witness,
     construct_vanishing_sequence,
     minimize_tv_on_grid,
-    sibling_branch_tv,
     tv_distance,
     tv_lower_bound_1d,
     tv_lower_bound_nd,
-    two_point_tv,
 )
 
 from conftest import gaussian_tv
@@ -188,13 +186,14 @@ def test_criterion_5_ordering_suite():
         failures = []
         for pair in configs:
             bound = tv_lower_bound_1d(pair)
-            if not two_point_tv(pair) > bound:
+            report = bound_report(pair)
+            if not report.two_point_tv > bound:
                 failures.append(("two-point", pair))
-            if not anchored_tv(pair, "p") > bound:
+            if not report.anchored_p_tv > bound:
                 failures.append(("anchored p", pair))
-            if not anchored_tv(pair, "q") > bound:
+            if not report.anchored_q_tv > bound:
                 failures.append(("anchored q", pair))
-            if not sibling_branch_tv(pair).value >= bound:
+            if not report.sibling_branch_tv >= bound:
                 failures.append(("sign branch", pair))
         return failures
 

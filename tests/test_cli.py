@@ -114,11 +114,11 @@ def test_numbers_round_trip_through_output(capsys):
         capsys, "bound", "--mp", "0.1", "--sp", "0.3", "--mq", "-0.7", "--sq", "1.9"
     )
     # parsing back and recomputing must reproduce the emitted values exactly
-    from tvbounds import MomentPair1D, radical_v, tv_lower_bound_1d
+    from tvbounds import MomentPair1D, bound_report, tv_lower_bound_1d
 
     again = MomentPair1D.from_scalars(0.1, 0.3, -0.7, 1.9)
     assert payload["gap_a"] == 0.1 - (-0.7)
-    assert payload["radical_v"] == radical_v(again)
+    assert payload["radical_v"] == bound_report(again).radical_v
     assert payload["tight_bound"] == tv_lower_bound_1d(again)
 
 
@@ -372,6 +372,24 @@ def test_sequence_refuses_a_k_past_the_float_range(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: k must fit in a float, below about 1.8e308")
     assert err.count("\n") == 1
+
+
+def test_flag_defaults_are_the_library_defaults():
+    # verify --grid-n and case-c --q-param copy the defaults of the functions
+    # they feed; neither copy may drift alone
+    import inspect
+
+    from tvbounds import GridSpec, construct_anchored_witness
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert parse_args(["verify", *PAIR_FLAGS]).params["grid_n"] == default(
+        GridSpec.default_for, "count"
+    )
+    assert parse_args(["case-c", *PAIR_FLAGS]).params["q_param"] == default(
+        construct_anchored_witness, "q_param"
+    )
 
 
 # -------------------------------------------------------------------- verify

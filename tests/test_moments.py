@@ -11,28 +11,22 @@ from hypothesis import strategies as st
 
 from tvbounds import (
     BadParameterError,
-    DegenerateVarianceError,
+    BoundReport1D,
     DimensionMismatchError,
     DiscreteDist,
-    GapZeroError,
     MomentPair1D,
     MomentPairND,
     MomentsND,
-    SiblingBranch,
     TVBoundError,
     WitnessPair,
-    anchored_tv,
     bound_report,
     check_nd_bound_random,
     construct_tight_witness,
     construct_two_point,
     gap,
-    radical_v,
-    sibling_branch_tv,
     tv_distance,
     tv_lower_bound_1d,
     tv_lower_bound_nd,
-    two_point_tv,
 )
 from tvbounds.nd import COV_PSD_TOL, trace_bound
 
@@ -70,21 +64,21 @@ def test_gap_is_plain_subtraction(mp, mq, expected):
     ],
 )
 def test_radical_values(args, expected):
-    assert radical_v(pair(*args)) == pytest.approx(expected, rel=1e-15)
+    assert bound_report(pair(*args)).radical_v == pytest.approx(expected, rel=1e-15)
 
 
 def test_radical_zero_iff_identical_moments():
-    assert radical_v(pair(2, 1.5, 2, 1.5)) == 0.0
-    assert radical_v(pair(2, 1.5, 2, 1.4)) > 0.0
-    assert radical_v(pair(2.1, 1.5, 2, 1.5)) > 0.0
+    assert bound_report(pair(2, 1.5, 2, 1.5)).radical_v == 0.0
+    assert bound_report(pair(2, 1.5, 2, 1.4)).radical_v > 0.0
+    assert bound_report(pair(2.1, 1.5, 2, 1.5)).radical_v > 0.0
 
 
 @pytest.mark.parametrize("sp,sq", [(1.0, 1.0), (0.0, 0.0)])
 def test_radical_overflow_is_a_specific_error(sp, sq):
     # v grows as a^2, which passes the float range at a gap of about 1.34e154
-    assert math.isfinite(radical_v(pair(1e154, sp, 0.0, sq)))
+    assert math.isfinite(bound_report(pair(1e154, sp, 0.0, sq)).radical_v)
     with pytest.raises(BadParameterError, match="overflows"):
-        radical_v(pair(1.35e154, sp, 0.0, sq))
+        bound_report(pair(1.35e154, sp, 0.0, sq))
     with pytest.raises(BadParameterError, match="overflows"):
         bound_report(pair(0.0, sp, 1e200, sq))
 
@@ -110,26 +104,36 @@ def test_tight_bound_examples():
     assert tv_lower_bound_1d(pair(1, 0, 0, 0)) == 1.0
 
 
+def two_point(this):
+    return bound_report(this).two_point_tv
+
+
+def sibling_branch(this):
+    report = bound_report(this)
+    return report.sibling_branch_tv, report.sibling_branch_valid
+
+
+def anchored(this):
+    report = bound_report(this)
+    return report.anchored_p_tv, report.anchored_q_tv
+
+
 def test_two_point_examples():
-    assert two_point_tv(pair(1, 1, 0, 1)) == pytest.approx(1 / math.sqrt(5), rel=1e-15)
-    assert two_point_tv(pair(1, 1, 0, 0)) == pytest.approx(0.5, rel=1e-15)
-    assert two_point_tv(pair(1, 0, 0, 0)) == 1.0
-    with pytest.raises(GapZeroError):
-        two_point_tv(pair(1, 1, 1, 2))
+    assert two_point(pair(1, 1, 0, 1)) == pytest.approx(1 / math.sqrt(5), rel=1e-15)
+    assert two_point(pair(1, 1, 0, 0)) == pytest.approx(0.5, rel=1e-15)
+    assert two_point(pair(1, 0, 0, 0)) == 1.0
 
 
 def test_sibling_branch_examples():
-    value, valid = sibling_branch_tv(pair(1, 1, 0, 2))
+    value, valid = sibling_branch(pair(1, 1, 0, 2))
     assert value == pytest.approx(0.5, rel=1e-15)
     assert valid is True
-    value, valid = sibling_branch_tv(pair(1, 2, 0, 1))
+    value, valid = sibling_branch(pair(1, 2, 0, 1))
     assert value == pytest.approx(0.5, rel=1e-15)
     assert valid is False
-    value, valid = sibling_branch_tv(pair(1, 1, 0, 1))
+    value, valid = sibling_branch(pair(1, 1, 0, 1))
     assert value == 1.0
     assert valid is False
-    with pytest.raises(GapZeroError):
-        sibling_branch_tv(pair(2, 1, 2, 2))
 
 
 def test_sibling_branch_realized_by_stationary_configuration():
@@ -159,33 +163,17 @@ def test_sibling_branch_realized_by_stationary_configuration():
             DiscreteDist((x1, x2, x3), (1 - p, p, 0.0)),
             DiscreteDist((x1, x2, x3), (1 - p, 0.0, p)),
         )
-        value, valid = sibling_branch_tv(pair(mp, sp, mq, sq))
+        value, valid = sibling_branch(pair(mp, sp, mq, sq))
         assert valid is True
         assert tv == pytest.approx(value, abs=1e-12)
         checked += 1
 
 
 def test_anchored_examples():
-    assert anchored_tv(pair(1, 1, 0, 1), "p") == pytest.approx(
-        2 / (1 + math.sqrt(5)), rel=1e-15
-    )
-    assert anchored_tv(pair(1, 2, 0, 1), "p") == pytest.approx(
-        2 / (math.sqrt(20) + 4), rel=1e-15
-    )
-    assert anchored_tv(pair(1, 2, 0, 1), "q") == pytest.approx(
-        2 / (math.sqrt(20) - 2), rel=1e-15
-    )
-
-
-def test_anchored_errors():
-    with pytest.raises(GapZeroError):
-        anchored_tv(pair(1, 1, 1, 1), "p")
-    with pytest.raises(DegenerateVarianceError):
-        anchored_tv(pair(1, 1, 0, 0), "p")
-    with pytest.raises(DegenerateVarianceError):
-        anchored_tv(pair(1, 0, 0, 1), "q")
-    with pytest.raises(BadParameterError):
-        anchored_tv(pair(1, 1, 0, 1), "sideways")
+    assert anchored(pair(1, 1, 0, 1))[0] == pytest.approx(2 / (1 + math.sqrt(5)), rel=1e-15)
+    anchored_p, anchored_q = anchored(pair(1, 2, 0, 1))
+    assert anchored_p == pytest.approx(2 / (math.sqrt(20) + 4), rel=1e-15)
+    assert anchored_q == pytest.approx(2 / (math.sqrt(20) - 2), rel=1e-15)
 
 
 def test_anchored_swap_symmetry():
@@ -197,8 +185,7 @@ def test_anchored_swap_symmetry():
             continue
         fwd = pair(mp, sp, mq, sq)
         rev = pair(mq, sq, mp, sp)
-        assert anchored_tv(fwd, "p") == anchored_tv(rev, "q")
-        assert anchored_tv(fwd, "q") == anchored_tv(rev, "p")
+        assert anchored(fwd) == anchored(rev)[::-1]
 
 
 def _decimal_reference(a, sp, sq):
@@ -242,11 +229,12 @@ def test_close_stddevs_match_decimal_reference():
         a *= rng.choice((-1.0, 1.0))
         this = pair(a, sp, 0.0, sq)
         witness = construct_two_point(this)
+        report = bound_report(this)
         got = (
-            radical_v(this),
-            two_point_tv(this),
-            anchored_tv(this, "p"),
-            anchored_tv(this, "q"),
+            report.radical_v,
+            report.two_point_tv,
+            report.anchored_p_tv,
+            report.anchored_q_tv,
             *witness.p_dist.probs,
             *witness.q_dist.probs,
         )
@@ -278,6 +266,9 @@ def test_bound_report_degenerate_sides():
     assert report.attained is True
     assert report.anchored_p_tv is None  # needs spread on the q side
     assert report.anchored_q_tv is not None
+    report = bound_report(pair(1, 0, 0, 1))
+    assert report.anchored_p_tv is not None
+    assert report.anchored_q_tv is None  # needs spread on the p side
 
 
 def _outcome(fn, *args):
@@ -323,37 +314,33 @@ SCALED_GAP_ZERO = [
 ]
 
 
+RADICAL_OVERFLOW = (
+    BadParameterError,
+    "radical_v overflows the float range: it grows as the square of "
+    "the mean gap and stddevs, which must stay below about 1.34e154",
+)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_bound_report_equals_the_public_closed_forms_bit_for_bit(seed):
     # bound_report and the witnesses share one scaled tuple per call; each
     # value must be the one the public function computes on its own
     for p in [*SCALED_GAP_ZERO, *_seeded_pairs(seed, 1000)]:
         report = _outcome(bound_report, p)
-        radical = _outcome(radical_v, p)
-        if isinstance(radical, tuple):
-            assert report == radical
+        tight = _outcome(tv_lower_bound_1d, p)
+        if not isinstance(report, BoundReport1D):
+            # an overflowing gap refuses as the bound does; past it, only
+            # radical_v overflows
+            assert report == (tight if isinstance(tight, tuple) else RADICAL_OVERFLOW), p
             continue
-        expected = {
-            "gap_a": gap(p),
-            "radical_v": radical,
-            "tight_bound": tv_lower_bound_1d(p),
-            "two_point_tv": _outcome(two_point_tv, p),
-            "anchored_p_tv": _outcome(anchored_tv, p, "p"),
-            "anchored_q_tv": _outcome(anchored_tv, p, "q"),
-        }
-        sibling = _outcome(sibling_branch_tv, p)
-        defined = isinstance(sibling, SiblingBranch)
-        expected["sibling_branch_tv"] = sibling.value if defined else None
-        expected["sibling_branch_valid"] = sibling.valid if defined else None
-        for name, value in expected.items():
-            # an undefined diagnostic is reported as None
-            value = None if isinstance(value, tuple) else value
-            assert _bits(getattr(report, name)) == _bits(value), (p, name)
+        assert _bits(report.gap_a) == _bits(gap(p)), p
+        assert _bits(report.tight_bound) == _bits(tight), p
         if report.gap_a == 0.0:
+            assert report[4:] == (None,) * 5, p
             continue
-        tight = _outcome(construct_tight_witness, p)
-        if isinstance(tight, WitnessPair):
-            assert _bits(tight.claimed_tv) == _bits(report.tight_bound), p
+        witness = _outcome(construct_tight_witness, p)
+        if isinstance(witness, WitnessPair):
+            assert _bits(witness.claimed_tv) == _bits(report.tight_bound), p
         two = _outcome(construct_two_point, p)
         if isinstance(two, WitnessPair):
             assert _bits(two.claimed_tv) == _bits(report.two_point_tv), p
@@ -409,19 +396,19 @@ def test_bound_strictly_decreasing_in_sigma_sum(mp, mq, sp, factor):
 @settings(deadline=None)
 def test_orderings_strict_for_positive_sigmas(mp, sp, mq, sq):
     assume(abs(mp - mq) > 1e-3)
-    this = pair(mp, sp, mq, sq)
-    tight = tv_lower_bound_1d(this)
-    assert two_point_tv(this) > tight
-    assert anchored_tv(this, "p") > tight
-    assert anchored_tv(this, "q") > tight
-    assert sibling_branch_tv(this).value >= tight
+    report = bound_report(pair(mp, sp, mq, sq))
+    tight = report.tight_bound
+    assert report.two_point_tv > tight
+    assert report.anchored_p_tv > tight
+    assert report.anchored_q_tv > tight
+    assert report.sibling_branch_tv >= tight
 
 
 def test_two_point_equals_bound_when_one_sigma_vanishes():
     this = pair(2, 1.5, 0, 0)
-    assert two_point_tv(this) == tv_lower_bound_1d(this)
+    assert two_point(this) == tv_lower_bound_1d(this)
     that = pair(2, 0, 0, 1.5)
-    assert two_point_tv(that) == tv_lower_bound_1d(that)
+    assert two_point(that) == tv_lower_bound_1d(that)
 
 
 dyadic = st.integers(-(2**20), 2**20).map(lambda n: n * 2.0**-10)
@@ -435,15 +422,8 @@ def test_translation_invariance_bit_exact(mp, sp, mq, sq, shift):
     base = pair(mp, sp, mq, sq)
     moved = pair(mp + shift, sp, mq + shift, sq)
     assert gap(base) == gap(moved)
-    assert radical_v(base) == radical_v(moved)
     assert tv_lower_bound_1d(base) == tv_lower_bound_1d(moved)
-    if gap(base) != 0.0:
-        assert two_point_tv(base) == two_point_tv(moved)
-        assert sibling_branch_tv(base) == sibling_branch_tv(moved)
-        if sq > 0:
-            assert anchored_tv(base, "p") == anchored_tv(moved, "p")
-        if sp > 0:
-            assert anchored_tv(base, "q") == anchored_tv(moved, "q")
+    assert bound_report(base) == bound_report(moved)
 
 
 @given(means, sigmas, means, sigmas, st.floats(1e-3, 1e3))
@@ -463,7 +443,7 @@ def test_scale_covariance(mp, sp, mq, sq, t):
         tv_lower_bound_1d(base), rel=1e-12, abs=1e-300
     )
     if gap(base) != 0.0 and gap(scaled) != 0.0:
-        assert two_point_tv(scaled) == pytest.approx(two_point_tv(base), rel=1e-12)
+        assert two_point(scaled) == pytest.approx(two_point(base), rel=1e-12)
 
 
 # ------------------------------------------------------------------- d-dim
@@ -580,6 +560,21 @@ def test_trace_bound_rescales_only_the_overflowing_entries():
     # here tr Sp + tr Sq alone passes the float range
     exact = Fraction(1.69e308) / (4 * Fraction(1e308) + Fraction(1.69e308))
     assert bound[3] == pytest.approx(float(exact), rel=1e-15)
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_nd_bound_refuses_an_overflowing_trace(side):
+    # each diagonal entry is finite, their sum is not; the bound used to
+    # read 0 there, where nd-bound refused
+    eye, big = np.eye(2), [[1e308, 0.0], [0.0, 1e308]]
+    sides = {"p": MomentsND([10.0, 0.0], eye), "q": MomentsND([0.0, 0.0], eye)}
+    sides[side] = MomentsND([10.0, 0.0] if side == "p" else [0.0, 0.0], big)
+    with pytest.raises(BadParameterError) as raised:
+        tv_lower_bound_nd(MomentPairND(sides["p"], sides["q"]))
+    assert str(raised.value) == (
+        f"the {side} side's covariance trace overflows the float range: "
+        "its diagonal sums past about 1.8e308"
+    )
 
 
 def test_nd_dimension_mismatch():

@@ -29,6 +29,7 @@ from tvbounds import (
 import tvbounds.discrete as discrete
 import tvbounds.nd as nd
 import tvbounds.oracle as oracle
+from tvbounds.cli import VERIFY_SOUND_TOL, VERIFY_TIGHT_TOL
 from tvbounds.simplex import solve_dense
 
 from conftest import DenseColumns
@@ -512,10 +513,11 @@ def _verdict(x, count, seeded):
         return "witness refused"
     if result.status is not OracleStatus.OPTIMAL:
         return result.status.value
+    # verify's own tolerances, so the sweep follows any change to them
     bound = tv_lower_bound_1d(this)
-    if result.tv_min < bound - 1e-8:
+    if result.tv_min < bound - VERIFY_SOUND_TOL:
         return "violated"
-    return "tight" if abs(result.tv_min - bound) <= 1e-6 else "sound"
+    return "tight" if abs(result.tv_min - bound) <= VERIFY_TIGHT_TOL else "sound"
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from tvbounds import (
     WitnessConstructionError,
     WitnessKind,
     WitnessPair,
-    anchored_tv,
+    bound_report,
     check_moments,
     construct_anchored_witness,
     construct_tight_witness,
@@ -27,7 +27,6 @@ from tvbounds import (
     construct_vanishing_sequence,
     tv_distance,
     tv_lower_bound_1d,
-    two_point_tv,
 )
 
 from conftest import ref_moments, ref_tv
@@ -216,7 +215,7 @@ def test_two_point_with_a_point_mass_is_the_tight_witness(mp, sd, mq, p_is_point
     w = construct_two_point(this)
     assert w.kind is WitnessKind.TWO_POINT_SHARED
     assert (w.p_dist, w.q_dist) == (tight.p_dist, tight.q_dist)
-    assert w.claimed_tv == tight.claimed_tv == two_point_tv(this)
+    assert w.claimed_tv == tight.claimed_tv == bound_report(this).two_point_tv
 
 
 def test_two_point_gap_zero():
@@ -271,7 +270,7 @@ def test_anchored_second_reference_case():
 def test_anchored_tv_independent_of_q_param(q_param):
     this = pair(1.5, 1.0, -0.5, 2.0)
     w = construct_anchored_witness(this, q_param)
-    assert w.claimed_tv == anchored_tv(this, "p")
+    assert w.claimed_tv == bound_report(this).anchored_p_tv
     assert tv_distance(w.p_dist, w.q_dist) == pytest.approx(
         w.claimed_tv, abs=1e-12
     )
@@ -299,7 +298,7 @@ def test_anchored_witness_round_trips_at_small_gaps():
         sp, sq = rng.uniform(0.1, 3.0, size=2)
         this = pair(a, sp, 0.0, sq)
         w = construct_anchored_witness(this)
-        assert w.claimed_tv == anchored_tv(this, "p")
+        assert w.claimed_tv == bound_report(this).anchored_p_tv
         for dist, m, s in ((w.p_dist, a, sp), (w.q_dist, 0.0, sq)):
             mean, var = ref_moments(dist.support, dist.probs)
             assert abs(mean - m) <= 1e-9 * (1.0 + abs(m))
@@ -309,14 +308,14 @@ def test_anchored_witness_round_trips_at_small_gaps():
 def test_anchored_tv_small_gap_limit():
     # a gap whose square underflows lands on the a -> 0 limit 1 - own/other,
     # which is 0 when the two variances agree
-    assert anchored_tv(pair(1e-170, 0.5, 0.0, 1.5), "p") == pytest.approx(
+    assert bound_report(pair(1e-170, 0.5, 0.0, 1.5)).anchored_p_tv == pytest.approx(
         1.0 - 0.25 / 2.25, rel=1e-15
     )
-    assert anchored_tv(pair(1e-170, 1.5, 0.0, 0.5), "q") == pytest.approx(
+    assert bound_report(pair(1e-170, 1.5, 0.0, 0.5)).anchored_q_tv == pytest.approx(
         1.0 - 0.25 / 2.25, rel=1e-15
     )
-    assert anchored_tv(pair(1e-170, 1.0, 0.0, 1.0), "p") == 0.0
-    assert anchored_tv(pair(1e-170, 1.5, 0.0, 0.5), "p") == 0.0
+    assert bound_report(pair(1e-170, 1.0, 0.0, 1.0)).anchored_p_tv == 0.0
+    assert bound_report(pair(1e-170, 1.5, 0.0, 0.5)).anchored_p_tv == 0.0
 
 
 @pytest.mark.parametrize("sp,sq", [(1.0, 1.0), (1.5, 0.5)])
@@ -324,7 +323,7 @@ def test_anchored_witness_refuses_underflowed_value(sp, sq):
     # the anchored value is 0 here, so the exclusive atom a / p + mq has no
     # finite position: a specific refusal, not a ZeroDivisionError
     this = pair(1e-170, sp, 0.0, sq)
-    assert anchored_tv(this, "p") == 0.0
+    assert bound_report(this).anchored_p_tv == 0.0
     with pytest.raises(WitnessConstructionError, match="underflows to 0"):
         construct_anchored_witness(this)
 
@@ -346,7 +345,7 @@ def test_tight_witness_refuses_underflowed_bound(args):
     "args", [(1e-170, 0.0, 0.0, 1.0), (1e-170, 1.0, 0.0, 0.0)], ids=["mirrored", "direct"]
 )
 def test_two_point_refuses_underflowed_value(args):
-    assert two_point_tv(pair(*args)) == 0.0
+    assert bound_report(pair(*args)).two_point_tv == 0.0
     with pytest.raises(WitnessConstructionError, match="underflows to 0 at mean gap 1e-170"):
         construct_two_point(pair(*args))
 
@@ -359,7 +358,7 @@ def test_two_point_equal_stddevs_with_underflowed_radical():
     w = construct_two_point(this)
     assert w.p_dist.support == w.q_dist.support == (-1.0, 1.0)
     assert w.p_dist.probs == w.q_dist.probs == (0.5, 0.5)
-    assert w.claimed_tv == two_point_tv(this)
+    assert w.claimed_tv == bound_report(this).two_point_tv
 
 
 def test_two_point_at_tiny_scale_refuses_without_dividing_by_zero():
@@ -570,4 +569,4 @@ def test_two_point_tv_consistent_with_radical(subtests=None):
         this = pair(mp, sp, mq, sq)
         w = construct_two_point(this)
         recomputed = tv_distance(w.p_dist, w.q_dist)
-        assert recomputed == pytest.approx(two_point_tv(this), abs=1e-12)
+        assert recomputed == pytest.approx(bound_report(this).two_point_tv, abs=1e-12)
