@@ -5,25 +5,35 @@ discrete pairs that attain it; an embedded linear-programming oracle
 re-derives the bound numerically as an independent check.  A trace bound
 covers distributions on d-space.
 
-Only the d-dimensional layer (:mod:`tvbounds.nd`) imports numpy.  Its
-names, and those of the grid oracle, which only ``verify`` needs, are
-resolved here on first use.
+Importing the package loads only the errors and the closed forms
+(:mod:`tvbounds.moments`).  The names of every other layer are resolved
+here on first use: the discrete distributions and witnesses, the grid
+oracle, which only ``verify`` needs, and the d-dimensional layer
+(:mod:`tvbounds.nd`), the only one that imports numpy.
 """
 
 # Each module's ``__all__`` declares its public names; the package republishes
 # them as they stand.
-from .discrete import *
 from .errors import *
 from .moments import *
-from .witness import *
 
 __version__ = "0.1.0"
 
-#: Names loaded on first access, by the module that defines them: the n-d
-#: layer's, whose module imports numpy, and the grid oracle's.  So the
-#: one-dimensional commands, ``verify`` included, never import numpy, and
-#: the closed forms and witnesses never import the oracle either.
+#: Names loaded on first access, by the module that defines them.  So the
+#: closed-form commands, ``bound`` and ``sweep``, load no other layer; the
+#: witness commands load the discrete distributions and witnesses; only
+#: ``verify`` loads the oracle, and only the n-d commands load numpy.
 _LAZY = {
+    "DiscreteDist": ".discrete",
+    "MomentSummary": ".discrete",
+    "check_moments": ".discrete",
+    "tv_distance": ".discrete",
+    "WitnessKind": ".witness",
+    "WitnessPair": ".witness",
+    "construct_anchored_witness": ".witness",
+    "construct_tight_witness": ".witness",
+    "construct_two_point": ".witness",
+    "construct_vanishing_sequence": ".witness",
     "MomentsND": ".nd",
     "MomentPairND": ".nd",
     "tv_lower_bound_nd": ".nd",
@@ -59,6 +69,4 @@ __getattr__ = _lazy_getattr(globals())
 
 
 # the imports above bind each submodule's name here
-__all__ = [
-    *discrete.__all__, *errors.__all__, *moments.__all__, *witness.__all__, *_LAZY
-]
+__all__ = [*errors.__all__, *moments.__all__, *_LAZY]

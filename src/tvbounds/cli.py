@@ -24,20 +24,15 @@ from typing import Any, Mapping, NamedTuple
 from . import _lazy_getattr
 from .errors import BadParameterError, TVBoundError
 from .moments import MomentPair1D, bound_report, tv_lower_bound_1d
-from .witness import (
-    construct_anchored_witness,
-    construct_tight_witness,
-    construct_two_point,
-    construct_vanishing_sequence,
-)
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 
-# The handlers that need the oracle's or the n-d layer's names import them
-# when they run, so the other commands never load those modules, and only
-# the n-d commands load numpy.  The names still resolve here, bound on
-# first access.
+# Each handler imports the names it needs beyond the closed forms when it
+# runs: ``bound`` and ``sweep`` load no other layer, the witness commands
+# load the witnesses and discrete distributions, only ``verify`` loads the
+# oracle, and only the n-d commands load numpy.  The names still resolve
+# here, bound on first access.
 __getattr__ = _lazy_getattr(globals())
 
 
@@ -89,7 +84,9 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in {"false", "0", "no"}:
         return False
-    raise BadParameterError(f"expected true or false, got {text!r}")
+    # argparse prints this message for an ArgumentTypeError; a ValueError
+    # it reports by the function's name
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
 def _add_pair_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -182,19 +179,27 @@ def _cmd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
 
 
 def _cmd_witness(params: Mapping[str, Any]) -> tuple[dict, int]:
+    from .witness import construct_tight_witness
+
     return construct_tight_witness(_pair_from(params)).to_json_dict(), 0
 
 
 def _cmd_two_point(params: Mapping[str, Any]) -> tuple[dict, int]:
+    from .witness import construct_two_point
+
     return construct_two_point(_pair_from(params)).to_json_dict(), 0
 
 
 def _cmd_case_c(params: Mapping[str, Any]) -> tuple[dict, int]:
+    from .witness import construct_anchored_witness
+
     pair = _pair_from(params)
     return construct_anchored_witness(pair, params["q_param"]).to_json_dict(), 0
 
 
 def _cmd_sequence(params: Mapping[str, Any]) -> tuple[dict, int]:
+    from .witness import construct_vanishing_sequence
+
     args = (params["m"], params["sp"], params["sq"], params["k"])
     return construct_vanishing_sequence(*args).to_json_dict(), 0
 

@@ -100,7 +100,8 @@ class GridSpec(FrozenRecord):
 def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     """Sorted union of the uniform grid and the extra points, deduplicated
     by ``DiscreteDist``'s merge rule at the grid's largest magnitude.
-    An extra point that is not finite raises ``ValueError``.
+    An extra point that is not finite raises ``ValueError``, and a grid
+    that merges into fewer than 2 points ``BadParameterError``.
 
     The uniform points are those of ``numpy.linspace(lo, hi, count)``, bit
     for bit: ``lo + i * step``, or ``lo + (i / (count - 1)) * (hi - lo)``
@@ -124,6 +125,11 @@ def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     for x in values[1:]:
         if x - kept[-1] > tol:
             kept.append(x)
+    if len(kept) < 2:
+        raise BadParameterError(
+            f"the {spec.count}-point grid from {lo!r} to {hi!r} merges into "
+            f"one point at the merge tolerance {tol!r}"
+        )
     return kept
 
 

@@ -327,8 +327,9 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     DegenerateVarianceError
         If either standard deviation is zero.
     BadParameterError
-        If ``q_param`` is not strictly inside (0, 1), or a stddev squares
-        past the float range.
+        If ``q_param`` is not strictly inside (0, 1), or puts an atom of
+        the two-point side past the float range, or a stddev squares past
+        the float range.
     WitnessConstructionError
         If the anchored value underflows to 0 (a gap whose square
         underflows), which leaves the exclusive atom no finite position.
@@ -349,6 +350,10 @@ def construct_anchored_witness(pair: MomentPair1D, q_param: float = 0.5) -> Witn
     x3 = (a + p * mq) / p
     x1 = mq + sq * math.sqrt(q_param / (1.0 - q_param))
     x2 = mq - sq * math.sqrt((1.0 - q_param) / q_param)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise BadParameterError(
+            f"q_param {q_param!r} puts an atom of the two-point side past the float range"
+        )
     support = [x1, x2, x3]
     return _checked(
         WitnessKind.ANCHORED_THREE_POINT,

@@ -3,7 +3,9 @@
 ``<name>.out`` under ``tests/golden/`` holds a case's expected stdout and
 ``<name>.err`` its expected stderr (empty when absent).  ``test_golden``
 runs every case in-process.  Run as a script, this module runs them through
-the installed ``tvbounds`` script and exits nonzero if any differs:
+the installed ``tvbounds`` script, each a second time under
+``PYTHONPROFILEIMPORTTIME`` to read which modules its command loads, and
+exits nonzero if any output or any set of modules differs:
 
     python tests/golden_cases.py                  # every case
     python tests/golden_cases.py --without-numpy  # the commands that never
@@ -15,6 +17,7 @@ package itself is installed.
 """
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,9 +104,65 @@ def expected(name, code):
     )
 
 
+#: The modules every command loads: the package, its errors and closed
+#: forms, and the CLI.
+BASE_MODULES = ("tvbounds", "tvbounds.cli", "tvbounds.errors", "tvbounds.moments")
+_WITNESS = ("tvbounds.discrete", "tvbounds.witness")
+#: The package's modules, and numpy, that each command loads beside
+#: ``BASE_MODULES``: the closed-form commands none, and only the n-d
+#: commands numpy.
+COMMAND_MODULES = {
+    "bound": (),
+    "sweep": (),
+    "witness": _WITNESS,
+    "two-point": _WITNESS,
+    "case-c": _WITNESS,
+    "sequence": _WITNESS,
+    "verify": (*_WITNESS, "tvbounds.oracle", "tvbounds.simplex"),
+    "nd-bound": ("tvbounds.nd", "numpy"),
+    "nd-check": ("tvbounds.nd", "numpy"),
+}
 #: The commands that import numpy; the others, ``verify`` among them, must
 #: run without it.
-NUMPY_COMMANDS = ("nd-bound", "nd-check")
+NUMPY_COMMANDS = tuple(c for c, modules in COMMAND_MODULES.items() if "numpy" in modules)
+
+
+def program_imports(stderr):
+    """The modules a program imported, read from its ``-X importtime``
+    lines in ``stderr``.  ``site`` runs first, and its own line closes the
+    list of what it imported, so only the lines after it count."""
+    names = []
+    for line in stderr.splitlines():
+        fields = line.split("|")
+        if line.startswith("import time:") and len(fields) == 3:
+            names.append(fields[2].strip())
+    return names[names.index("site") + 1:] if "site" in names else names
+
+
+def run_case(entry, args, env=None):
+    """Run ``args`` through the command line ``entry`` twice: as it is, and
+    under ``PYTHONPROFILEIMPORTTIME``.  Returns the first run's exit code,
+    stdout and stderr, and the modules the second run imported."""
+    env = dict(os.environ if env is None else env)
+    env.pop("PYTHONPROFILEIMPORTTIME", None)
+    command = [*entry, *args]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    env["PYTHONPROFILEIMPORTTIME"] = "1"
+    traced = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    return (proc.returncode, proc.stdout, proc.stderr), program_imports(traced.stderr)
+
+
+def loaded_modules(imports):
+    """The package's modules and numpy among ``imports``, sorted."""
+    return sorted(
+        name for name in imports
+        if name in ("tvbounds", "numpy") or name.startswith("tvbounds.")
+    )
+
+
+def expected_modules(command):
+    """The package's modules and numpy that ``command`` loads, sorted."""
+    return sorted((*BASE_MODULES, *COMMAND_MODULES[command]))
 
 
 def main(argv) -> int:
@@ -115,10 +174,19 @@ def main(argv) -> int:
         cases = [case for case in CASES if case[2][0] not in NUMPY_COMMANDS]
     differ = []
     for name, code, args in cases:
-        proc = subprocess.run(["tvbounds", *args], capture_output=True, text=True)
-        if (proc.returncode, proc.stdout, proc.stderr) != expected(name, code):
-            differ.append(name)
-    print(f"{len(cases) - len(differ)} of {len(cases)} cases match the goldens")
+        result, imports = run_case(["tvbounds"], args)
+        found = []
+        if result != expected(name, code):
+            found.append("output")
+        loaded = loaded_modules(imports)
+        if loaded != expected_modules(args[0]):
+            found.append(f"loads {', '.join(loaded)}")
+        if found:
+            differ.append(f"{name} ({' and '.join(found)})")
+    print(
+        f"{len(cases) - len(differ)} of {len(cases)} cases match the goldens "
+        "and load their command's modules"
+    )
     if differ:
         print(f"differ: {', '.join(differ)}")
     return 1 if differ else 0

@@ -4,7 +4,6 @@ import importlib
 import json
 import math
 import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -20,6 +19,8 @@ from tvbounds import (
     tv_distance,
 )
 from tvbounds.cli import SWEEP_MAX_ROWS, RunConfig, main, parse_args, run
+
+import golden_cases
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,16 @@ def test_case_c_output(capsys):
 def test_case_c_rejects_bad_q_param(capsys):
     code, out, err = run_cli(capsys, "case-c", *PAIR_FLAGS, "--q-param", "1.5")
     assert code == 1 and "error:" in err
+
+
+def test_case_c_rejects_a_q_param_that_overflows_an_atom(capsys):
+    # sqrt((1 - q) / q) overflows, and the atom used to reach the support
+    # check as -inf
+    code, out, err = run_cli(capsys, "case-c", *PAIR_FLAGS, "--q-param", "5e-309")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: q_param 5e-309 puts an atom of the two-point side past the float range\n"
+    )
 
 
 def test_case_c_underflowed_anchored_value_is_an_error(capsys):
@@ -527,6 +538,20 @@ def test_verify_refuses_a_grid_past_its_limit(capsys, monkeypatch, grid):
     assert (code, out) == (1, "")
     assert err == (
         "error: count must be at most GRID_MAX_COUNT = 500000, got 1000000000000\n"
+    )
+
+
+def test_verify_refuses_a_grid_that_merges_into_one_point(capsys):
+    # the merge tolerance, 1e-12 * (1 + max |x|), is wider than the span
+    # here; the refusal used to count the points left, not the ones asked for
+    flags = pair_flags(
+        "74190220.978068", "2.051601652900451e-06", "74190220.97806883", "2.327773945572027e-06"
+    )
+    code, out, err = run_cli(capsys, "verify", *flags, "--include-witness", "false")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the 121-point grid from 74190220.97805403 to 74190220.97808279 "
+        "merges into one point at the merge tolerance 7.419022197808279e-05\n"
     )
 
 
@@ -1031,89 +1056,42 @@ def test_negative_stddev_is_invalid_input(capsys):
 
 
 def test_bad_bool_is_invalid_input(capsys):
+    # argparse names the parsing function unless it raises ArgumentTypeError
     code, _, err = run_cli(capsys, "verify", *PAIR_FLAGS, "--include-witness", "maybe")
-    assert code == 1 and "error:" in err
+    assert (code, err) == (
+        1, "error: argument --include-witness: expected true or false, got 'maybe'\n"
+    )
 
 
 # ----------------------------------------------------------- import boundary
 
-# Runs in a fresh interpreter: importing the oracle and running the commands
-# given first, ``verify`` among them, must not load any module in
-# NUMPY_SIDE; the ones given second then load what they need.
-_COLD_RUN = """
-import io, json, sys
-from contextlib import redirect_stderr, redirect_stdout
-
-# modules a site hook loaded before the package are not the package's cost
-before = set(sys.modules)
-
-import tvbounds
-import tvbounds.cli
-import tvbounds.oracle
-
-NUMPY_SIDE = ("numpy", "tvbounds.nd")
+# The console script's own code: the installed ``tvbounds`` runs this.
+_ENTRY = (sys.executable, "-c", "from tvbounds.cli import main; main()")
 # record-class machinery that costs the 1-D commands more than the package
 HEAVY = ("dataclasses", "inspect")
 
 
-def run(argv):
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = tvbounds.cli.main(argv)
-    return [code, out.getvalue()]
-
-
-one_d, numpy_side = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-results = [run(argv) for argv in one_d]
-loaded = [name for name in NUMPY_SIDE if name in sys.modules]
-loaded += [name for name in HEAVY if name in sys.modules and name not in before]
-results += [run(argv) for argv in numpy_side]
-print(json.dumps({"loaded": loaded, "results": results}))
-"""
-
-
-def test_one_d_commands_never_import_numpy(capsys, tmp_path):
+@pytest.mark.parametrize("command", golden_cases.COMMAND_MODULES)
+def test_each_command_loads_only_its_layers(command):
     import tvbounds
-    from tvbounds import cli, nd, oracle
 
-    nd_path = tmp_path / "moments.json"
-    nd_path.write_text(
-        json.dumps(
-            {"mean_p": [1.0, 0.0], "cov_p": [[2.0, 0.5], [0.5, 1.0]],
-             "mean_q": [0.0, 0.0], "cov_q": [[1.0, 0.0], [0.0, 1.0]]}
-        )
-    )
-    one_d = [
-        ["bound", *PAIR_FLAGS],
-        ["witness", *PAIR_FLAGS],
-        ["two-point", *PAIR_FLAGS],
-        ["case-c", *PAIR_FLAGS, "--q-param", "0.3"],
-        ["sequence", "--sp", "2", "--sq", "1", "--k", "10"],
-        ["sweep", "--param", "sp", "--start", "0.5", "--stop", "2", "--step", "0.5",
-         "--mp", "1", "--mq", "0", "--sq", "1"],
-        ["verify", *PAIR_FLAGS, "--grid-n", "21"],
-        ["verify", *PAIR_FLAGS, "--grid-n", "21", "--include-witness", "false"],
-    ]
-    numpy_side = [
-        ["nd-bound", str(nd_path)],
-        ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"],
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_RUN, json.dumps(one_d), json.dumps(numpy_side)],
-        env=dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1])),
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    cold = json.loads(proc.stdout)
-    assert cold["loaded"] == []
-    for argv, (code, out) in zip(one_d + numpy_side, cold["results"]):
-        assert run_cli(capsys, *argv)[:2] == (code, out), argv[0]
+    name, code, argv = next(case for case in golden_cases.CASES if case[2][0] == command)
+    env = dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1]))
+    result, imports = golden_cases.run_case(_ENTRY, argv, env)
+    assert result == golden_cases.expected(name, code)
+    assert golden_cases.loaded_modules(imports) == golden_cases.expected_modules(command)
+    if command not in golden_cases.NUMPY_COMMANDS:
+        assert set(HEAVY).isdisjoint(imports)
 
-    for name in tvbounds.__all__:
-        assert getattr(tvbounds, name) is not None
-    assert cli.minimize_tv_on_grid is oracle.minimize_tv_on_grid
-    assert cli.check_nd_bound_random is oracle.check_nd_bound_random
-    assert cli.MomentsND is nd.MomentsND
-    assert cli.tv_lower_bound_nd is nd.tv_lower_bound_nd
+
+def test_lazy_names_resolve_to_the_defining_modules_objects():
+    import tvbounds
+    from tvbounds import cli
+
+    for name, module in tvbounds._LAZY.items():
+        value = getattr(importlib.import_module(module, "tvbounds"), name)
+        assert getattr(tvbounds, name) is value, name
+        assert getattr(cli, name) is value, name
 
 
 def test_package_republishes_its_modules_public_names():
