@@ -9,7 +9,9 @@ Importing the package loads only the errors and the closed forms
 (:mod:`tvbounds.moments`).  The names of every other layer are resolved
 here on first use: the discrete distributions and witnesses, the grid
 oracle, which only ``verify`` needs, and the d-dimensional layer
-(:mod:`tvbounds.nd`), the only one that imports numpy.
+(:mod:`tvbounds.nd`).  numpy is imported only by that layer's randomized
+check, when it runs, and by ``MomentsND`` for a covariance that a Cholesky
+factorization does not prove positive semidefinite.
 """
 
 # Each module's ``__all__`` declares its public names; the package republishes
@@ -22,7 +24,8 @@ __version__ = "0.1.0"
 #: Names loaded on first access, by the module that defines them.  So the
 #: closed-form commands, ``bound`` and ``sweep``, load no other layer; the
 #: witness commands load the discrete distributions and witnesses; only
-#: ``verify`` loads the oracle, and only the n-d commands load numpy.
+#: ``verify`` loads the oracle, and only ``nd-check`` loads numpy
+#: (``nd-bound`` too, for a covariance it refuses or nearly refuses).
 _LAZY = {
     "DiscreteDist": ".discrete",
     "MomentSummary": ".discrete",

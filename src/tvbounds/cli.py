@@ -31,8 +31,9 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 # Each handler imports the names it needs beyond the closed forms when it
 # runs: ``bound`` and ``sweep`` load no other layer, the witness commands
 # load the witnesses and discrete distributions, only ``verify`` loads the
-# oracle, and only the n-d commands load numpy.  The names still resolve
-# here, bound on first access.
+# oracle, the n-d commands load the n-d layer, and only ``nd-check`` loads
+# numpy (``nd-bound`` too, for a covariance it refuses or nearly refuses).
+# The names still resolve here, bound on first access.
 __getattr__ = _lazy_getattr(globals())
 
 
@@ -246,7 +247,7 @@ def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
 
 
 def _refuse_non_numbers(key: str, value) -> None:
-    # numpy reads the JSON strings "1" and true as numbers, and null as nan
+    # float() reads the JSON strings "1" and true as numbers
     stack = [value]
     while stack:
         item = stack.pop()
@@ -297,7 +298,7 @@ def _cmd_nd_bound(params: Mapping[str, Any]) -> tuple[dict, int]:
         "gap_norm_sq": gap,
         "trace_p": trace_p,
         "trace_q": trace_q,
-        "bound": float(trace_bound(gap, trace_p, trace_q)),
+        "bound": trace_bound(gap, trace_p, trace_q),
     }, 0
 
 

@@ -2,16 +2,21 @@
 distributions on d-space.
 
 The bound ``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` holds in every dimension
-and is not claimed tight for d > 1.  This is the only module of the package
-that imports numpy; the one-dimensional closed forms live in
-:mod:`tvbounds.moments` and the grid oracle in :mod:`tvbounds.oracle`.
+and is not claimed tight for d > 1.  The records and the bound are plain
+Python: a covariance is proved positive semidefinite by a Cholesky
+factorization, and ``|a|^2`` and the traces are correctly rounded sums, so
+the bound is the same on every platform and under any order of the
+coordinates.  numpy is imported only by ``check_nd_bound_random``, when it
+runs, and by ``MomentsND`` for a covariance that factorization does not
+prove positive semidefinite, whose smallest eigenvalue then decides.  The
+one-dimensional closed forms live in :mod:`tvbounds.moments` and the grid
+oracle in :mod:`tvbounds.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import mul
 
 from .errors import BadParameterError, DimensionMismatchError, _whole
 from .moments import FrozenRecord
@@ -38,105 +43,197 @@ ND_CHECK_TOL = 1e-10
 ND_CHECK_MAX_DRAWS = 10_000_000
 
 
-def trace_bound(gap_norm_sq, trace_p, trace_q):
+def trace_bound(gap_norm_sq: float, trace_p: float, trace_q: float) -> float:
     """``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` from its three ingredients,
-    and 0 where ``|a|^2`` is 0; elementwise over arrays."""
+    and 0 where ``|a|^2`` is 0."""
+    if gap_norm_sq == 0.0:
+        return 0.0
     # computed as (|a|^2 / 2) / (tr Sp + tr Sq + |a|^2 / 2), the same bits
     # wherever |a|^2 / 2 is a normal float, so that a trace sum above about
     # 9e307 leaves a positive bound instead of doubling to inf; traces can
-    # only dip below zero by the PSD round-off allowance
+    # only dip below zero by the PSD round-off allowance.  max() keeps a nan
+    # in its first argument, as the clamp of the array form does.
     half_gap = 0.5 * gap_norm_sq
-    with np.errstate(over="ignore"):
-        denom = np.maximum(0.0, trace_p + trace_q) + half_gap
-    far = ~np.isfinite(denom)
-    if far.any():
+    denom = max(trace_p + trace_q, 0.0) + half_gap
+    if not math.isfinite(denom):
         # a denominator past the float range is taken from quartered terms,
         # which fit in it; quartering rounds only a term too small to change
         # the sum, or a numerator whose quotient underflows to 0 either way
-        half_gap = np.where(far, 0.25 * half_gap, half_gap)
-        quartered = np.maximum(0.0, 0.25 * trace_p + 0.25 * trace_q) + half_gap
-        denom = np.where(far, quartered, denom)
+        half_gap *= 0.25
+        denom = max(0.25 * trace_p + 0.25 * trace_q, 0.0) + half_gap
+    if denom == 0.0:
+        # |a|^2 = 5e-324 halves to 0 and the traces clamp to 0: the bound
+        # is |a|^2 / |a|^2
+        return 1.0
+    return half_gap / denom
+
+
+def _trace_bound_batch(gap_norm_sq, trace_p, trace_q):
+    """``trace_bound`` elementwise over numpy arrays whose denominators stay
+    in the float range, as the randomized check's finite draws keep them."""
+    import numpy as np
+
+    half_gap = 0.5 * gap_norm_sq
+    denom = np.maximum(0.0, trace_p + trace_q) + half_gap
     return half_gap / np.where(gap_norm_sq == 0.0, 1.0, denom)
+
+
+def _plain(value):
+    """Nested lists of ``value``'s entries, an array's ``tolist()`` for an
+    array, and a scalar as it is."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _shape(value):
+    """The shape numpy gives the nested lists ``value``, or None when they
+    are ragged: lists of one level differ in length, or hold lists and
+    scalars alike."""
+    if not isinstance(value, list):
+        return ()
+    shapes = set(map(_shape, value))
+    if not shapes:
+        return (0,)
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(value), *shapes.pop())
+
+
+def _float_array(value, name: str):
+    """``value`` read as ``numpy.array(value, dtype=float)`` reads it: its
+    entries as nested tuples of floats, and its shape.  A ragged nesting
+    raises ``ValueError`` naming ``name`` before any entry is converted;
+    each entry then goes through ``float()``, whose errors pass through."""
+    value = _plain(value)
+    shape = _shape(value)
+    if shape is None:
+        raise ValueError(f"{name} is ragged: its nested lists differ in length or depth")
+
+    def floats(item):
+        return tuple(map(floats, item)) if isinstance(item, list) else float(item)
+
+    return floats(value), shape
+
+
+def _average(a: float, b: float) -> float:
+    """``(a + b) / 2``, halving each term first where the sum would pass the
+    float range (only there: halving first rounds subnormal terms
+    differently)."""
+    mid = (a + b) * 0.5
+    return mid if not math.isinf(mid) else 0.5 * a + 0.5 * b
+
+
+def _certified_psd(sym, shift: float) -> bool:
+    """Whether a Cholesky factorization of ``sym + shift * I`` runs to the
+    end with every pivot positive and finite.
+
+    Success proves the smallest eigenvalue of ``sym`` is above ``-shift``
+    less a round-off of order ``d^2`` ulps of the largest shifted diagonal
+    entry (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10),
+    in any order of its inner products.  A non-finite entry of the factor
+    reaches a later pivot's sum of squares, so it fails the run, and so does
+    a shifted diagonal entry past the float range.
+    """
+    factor = []
+    for i, row in enumerate(sym):
+        low = []
+        for j, prior in enumerate(factor):
+            low.append((row[j] - sum(map(mul, low, prior))) / prior[j])
+        pivot = row[i] + shift - sum(x * x for x in low)
+        if not 0.0 < pivot < math.inf:
+            return False
+        low.append(math.sqrt(pivot))
+        factor.append(low)
+    return True
 
 
 class MomentsND(FrozenRecord):
     """Mean vector and covariance matrix of a distribution on d-space.
 
-    The checks run in this order, the first that fails raising
-    ``ValueError``: a non-empty 1-D finite mean, a ``(d, d)`` finite
-    covariance, symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute),
-    and a smallest eigenvalue no lower than
-    ``-COV_PSD_TOL * (1 + max diagonal entry)``, which a refusal names.
-    User-supplied matrices routinely carry round-off, so the symmetrized
-    average with the transpose is what gets stored and tested; at d = 1
-    that average is the entry itself, and so is its eigenvalue.  Compares
-    by identity: its fields are arrays.
+    ``mean`` is a tuple of d floats and ``covariance`` a tuple of d row
+    tuples.  Each is read as ``numpy.array(..., dtype=float)`` would read
+    it, from nested lists or tuples of numbers or from arrays, but a ragged
+    nesting raises ``ValueError`` naming the field.  The checks then run in
+    this order, the first that fails raising ``ValueError``: a non-empty
+    1-D mean, a finite mean, a ``(d, d)`` covariance, a finite covariance,
+    symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute), and a
+    smallest eigenvalue no lower than ``-COV_PSD_TOL * (1 + max diagonal
+    entry)``, which a refusal names.  User-supplied matrices routinely
+    carry round-off, so the symmetrized average with the transpose is what
+    gets stored and tested; at d = 1 that average is the entry itself, and
+    so is its eigenvalue.
+
+    For d > 1 a Cholesky factorization of the matrix shifted by half that
+    tolerance proves it positive semidefinite: success bounds the smallest
+    eigenvalue above minus the half, less a round-off far inside the other
+    half.  Only a matrix it does not prove has its eigenvalues computed,
+    by ``numpy.linalg.eigvalsh``, and that smallest eigenvalue decides it,
+    so every decision and message is the eigenvalue rule's.
     """
 
     __slots__ = ("mean", "covariance")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, mean, covariance) -> None:
-        mean = np.array(mean, dtype=float)
-        if mean.ndim != 1 or mean.size < 1:
+        mean, shape = _float_array(mean, "mean")
+        if len(shape) != 1 or not mean:
             raise ValueError("mean must be a non-empty 1-D vector")
-        cov = np.array(covariance, dtype=float)
-        if not np.isfinite(mean).all():
+        cov, cov_shape = _float_array(covariance, "covariance")
+        if not all(map(math.isfinite, mean)):
             raise ValueError("mean must be finite")
-        d = mean.size
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance must have shape ({d}, {d}), got {cov.shape}")
-        cov_t = cov.T
-        # a difference or sum past the float range reads inf: an asymmetry
-        # that large is refused, and a sum that large is halved term by term
-        # (only there: halving first rounds subnormal entries differently).
-        # A nan or inf entry leaves a nan or inf difference, so the finite
-        # check, which comes first, need only run when symmetry fails.
-        with np.errstate(over="ignore", invalid="ignore"):
-            asymmetry = np.abs(cov - cov_t).max()
-            sym = cov + cov_t
-        if not asymmetry <= COV_SYMMETRY_TOL:
-            if not np.isfinite(cov).all():
-                raise ValueError("covariance must be finite")
+        d = len(mean)
+        if cov_shape != (d, d):
+            raise ValueError(f"covariance must have shape ({d}, {d}), got {cov_shape}")
+        if not all(math.isfinite(x) for row in cov for x in row):
+            raise ValueError("covariance must be finite")
+        # a difference past the float range reads inf: an asymmetry that
+        # large is refused
+        if not all(
+            abs(row[j] - cov[j][i]) <= COV_SYMMETRY_TOL
+            for i, row in enumerate(cov)
+            for j in range(i)
+        ):
             raise ValueError(f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}")
-        sym *= 0.5
-        overflow = np.isinf(sym)
-        if overflow.any():
-            sym[overflow] = (0.5 * cov + 0.5 * cov_t)[overflow]
-        # a 1x1 matrix is its own eigenvalue, the very value LAPACK returns
-        # for it; the call would add a third to a 1-D build
-        min_eig = float(sym[0, 0] if d == 1 else np.linalg.eigvalsh(sym)[0])
-        if min_eig < -COV_PSD_TOL * (1.0 + max(sym.diagonal().tolist())):
-            raise ValueError(
-                f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
-            )
-        mean.setflags(write=False)
-        sym.setflags(write=False)
+        sym = tuple(tuple(map(_average, row, col)) for row, col in zip(cov, zip(*cov)))
+        limit = COV_PSD_TOL * (1.0 + max(row[i] for i, row in enumerate(sym)))
+        if d == 1 or not _certified_psd(sym, 0.5 * limit):
+            # a 1x1 matrix is its own eigenvalue, the very value LAPACK
+            # returns for it
+            min_eig = sym[0][0] if d == 1 else _min_eigenvalue(sym)
+            if min_eig < -limit:
+                raise ValueError(
+                    f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
+                )
         set_mean, set_cov = self._setters
         set_mean(self, mean)
         set_cov(self, sym)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return len(self.mean)
 
     @property
     def trace(self) -> float:
-        """The covariance trace; inf, without a warning, past the float range."""
-        with np.errstate(over="ignore"):
-            return float(self.covariance.trace())
+        """The covariance trace, correctly rounded; inf past the float range."""
+        try:
+            return math.fsum(row[i] for i, row in enumerate(self.covariance))
+        except OverflowError:
+            return math.inf
+
+
+def _min_eigenvalue(sym) -> float:
+    """The smallest eigenvalue LAPACK computes for the symmetric ``sym``."""
+    import numpy as np
+
+    return float(np.linalg.eigvalsh(np.array(sym))[0])
 
 
 class MomentPairND(FrozenRecord):
-    """Moment constraints for a pair of distributions on d-space.
-
-    Compares by identity, like the ``MomentsND`` sides it holds.
-    """
+    """Moment constraints for a pair of distributions on d-space."""
 
     __slots__ = ("p_side", "q_side")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, p_side: MomentsND, q_side: MomentsND) -> None:
         if p_side.dim != q_side.dim:
@@ -152,25 +249,37 @@ class MomentPairND(FrozenRecord):
         return self.p_side.dim
 
 
+#: The exponent of the smallest subnormal float: every float is a whole
+#: multiple of 2**-_UNIT_EXP.
+_UNIT_EXP = 1074
+
+
+def _units(x: float) -> int:
+    """``x`` as an exact whole multiple of ``2**-_UNIT_EXP``."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (_UNIT_EXP + 1 - denominator.bit_length())
+
+
 def gap_norm_sq(pair: MomentPairND) -> float:
-    """``|a|^2`` for the difference ``a`` of the mean vectors.  Raises
-    ``BadParameterError`` when it overflows the float range."""
-    # a gap past the float range reads inf here and is refused below
-    with np.errstate(over="ignore"):
-        a = pair.p_side.mean - pair.q_side.mean
-        value = float(a @ a)
-    if not math.isfinite(value):
+    """``|a|^2`` for the difference ``a`` of the mean vectors, correctly
+    rounded: the exact sum of the squares of the exact differences, rounded
+    once.  Raises ``BadParameterError`` when it passes the float range."""
+    means = zip(pair.p_side.mean, pair.q_side.mean)
+    exact = sum((_units(p) - _units(q)) ** 2 for p, q in means)
+    try:
+        # int / int rounds the exact quotient once, to nearest
+        return exact / (1 << 2 * _UNIT_EXP)
+    except OverflowError:
         raise BadParameterError(
             "the squared mean gap overflows the float range: "
             "the means lie about 1.34e154 or more apart"
-        )
-    return value
+        ) from None
 
 
 def finite_traces(pair: MomentPairND) -> tuple[float, float]:
-    """The covariance traces of the p and q sides.  Raises
-    ``BadParameterError`` naming the first side whose trace overflows the
-    float range, though each diagonal entry is finite."""
+    """The covariance traces of the p and q sides, correctly rounded.
+    Raises ``BadParameterError`` naming the first side whose trace passes
+    the float range, though each diagonal entry is finite."""
     traces = pair.p_side.trace, pair.q_side.trace
     for side, trace in zip("pq", traces):
         if not math.isfinite(trace):
@@ -192,7 +301,7 @@ def tv_lower_bound_nd(pair: MomentPairND) -> float:
     checked first.
     """
     trace_p, trace_q = finite_traces(pair)
-    return float(trace_bound(gap_norm_sq(pair), trace_p, trace_q))
+    return trace_bound(gap_norm_sq(pair), trace_p, trace_q)
 
 
 def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
@@ -209,11 +318,13 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     every trial, then one Dirichlet draw of ``2 * trials`` weight vectors,
     the p side's ``trials`` first, then the q side's.  The moments of both
     sides of every trial are stacks of shape ``(2, trials, d)`` and
-    ``(2, trials, d, d)``, and the bound is ``trace_bound``, which
-    ``tv_lower_bound_nd`` also uses.  The covariances are weighted Gram
-    matrices of finite draws, symmetric and PSD up to a round-off far inside
-    the tolerances of ``MomentsND``, so they are not re-checked; the bound
-    reads only their traces, which symmetrizing would leave unchanged.
+    ``(2, trials, d, d)``, and the bound is ``trace_bound``'s arithmetic
+    over arrays, which gives each trial's ``|a|^2`` and traces the bits
+    ``trace_bound`` gives them.  numpy is imported when the check runs.
+    The covariances are weighted Gram matrices of finite draws, symmetric
+    and PSD up to a round-off far inside the tolerances of ``MomentsND``,
+    so they are not re-checked; the bound reads only their traces, which
+    symmetrizing would leave unchanged.
     A count that is not a whole number, a negative seed, and a batch of more
     than ``ND_CHECK_MAX_DRAWS`` normal coordinates (``trials * atoms * d``)
     raise ``BadParameterError`` before any draw.
@@ -233,6 +344,8 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
             f"trials * atoms * d = {trials} * {atoms} * {d} is more than "
             f"ND_CHECK_MAX_DRAWS = {ND_CHECK_MAX_DRAWS}; run fewer trials per seed"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(trials, atoms, d))
     # both sides at once: axis 0 is the side (p, q), axis 1 the trial
@@ -243,5 +356,5 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     covs = centred.swapaxes(-1, -2) @ (centred * weights[..., None])
     traces = np.einsum("stii->st", covs)
     a = means[0] - means[1]
-    bound = trace_bound(np.einsum("ti,ti->t", a, a), traces[0], traces[1])
+    bound = _trace_bound_batch(np.einsum("ti,ti->t", a, a), traces[0], traces[1])
     return int(np.count_nonzero(tv < bound - ND_CHECK_TOL))

@@ -17,7 +17,8 @@ The rows are written in centred, scale-free units, ``t = (x - c) / s`` with
 deviations, so that no row or right-hand side is a difference of large
 terms at any offset or scale.  The module needs no numpy.  The randomized
 check of the d-dimensional trace bound lives in :mod:`tvbounds.nd`; its
-names still resolve here, loading that module and numpy on first access.
+names still resolve here, loading that module on first access, and numpy
+when the check runs.
 """
 
 from __future__ import annotations

@@ -109,8 +109,8 @@ def expected(name, code):
 BASE_MODULES = ("tvbounds", "tvbounds.cli", "tvbounds.errors", "tvbounds.moments")
 _WITNESS = ("tvbounds.discrete", "tvbounds.witness")
 #: The package's modules, and numpy, that each command loads beside
-#: ``BASE_MODULES``: the closed-form commands none, and only the n-d
-#: commands numpy.
+#: ``BASE_MODULES``: the closed-form commands none, and only ``nd-check``
+#: numpy; ``nd-bound`` runs on the pure-Python n-d layer.
 COMMAND_MODULES = {
     "bound": (),
     "sweep": (),
@@ -119,11 +119,11 @@ COMMAND_MODULES = {
     "case-c": _WITNESS,
     "sequence": _WITNESS,
     "verify": (*_WITNESS, "tvbounds.oracle", "tvbounds.simplex"),
-    "nd-bound": ("tvbounds.nd", "numpy"),
+    "nd-bound": ("tvbounds.nd",),
     "nd-check": ("tvbounds.nd", "numpy"),
 }
-#: The commands that import numpy; the others, ``verify`` among them, must
-#: run without it.
+#: The commands that import numpy; the others, ``verify`` and ``nd-bound``
+#: among them, must run without it.
 NUMPY_COMMANDS = tuple(c for c, modules in COMMAND_MODULES.items() if "numpy" in modules)
 
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -736,7 +737,7 @@ def test_nd_bound_stays_positive_past_an_overflowing_denominator(capsys, tmp_pat
             '{"mean_p": {"a": 1}, "cov_p": [[1.0]], "mean_q": [0.0], "cov_q": [[1.0]]}',
             "error: moments file holds a non-numeric field: 'mean_p' holds {'a': 1}\n",
         ),
-        # numpy would read "1" and true as numbers, and null as nan
+        # float() would read "1" and true as numbers
         (
             '{"mean_p": ["1", "2"], "cov_p": [[1, 0], [0, 1]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
             "error: moments file holds a non-numeric field: 'mean_p' holds '1'\n",
@@ -754,6 +755,27 @@ def test_nd_bound_stays_positive_past_an_overflowing_denominator(capsys, tmp_pat
             "error: moments file holds a number past the float range: "
             "int too large to convert to float\n",
         ),
+        # numpy refused these with its own "inhomogeneous shape" message
+        (
+            '{"mean_p": [1, 2], "cov_p": [[1, 0], [0]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: covariance is ragged: its nested lists differ in length or depth\n",
+        ),
+        (
+            '{"mean_p": [1, 2], "cov_p": [[1, 0], [0, [1]]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: covariance is ragged: its nested lists differ in length or depth\n",
+        ),
+        (
+            '{"mean_p": [1, [2]], "cov_p": [[1, 0], [0, 1]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: mean is ragged: its nested lists differ in length or depth\n",
+        ),
+        (
+            '{"mean_p": [1, 2], "cov_p": [1, 0], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: covariance must have shape (2, 2), got (2,)\n",
+        ),
+        (
+            '{"mean_p": [1, 2], "cov_p": [[1, 0, 0], [0, 1, 0]], "mean_q": [0, 0], "cov_q": [[1, 0], [0, 1]]}',
+            "error: covariance must have shape (2, 2), got (2, 3)\n",
+        ),
     ],
     ids=[
         "not-json",
@@ -764,6 +786,11 @@ def test_nd_bound_stays_positive_past_an_overflowing_denominator(capsys, tmp_pat
         "boolean-field",
         "null-field",
         "huge-integer",
+        "ragged-covariance",
+        "ragged-covariance-depth",
+        "ragged-mean",
+        "flat-covariance",
+        "wide-covariance",
     ],
 )
 def test_nd_bound_rejects_malformed_file(capsys, tmp_path, text, message):
@@ -1082,6 +1109,24 @@ def test_each_command_loads_only_its_layers(command):
     assert golden_cases.loaded_modules(imports) == golden_cases.expected_modules(command)
     if command not in golden_cases.NUMPY_COMMANDS:
         assert set(HEAVY).isdisjoint(imports)
+
+
+def test_nd_records_and_bound_leave_numpy_unloaded():
+    import tvbounds
+
+    code = (
+        "import sys\n"
+        "from tvbounds.nd import MomentPairND, MomentsND, tv_lower_bound_nd\n"
+        "cov = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]\n"
+        "pair = MomentPairND(MomentsND([1, 0, 0], cov), MomentsND([0, 0.5, 0], cov))\n"
+        "print(tv_lower_bound_nd(pair), 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{1.25 / (2 * 6.0 + 1.25)!r} False\n"
 
 
 def test_lazy_names_resolve_to_the_defining_modules_objects():

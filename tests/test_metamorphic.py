@@ -5,10 +5,10 @@ common scale.  Swap, negation and scaling by a power of two are exact in
 floats, so the closed forms must keep them exactly, a constructor must
 build on both sides of a map or refuse on both with the same error type,
 and ``verify`` must give both sides the same verdict.  In d dimensions the
-trace bound keeps swap, coordinate sign flips and power-of-two scaling bit
-for bit, and coordinate permutations to a few ulps.  The relations that
-fail today are strict xfails that name the defect; the change that mends
-one removes its marker.
+trace bound keeps swap, coordinate sign flips, power-of-two scaling and
+coordinate permutations bit for bit.  The relations that fail today are
+strict xfails that name the defect; the change that mends one removes its
+marker.
 """
 
 from __future__ import annotations
@@ -316,12 +316,12 @@ def test_trace_bound_is_bit_exact_under_the_map(name):
 
 
 def test_trace_bound_agrees_under_coordinate_permutations():
-    # the trace and |a|^2 are sums whose order a permutation changes, so
-    # the bound keeps it only to a few ulps, not bit for bit
+    # the trace and |a|^2 are sums whose order a permutation changes; each
+    # is correctly rounded, so the order leaves no trace in the bits
     rng = np.random.default_rng(1701)
     for _ in range(1000):
         means, covs = draw_nd_pair(rng)
         perm = rng.permutation(means.shape[-1])
         bound = trace_bound_of(means, covs)
         permuted = trace_bound_of(means[:, perm], covs[:, perm][:, :, perm])
-        assert abs(permuted - bound) <= 8 * 2.0**-53 * bound, (means, covs, perm)
+        assert permuted == bound, (means, covs, perm)

@@ -28,7 +28,13 @@ from tvbounds import (
     tv_lower_bound_1d,
     tv_lower_bound_nd,
 )
-from tvbounds.nd import COV_PSD_TOL, trace_bound
+from tvbounds.nd import (
+    COV_PSD_TOL,
+    _trace_bound_batch,
+    finite_traces,
+    gap_norm_sq,
+    trace_bound,
+)
 
 from conftest import ref_moments
 
@@ -550,10 +556,13 @@ def test_nd_bound_keeps_a_denominator_past_the_float_range():
 
 
 def test_trace_bound_rescales_only_the_overflowing_entries():
-    gap = np.array([1.69e308, 2.0, 0.0, 1.69e308])
-    trace_p = np.array([5e307, 1.0, 1e308, 1e308])
-    trace_q = np.array([5e307, 1.0, 1e308, 1e308])
-    bound = trace_bound(gap, trace_p, trace_q)
+    ingredients = [
+        (1.69e308, 5e307, 5e307),
+        (2.0, 1.0, 1.0),
+        (0.0, 1e308, 1e308),
+        (1.69e308, 1e308, 1e308),
+    ]
+    bound = [trace_bound(*entry) for entry in ingredients]
     assert bound[0] == pytest.approx(0.845 / 1.845, rel=1e-15)
     assert bound[1] == 1.0 / 3.0  # untouched: (2 / 2) / (1 + 1 + 2 / 2)
     assert bound[2] == 0.0  # equal means, whatever the traces
@@ -595,7 +604,7 @@ def test_momentsnd_rejects_indefinite():
 def test_momentsnd_symmetrizes_roundoff():
     wobble = 1e-13
     m = MomentsND([0, 0], [[1.0, 0.5 + wobble], [0.5 - wobble, 1.0]])
-    assert m.covariance[0, 1] == m.covariance[1, 0]
+    assert m.covariance[0][1].hex() == m.covariance[1][0].hex()
     assert m.trace == pytest.approx(2.0)
 
 
@@ -634,9 +643,15 @@ def test_momentsnd_refuses_with_the_exact_message(mean, bad, message):
     assert str(raised.value) == message
 
 
+def _hex_rows(rows):
+    """A matrix's entries as ``float.hex`` strings, row by row: equal only
+    bit for bit, where ``==`` takes -0.0 for 0.0."""
+    return tuple(tuple(float(x).hex() for x in row) for row in rows)
+
+
 def test_asymmetry_is_refused_only_past_its_tolerance():
     at_tol = MomentsND([0.0, 0.0], [[1.0, 1e-10], [0.0, 1.0]])
-    assert at_tol.covariance.tolist() == [[1.0, 0.5e-10], [0.5e-10, 1.0]]
+    assert _hex_rows(at_tol.covariance) == _hex_rows([[1.0, 0.5e-10], [0.5e-10, 1.0]])
     past = float(np.nextafter(1e-10, 1.0))
     with pytest.raises(ValueError) as raised:
         MomentsND([0.0, 0.0], [[1.0, past], [0.0, 1.0]])
@@ -664,8 +679,7 @@ def _assert_matches_reference_rule(cov):
             MomentsND(mean, cov)
         assert str(raised.value) == expected
     else:
-        got = MomentsND(mean, cov).covariance
-        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+        assert _hex_rows(MomentsND(mean, cov).covariance) == _hex_rows(expected)
 
 
 def _with_min_eigenvalue(rng, d, scale, k):
@@ -680,7 +694,7 @@ def _with_min_eigenvalue(rng, d, scale, k):
     return a + (k * tol) * np.eye(d)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
 def test_psd_decisions_match_the_eigenvalue_rule(d):
     # smallest eigenvalues near -tol and -tol / 2, at every scale
     rng = np.random.default_rng(1100 + d)
@@ -746,7 +760,7 @@ def test_one_by_one_matches_the_eigenvalue_rule(entry):
             f"covariance is not positive semidefinite (min eigenvalue {entry:g})"
         )
     else:
-        assert MomentsND([0.0], cov).covariance.tobytes() == cov.tobytes()
+        assert _hex_rows(MomentsND([0.0], cov).covariance) == ((entry.hex(),),)
 
 
 def test_an_overflowing_symmetric_sum_is_halved_term_by_term():
@@ -754,7 +768,7 @@ def test_an_overflowing_symmetric_sum_is_halved_term_by_term():
     assert m.trace == 1e308
     # where the sum stays finite, subnormal entries are averaged as before
     # (halving 5e-324 first would round it to 0)
-    np.testing.assert_array_equal(m.covariance, [[1e308, 5e-324], [5e-324, 1.0]])
+    assert _hex_rows(m.covariance) == _hex_rows([[1e308, 5e-324], [5e-324, 1.0]])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -767,6 +781,60 @@ def test_nd_check_computes_no_eigenvalues_on_certified_stacks(monkeypatch, d):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     assert check_nd_bound_random(d, d + 4, 1000, 70 + d) == 0
+
+
+def _correctly_rounded(value: float, exact: Fraction) -> bool:
+    """Whether no float next to ``value`` lies nearer ``exact``."""
+    error = abs(Fraction(value) - exact)
+    return all(
+        error <= abs(Fraction(math.nextafter(value, toward)) - exact)
+        for toward in (-math.inf, math.inf)
+    )
+
+
+def test_gap_and_traces_are_correctly_rounded():
+    # the exact sums, by Fraction, rounded once; a sum of rounded squares
+    # is not correctly rounded on about a fifth of such vectors
+    rng = np.random.default_rng(2600)
+    for _ in range(2000):
+        d = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-150, 150)
+        means = rng.normal(size=(2, d)) * scale
+        roots = rng.normal(size=(2, d, d)) * math.sqrt(scale)
+        sides = [MomentsND(m, r @ r.T) for m, r in zip(means, roots)]
+        nd_pair = MomentPairND(*sides)
+        exact_gap = sum(
+            (Fraction(p) - Fraction(q)) ** 2
+            for p, q in zip(sides[0].mean, sides[1].mean)
+        )
+        assert _correctly_rounded(gap_norm_sq(nd_pair), exact_gap), means
+        for side, trace in zip(sides, finite_traces(nd_pair)):
+            exact_trace = sum(Fraction(row[i]) for i, row in enumerate(side.covariance))
+            assert _correctly_rounded(trace, exact_trace), side
+
+
+def test_batch_bound_equals_trace_bound_elementwise():
+    # the randomized check's array arithmetic against the scalar bound,
+    # on ingredients of the check's scale and shape, equal means included
+    rng = np.random.default_rng(2601)
+    for d in (1, 2, 3, 4):
+        points = rng.normal(size=(500, d + 4, d))
+        a = points[:, 0] - points[:, 1]
+        a[::7] = 0.0
+        gaps = np.einsum("ti,ti->t", a, a)
+        traces = np.einsum("tai,tai->t", points, points) * rng.uniform(0.0, 2.0, size=(2, 500))
+        batch = _trace_bound_batch(gaps, traces[0], traces[1])
+        for got, gap_sq, trace_p, trace_q in zip(batch, gaps, *traces):
+            want = trace_bound(float(gap_sq), float(trace_p), float(trace_q))
+            assert float(got).hex() == want.hex()
+
+
+def test_trace_bound_of_a_halved_gap_that_rounds_to_zero():
+    # |a|^2 = 5e-324 halves to 0: with zero traces the bound is |a|^2 / |a|^2
+    nd_pair = MomentPairND(MomentsND([2.2e-162], [[0.0]]), MomentsND([0.0], [[0.0]]))
+    assert gap_norm_sq(nd_pair) == 5e-324
+    assert tv_lower_bound_nd(nd_pair) == 1.0
+    assert trace_bound(5e-324, 0.0, 0.0) == 1.0
 
 
 def test_moments1d_validation():

@@ -641,7 +641,7 @@ def test_nd_check_parameter_validation(d, atoms, trials):
 @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
 def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, bad):
     args = dict(d=2, atoms=6, trials=10, seed=0)
-    monkeypatch.setattr(nd.np.random, "default_rng", None)
+    monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(BadParameterError) as raised:
         check_nd_bound_random(**{**args, name: bad})
     assert str(raised.value) == f"{name} must be a whole number, got {bad!r}"
@@ -656,7 +656,7 @@ def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
     monkeypatch.setattr(nd, "ND_CHECK_MAX_DRAWS", 2 * 5 * 10)
     assert check_nd_bound_random(2, 5, 10, 0) == 0
     # no generator is made, so nothing is drawn or allocated
-    monkeypatch.setattr(nd.np.random, "default_rng", None)
+    monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(BadParameterError, match="ND_CHECK_MAX_DRAWS = 100"):
         check_nd_bound_random(2, 5, 11, 0)
 
