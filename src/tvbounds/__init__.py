@@ -9,9 +9,9 @@ Importing the package loads only the errors and the closed forms
 (:mod:`tvbounds.moments`).  The names of every other layer are resolved
 here on first use: the discrete distributions and witnesses, the grid
 oracle, which only ``verify`` needs, and the d-dimensional layer
-(:mod:`tvbounds.nd`).  numpy is imported only by that layer's randomized
-check, when it runs, and by ``MomentsND`` for a covariance that a Cholesky
-factorization does not prove positive semidefinite.
+(:mod:`tvbounds.nd`), which reads each input in one walk.  numpy is imported
+only by its randomized check and by ``MomentsND`` for a d > 1 covariance the
+Cholesky proof, run at every d, does not settle, refused by name without it.
 """
 
 # Each module's ``__all__`` declares its public names; the package republishes
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 #: closed-form commands, ``bound`` and ``sweep``, load no other layer; the
 #: witness commands load the discrete distributions and witnesses; only
 #: ``verify`` loads the oracle, and only ``nd-check`` loads numpy
-#: (``nd-bound`` too, for a covariance it refuses or nearly refuses).
+#: (``nd-bound`` too, for a d > 1 covariance its proof does not settle).
 _LAZY = {
     "DiscreteDist": ".discrete",
     "MomentSummary": ".discrete",

@@ -29,10 +29,9 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 
 # Each handler imports the names it needs beyond the closed forms when it
-# runs: ``bound`` and ``sweep`` load no other layer, the witness commands
-# load the witnesses and discrete distributions, only ``verify`` loads the
-# oracle, the n-d commands load the n-d layer, and only ``nd-check`` loads
-# numpy (``nd-bound`` too, for a covariance it refuses or nearly refuses).
+# runs, so a command loads only the layers ``tvbounds._LAZY`` lists for it:
+# ``nd-bound`` loads numpy only for a d > 1 covariance its Cholesky proof
+# does not settle, and without numpy refuses that one in one ``error:`` line.
 # The names still resolve here, bound on first access.
 __getattr__ = _lazy_getattr(globals())
 
@@ -246,21 +245,8 @@ def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
     }, code
 
 
-def _refuse_non_numbers(key: str, value) -> None:
-    # float() reads the JSON strings "1" and true as numbers
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(reversed(item))
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise BadParameterError(
-                f"moments file holds a non-numeric field: {key!r} holds {item!r}"
-            )
-
-
 def _load_nd_pair(path: str):
-    from .nd import MomentPairND, MomentsND
+    from .nd import MomentPairND, MomentsND, _leaves
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -276,7 +262,12 @@ def _load_nd_pair(path: str):
     except KeyError as exc:
         raise BadParameterError(f"moments file is missing key {exc}") from exc
     for key, value in fields.items():
-        _refuse_non_numbers(key, value)
+        # screened by MomentsND's own walk: float() reads "1" and true as numbers
+        for item in _leaves(value)[0]:
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise BadParameterError(
+                    f"moments file holds a non-numeric field: {key!r} holds {item!r}"
+                )
     try:
         p = MomentsND(fields["mean_p"], fields["cov_p"])
         q = MomentsND(fields["mean_q"], fields["cov_q"])

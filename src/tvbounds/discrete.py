@@ -206,12 +206,12 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
 
 
 def check_moments(d: DiscreteDist, target: Moments1D, tol: float) -> bool:
-    """True iff the moments of ``d`` match ``target`` to relative tolerance.
+    """True iff the moments of ``d`` match ``target`` within ``tol``.
 
     The mean is compared within ``tol * (1 + |mean|)`` and the variance
-    within ``tol * (1 + variance)``.  A ``tol`` that is not positive and
-    finite raises ``ValueError``: nan would read as a mismatch and inf
-    would accept any atoms.
+    within ``tol * (1 + variance)``, absolute below unit scale and relative
+    above.  A ``tol`` that is not positive and finite raises ``ValueError``:
+    nan would read as a mismatch and inf would accept any atoms.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -3,14 +3,15 @@ distributions on d-space.
 
 The bound ``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` holds in every dimension
 and is not claimed tight for d > 1.  The records and the bound are plain
-Python: a covariance is proved positive semidefinite by a Cholesky
-factorization, and ``|a|^2`` and the traces are correctly rounded sums, so
-the bound is the same on every platform and under any order of the
-coordinates.  numpy is imported only by ``check_nd_bound_random``, when it
-runs, and by ``MomentsND`` for a covariance that factorization does not
-prove positive semidefinite, whose smallest eigenvalue then decides.  The
-one-dimensional closed forms live in :mod:`tvbounds.moments` and the grid
-oracle in :mod:`tvbounds.oracle`.
+Python: one walk reads each input, a Cholesky factorization proves a
+covariance positive semidefinite at every d, and ``|a|^2`` and the traces
+are correctly rounded sums, so the bound is the same on every platform and
+under any order of the coordinates.  numpy is imported only by
+``check_nd_bound_random``, when it runs, and by ``MomentsND`` for a
+covariance of d > 1 that factorization does not prove, whose smallest
+eigenvalue then decides; without numpy that covariance is refused by name.
+The one-dimensional closed forms live in :mod:`tvbounds.moments` and the
+grid oracle in :mod:`tvbounds.oracle`.
 """
 
 from __future__ import annotations
@@ -78,44 +79,36 @@ def _trace_bound_batch(gap_norm_sq, trace_p, trace_q):
     return half_gap / np.where(gap_norm_sq == 0.0, 1.0, denom)
 
 
-def _plain(value):
-    """Nested lists of ``value``'s entries, an array's ``tolist()`` for an
-    array, and a scalar as it is."""
+def _leaves(value):
+    """The scalar entries of ``value`` in row-major order, and the shape
+    ``numpy.array(value)`` gives it, or None where it is ragged: a level's
+    items differ in length or depth.  A list or tuple is a level, an object
+    with a ``tolist()`` is read through it, and anything else is an entry."""
     if hasattr(value, "tolist"):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value
-
-
-def _shape(value):
-    """The shape numpy gives the nested lists ``value``, or None when they
-    are ragged: lists of one level differ in length, or hold lists and
-    scalars alike."""
-    if not isinstance(value, list):
-        return ()
-    shapes = set(map(_shape, value))
-    if not shapes:
-        return (0,)
+        # an empty array's tolist() is [] whatever its trailing dimensions
+        if getattr(value, "size", 1) == 0:
+            return [], value.shape
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return [value], ()
+    leaves, shapes = [], set()
+    for item in value:
+        entries, shape = _leaves(item)
+        leaves += entries
+        shapes.add(shape)
     if len(shapes) > 1 or None in shapes:
-        return None
-    return (len(value), *shapes.pop())
+        return leaves, None
+    return leaves, (len(value), *(shapes.pop() if shapes else ()))
 
 
-def _float_array(value, name: str):
-    """``value`` read as ``numpy.array(value, dtype=float)`` reads it: its
-    entries as nested tuples of floats, and its shape.  A ragged nesting
-    raises ``ValueError`` naming ``name`` before any entry is converted;
-    each entry then goes through ``float()``, whose errors pass through."""
-    value = _plain(value)
-    shape = _shape(value)
+def _floats(value, name: str):
+    """``value``'s entries as a flat tuple of floats, and its shape, as
+    ``numpy.array(value, dtype=float)`` reads them.  A ragged nesting raises
+    ``ValueError`` naming ``name``, before ``float()`` meets any entry."""
+    leaves, shape = _leaves(value)
     if shape is None:
         raise ValueError(f"{name} is ragged: its nested lists differ in length or depth")
-
-    def floats(item):
-        return tuple(map(floats, item)) if isinstance(item, list) else float(item)
-
-    return floats(value), shape
+    return tuple(map(float, leaves)), shape
 
 
 def _average(a: float, b: float) -> float:
@@ -154,40 +147,41 @@ class MomentsND(FrozenRecord):
     """Mean vector and covariance matrix of a distribution on d-space.
 
     ``mean`` is a tuple of d floats and ``covariance`` a tuple of d row
-    tuples.  Each is read as ``numpy.array(..., dtype=float)`` would read
-    it, from nested lists or tuples of numbers or from arrays, but a ragged
-    nesting raises ``ValueError`` naming the field.  The checks then run in
-    this order, the first that fails raising ``ValueError``: a non-empty
-    1-D mean, a finite mean, a ``(d, d)`` covariance, a finite covariance,
-    symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute), and a
-    smallest eigenvalue no lower than ``-COV_PSD_TOL * (1 + max diagonal
-    entry)``, which a refusal names.  User-supplied matrices routinely
-    carry round-off, so the symmetrized average with the transpose is what
-    gets stored and tested; at d = 1 that average is the entry itself, and
-    so is its eigenvalue.
+    tuples.  Each is read in one walk as ``numpy.array(..., dtype=float)``
+    would read it, from nested lists or tuples of numbers or from arrays,
+    but a ragged nesting raises ``ValueError`` naming the field.  The checks
+    then run in this order, the first that fails raising ``ValueError``: a
+    non-empty 1-D mean, a finite mean, a ``(d, d)`` covariance, a finite
+    covariance, symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute),
+    and a smallest eigenvalue no lower than ``-COV_PSD_TOL * (1 + max
+    diagonal entry)``, which a refusal names.  User-supplied matrices
+    routinely carry round-off, so the symmetrized average with the
+    transpose is what gets stored and tested.
 
-    For d > 1 a Cholesky factorization of the matrix shifted by half that
+    At every d a Cholesky factorization of the matrix shifted by half that
     tolerance proves it positive semidefinite: success bounds the smallest
     eigenvalue above minus the half, less a round-off far inside the other
-    half.  Only a matrix it does not prove has its eigenvalues computed,
-    by ``numpy.linalg.eigvalsh``, and that smallest eigenvalue decides it,
-    so every decision and message is the eigenvalue rule's.
+    half.  A matrix it does not prove is decided by its smallest eigenvalue,
+    a 1x1 matrix's entry or else ``numpy.linalg.eigvalsh``'s, so every
+    decision and message is the eigenvalue rule's; where numpy is not
+    installed, that larger matrix is refused by a ``ValueError`` saying so.
     """
 
     __slots__ = ("mean", "covariance")
 
     def __init__(self, mean, covariance) -> None:
-        mean, shape = _float_array(mean, "mean")
+        mean, shape = _floats(mean, "mean")
         if len(shape) != 1 or not mean:
             raise ValueError("mean must be a non-empty 1-D vector")
-        cov, cov_shape = _float_array(covariance, "covariance")
+        entries, cov_shape = _floats(covariance, "covariance")
         if not all(map(math.isfinite, mean)):
             raise ValueError("mean must be finite")
         d = len(mean)
         if cov_shape != (d, d):
             raise ValueError(f"covariance must have shape ({d}, {d}), got {cov_shape}")
-        if not all(math.isfinite(x) for row in cov for x in row):
+        if not all(map(math.isfinite, entries)):
             raise ValueError("covariance must be finite")
+        cov = [entries[i : i + d] for i in range(0, d * d, d)]
         # a difference past the float range reads inf: an asymmetry that
         # large is refused
         if not all(
@@ -198,10 +192,8 @@ class MomentsND(FrozenRecord):
             raise ValueError(f"covariance is not symmetric within {COV_SYMMETRY_TOL:g}")
         sym = tuple(tuple(map(_average, row, col)) for row, col in zip(cov, zip(*cov)))
         limit = COV_PSD_TOL * (1.0 + max(row[i] for i, row in enumerate(sym)))
-        if d == 1 or not _certified_psd(sym, 0.5 * limit):
-            # a 1x1 matrix is its own eigenvalue, the very value LAPACK
-            # returns for it
-            min_eig = sym[0][0] if d == 1 else _min_eigenvalue(sym)
+        if not _certified_psd(sym, 0.5 * limit):
+            min_eig = _min_eigenvalue(sym)
             if min_eig < -limit:
                 raise ValueError(
                     f"covariance is not positive semidefinite (min eigenvalue {min_eig:g})"
@@ -224,9 +216,17 @@ class MomentsND(FrozenRecord):
 
 
 def _min_eigenvalue(sym) -> float:
-    """The smallest eigenvalue LAPACK computes for the symmetric ``sym``."""
-    import numpy as np
-
+    """The smallest eigenvalue LAPACK computes for the symmetric ``sym``: a
+    1x1 matrix's entry, and for a larger one ``ValueError`` without numpy."""
+    if len(sym) == 1:
+        return sym[0][0]
+    try:
+        import numpy as np
+    except ImportError:
+        raise ValueError(
+            "covariance is not proved positive semidefinite, and deciding it "
+            "needs numpy, which is not installed"
+        ) from None
     return float(np.linalg.eigvalsh(np.array(sym))[0])
 
 

@@ -104,19 +104,16 @@ def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     An extra point that is not finite raises ``ValueError``, and a grid
     that merges into fewer than 2 points ``BadParameterError``.
 
-    The uniform points are those of ``numpy.linspace(lo, hi, count)``, bit
-    for bit: ``lo + i * step``, or ``lo + (i / (count - 1)) * (hi - lo)``
-    where the step underflows to 0, and ``hi`` itself last.
+    The uniform points are ``lo + i * step``, then ``hi``.  The kept grid is
+    ``numpy.linspace(lo, hi, count)``'s, bit for bit: where the step
+    underflows to 0, numpy's points span a few subnormal ulps and merge alike.
     """
     extras = [float(x) for x in extra_points]
     if not all(map(math.isfinite, extras)):
         raise ValueError("extra points must be finite")
     lo, hi, div = spec.lo, spec.hi, spec.count - 1
     step = (hi - lo) / div
-    if step == 0.0:
-        values = [i / div * (hi - lo) + lo for i in range(div)]
-    else:
-        values = [i * step + lo for i in range(div)]
+    values = [i * step + lo for i in range(div)]
     values.append(hi)
     if extras:
         values = sorted(values + extras)

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Absolute agreement required between the claimed TV and the recomputed one.
 TV_MATCH_TOL = 1e-12
-#: Relative agreement required between declared and recomputed moments.
+#: Recomputed moments must match their targets within this times ``1 + |target|``.
 MOMENT_MATCH_TOL = 1e-9
 #: Power of two the two-point masses are evaluated at (see construct_two_point).
 _MASS_SCALE = 2.0**249

@@ -1129,6 +1129,43 @@ def test_nd_records_and_bound_leave_numpy_unloaded():
     assert proc.stdout == f"{1.25 / (2 * 6.0 + 1.25)!r} False\n"
 
 
+def test_nd_bound_without_numpy_refuses_an_unproved_covariance_in_one_line(tmp_path):
+    import tvbounds
+
+    # numpy blocked, as where it is not installed
+    code = "import sys\nsys.modules['numpy'] = None\nfrom tvbounds.cli import main\nmain()\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1]))
+
+    def nd_bound(path):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "nd-bound", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    payload = {
+        "mean_p": [0.0, 0.0], "cov_p": [[1, 2], [2, 1]],
+        "mean_q": [0.0, 0.0], "cov_q": [[1, 0], [0, 1]],
+    }
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(payload))
+    assert nd_bound(path) == (
+        1,
+        "",
+        "error: covariance is not proved positive semidefinite, and deciding it "
+        "needs numpy, which is not installed\n",
+    )
+    # a 1x1 matrix is its own eigenvalue, so its refusal needs no numpy
+    path.write_text(json.dumps({**payload, "mean_p": [0.0], "cov_p": [[-1.0]]}))
+    assert nd_bound(path) == (
+        1, "", "error: covariance is not positive semidefinite (min eigenvalue -1)\n"
+    )
+    # the proof settles a positive semidefinite file, which prints its golden
+    for name in ("nd_bound", "nd_bound_1d"):
+        argv = next(case[2] for case in golden_cases.CASES if case[0] == name)
+        assert nd_bound(argv[1]) == golden_cases.expected(name, 0)
+
+
 def test_lazy_names_resolve_to_the_defining_modules_objects():
     import tvbounds
     from tvbounds import cli

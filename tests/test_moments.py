@@ -30,6 +30,7 @@ from tvbounds import (
 )
 from tvbounds.nd import (
     COV_PSD_TOL,
+    _floats,
     _trace_bound_batch,
     finite_traces,
     gap_norm_sq,
@@ -633,8 +634,13 @@ _GOOD_2D = [[2.0, 0.3], [0.3, 1.0]]
             "covariance is not positive semidefinite (min eigenvalue -1)",
         ),
         ([0.0], [[np.inf]], "covariance must be finite"),
+        # an empty array keeps its trailing dimension, as numpy reads it
+        ([0.0, 0.0], np.zeros((0, 2)), "covariance must have shape (2, 2), got (0, 2)"),
     ],
-    ids=["asymmetric", "indefinite", "nan", "inf", "nan-mean", "negative-1x1", "inf-1x1"],
+    ids=[
+        "asymmetric", "indefinite", "nan", "inf", "nan-mean", "negative-1x1", "inf-1x1",
+        "empty-array",
+    ],
 )
 def test_momentsnd_refuses_with_the_exact_message(mean, bad, message):
     with pytest.raises(ValueError) as raised:
@@ -769,6 +775,84 @@ def test_an_overflowing_symmetric_sum_is_halved_term_by_term():
     # where the sum stays finite, subnormal entries are averaged as before
     # (halving 5e-324 first would round it to 0)
     assert _hex_rows(m.covariance) == _hex_rows([[1e308, 5e-324], [5e-324, 1.0]])
+
+
+_STRINGS = ("1.5", " -2e3 ", "inf", "1e400", "abc", "")
+
+
+def _scalar(rng):
+    """One entry: mostly a float, int or numpy scalar, sometimes a 0-d
+    array, a bool, a string or an int past the float range."""
+    kind = rng.random()
+    if kind < 0.45:
+        return rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+    if kind < 0.6:
+        return rng.randint(-(2**70), 2**70)
+    if kind < 0.8:
+        dtype = rng.choice((np.float64, np.float32, np.int64, np.float16))
+        return dtype(rng.gauss(0.0, 100.0))
+    if kind < 0.88:
+        return np.array(rng.gauss(0.0, 1.0))
+    if kind < 0.94:
+        return rng.random() < 0.5
+    if kind < 0.98:
+        return rng.choice(_STRINGS)
+    return rng.choice((1, -1)) * 10**400
+
+
+def _nesting(rng, shape, ragged):
+    """Nested lists, tuples, arrays and scalars of ``shape``.  With
+    ``ragged``, one child of some level takes another length or depth."""
+    if not shape:
+        return _scalar(rng)
+    if not ragged and rng.random() < 0.15:
+        dtype = rng.choice((np.float64, np.float32, np.int64))
+        return np.random.default_rng(rng.randrange(2**32)).normal(size=shape).astype(dtype)
+    sub = shape[1:]
+    odd = rng.randrange(shape[0]) if ragged and shape[0] else None
+    deeper = odd is not None and rng.random() < 0.5
+    items = [_nesting(rng, sub, deeper and i == odd) for i in range(shape[0])]
+    if odd is not None and not deeper:
+        other = rng.choice((sub + (rng.randint(0, 2),), sub[:-1], sub[:-1] + (rng.randint(0, 3),)))
+        items[odd] = _nesting(rng, other, False)
+    return items if rng.random() < 0.5 else tuple(items)
+
+
+def test_the_reader_matches_numpy_array_of_dtype_float():
+    # MomentsND reads a field as numpy.array(field, dtype=float) would: the
+    # same entries, bit for bit, and shape, the named ragged refusal where
+    # numpy reports an inhomogeneous shape, and the same exception type
+    # where an entry does not convert
+    rng = random.Random(2700)
+    outcomes = set()
+    for _ in range(4000):
+        depth = rng.choice((0, 1, 2, 2, 3, 5))
+        shape = tuple(rng.choice((0, 1, 1, 2, 2, 3, 3)) for _ in range(depth))
+        value = _nesting(rng, shape, rng.random() < 0.35)
+        try:
+            want = np.array(value, dtype=float)
+        except (ValueError, OverflowError) as exc:
+            want = exc
+        if isinstance(want, np.ndarray):
+            entries, got_shape = _floats(value, "field")
+            assert got_shape == want.shape
+            assert [x.hex() for x in entries] == [float(x).hex() for x in want.ravel()]
+            outcomes.add("read")
+            continue
+        ragged = "inhomogeneous" in str(want)
+        with pytest.raises(type(want)) as raised:
+            _floats(value, "field")
+        assert type(raised.value) is type(want)
+        if ragged:
+            assert str(raised.value) == (
+                "field is ragged: its nested lists differ in length or depth"
+            )
+        outcomes.add("ragged" if ragged else type(want).__name__)
+    assert outcomes == {"read", "ragged", "ValueError", "OverflowError"}
+    # the README's one documented difference: numpy reads None as nan
+    assert math.isnan(np.array([[1.0, None]], dtype=float)[0, 1])
+    with pytest.raises(TypeError):
+        _floats([[1.0, None]], "field")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -551,7 +551,7 @@ def test_robustness_sweep_has_no_numeric_failure(robustness_sweep, seeded):
     "merge tolerance 1e-12 (1 + |x|) exceeds the grid spacing and merges "
     "witness atoms away: mp 457295.6663124084, sp 0, mq 457295.66630742175, "
     "sq 4.451693381157417e-06 on 176 points keeps 88, without either "
-    "witness atom, and is infeasible (ROADMAP items 1 and 3)",
+    "witness atom, and is infeasible (ROADMAP item 3)",
 )
 def test_robustness_sweep_seeded_grid_is_tight(robustness_sweep):
     loose = [case for case in robustness_sweep if case[2] and case[3] != "tight"]
