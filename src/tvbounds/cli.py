@@ -251,7 +251,7 @@ def _load_nd_pair(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise BadParameterError(f"cannot read moments file {path!r}: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadParameterError(
@@ -263,7 +263,11 @@ def _load_nd_pair(path: str):
         raise BadParameterError(f"moments file is missing key {exc}") from exc
     for key, value in fields.items():
         # screened by MomentsND's own walk: float() reads "1" and true as numbers
-        for item in _leaves(value)[0]:
+        try:
+            leaves = _leaves(value)[0]
+        except RecursionError:
+            raise BadParameterError(f"moments file nests {key!r} too deeply to read") from None
+        for item in leaves:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise BadParameterError(
                     f"moments file holds a non-numeric field: {key!r} holds {item!r}"

@@ -159,7 +159,14 @@ class DiscreteDist(FrozenRecord):
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDist":
-        return cls.from_json_dict(json.loads(text))
+        """Inverse of ``to_json``, refusing as ``from_json_dict`` does; a
+        nesting too deep to parse also raises ``ValueError``."""
+        # where the parser goes deeper than the recursion limit, as it can
+        # on Python 3.12+, the repr in from_json_dict's refusal meets it
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("a distribution's JSON nests too deeply to read") from None
 
 
 def _mean_variance(d: DiscreteDist) -> tuple[float, float]:

@@ -103,9 +103,13 @@ def _leaves(value):
 
 def _floats(value, name: str):
     """``value``'s entries as a flat tuple of floats, and its shape, as
-    ``numpy.array(value, dtype=float)`` reads them.  A ragged nesting raises
-    ``ValueError`` naming ``name``, before ``float()`` meets any entry."""
-    leaves, shape = _leaves(value)
+    ``numpy.array(value, dtype=float)`` reads them.  A ragged nesting, or
+    one too deep for the walk's recursion, raises ``ValueError`` naming
+    ``name``, before ``float()`` meets any entry."""
+    try:
+        leaves, shape = _leaves(value)
+    except RecursionError:
+        raise ValueError(f"{name} nests too deeply to read") from None
     if shape is None:
         raise ValueError(f"{name} is ragged: its nested lists differ in length or depth")
     return tuple(map(float, leaves)), shape
@@ -149,7 +153,8 @@ class MomentsND(FrozenRecord):
     ``mean`` is a tuple of d floats and ``covariance`` a tuple of d row
     tuples.  Each is read in one walk as ``numpy.array(..., dtype=float)``
     would read it, from nested lists or tuples of numbers or from arrays,
-    but a ragged nesting raises ``ValueError`` naming the field.  The checks
+    but a ragged nesting, or one too deep for the walk's recursion, raises
+    ``ValueError`` naming the field.  The checks
     then run in this order, the first that fails raising ``ValueError``: a
     non-empty 1-D mean, a finite mean, a ``(d, d)`` covariance, a finite
     covariance, symmetry within ``COV_SYMMETRY_TOL`` (entrywise, absolute),

@@ -15,10 +15,11 @@ certifies.  The moment constraints are genuine equalities, not bands, so
 The rows are written in centred, scale-free units, ``t = (x - c) / s`` with
 ``c`` the midpoint of the means and ``s`` the sum of the standard
 deviations, so that no row or right-hand side is a difference of large
-terms at any offset or scale.  The module needs no numpy.  The randomized
-check of the d-dimensional trace bound lives in :mod:`tvbounds.nd`; its
-names still resolve here, loading that module on first access, and numpy
-when the check runs.
+terms at any offset or scale.  The column set, ``GridColumns``, holds the
+grid and that centring, and reads back and certifies a solve's optimizers.
+The module needs no numpy.  The randomized check of the d-dimensional trace
+bound lives in :mod:`tvbounds.nd`; its names still resolve here, loading
+that module on first access, and numpy when the check runs.
 """
 
 from __future__ import annotations
@@ -145,7 +146,9 @@ def _centring(pair: MomentPair1D) -> tuple[float, float]:
 
 
 class GridColumns:
-    """The constraint matrix of the grid LP, held as the grid it lives on.
+    """The constraint matrix of the grid LP, held as the grid it lives on:
+    the one holder of the sorted ``grid``, the column layout and the
+    ``centre`` and ``scale`` the rows are written in.
 
     Column ``j = k * n + i`` is family ``k`` (0 for ``w``, 1 for ``u``, 2
     for ``v``) at grid point ``i``, whose centred value is
@@ -156,14 +159,17 @@ class GridColumns:
     cheapest column over the sorted grid lies beside the quadratic's vertex
     when it is convex, and at an end of the grid otherwise.  The cost is
     the objective ``sum u``: 1 on each ``u`` column, 0 on the others.
+    ``optimizers`` reads a solution back as distributions on the grid, and
+    ``certified`` checks one against its target in the units of the rows.
     Raises ``ValueError`` if a row coefficient is not finite.
     """
 
-    __slots__ = ("t", "t_p", "t_q", "shape")
+    __slots__ = ("grid", "centre", "scale", "t", "t_p", "t_q", "shape")
 
     def __init__(
         self, grid: list[float], centre: float, scale: float, t_p: float, t_q: float
     ) -> None:
+        self.grid, self.centre, self.scale = grid, centre, scale
         self.t = [(x - centre) / scale for x in grid]
         self.t_p, self.t_q = t_p, t_q
         self.shape = (6, 3 * len(grid))
@@ -216,6 +222,44 @@ class GridColumns:
             best_j, best = 2 * n + i, reduced
         return best_j, best
 
+    def optimizers(self, x: dict[int, float]) -> tuple[DiscreteDist, DiscreteDist] | None:
+        """The optimizers ``p = w + u`` and ``q = w + v`` of a solution, read
+        from its basic columns ``x``, or None if they are too corrupted to
+        certify.
+
+        Both sides go through the same steps: no mass may lie below -1e-9, and
+        each side, with its negative entries clamped to 0, must total within
+        1e-9 of 1 and is divided by its total.
+        """
+        n, grid = len(self.t), self.grid
+        sides: tuple[dict, dict] = ({}, {})
+        for j, value in x.items():
+            family, i = divmod(j, n)
+            # w joins both sides, u the p side and v the q side
+            for side in ((0, 1), (0,), (1,))[family]:
+                masses = sides[side]
+                masses[i] = masses.get(i, 0.0) + value
+        optimizers = []
+        for masses in sides:
+            if masses and min(masses.values()) < -1e-9:
+                return None
+            kept = sorted((i, m) for i, m in masses.items() if m > 0.0)
+            total = math.fsum(m for _, m in kept)
+            if abs(total - 1.0) > 1e-9:
+                return None
+            optimizers.append(
+                DiscreteDist(tuple(grid[i] for i, _ in kept), tuple(m / total for _, m in kept))
+            )
+        return tuple(optimizers)
+
+    def certified(self, dist: DiscreteDist, target: Moments1D) -> bool:
+        """Whether ``dist`` has the moments of ``target`` in the units
+        ``t = (x - centre) / scale`` of the rows, at ``ORACLE_MOMENT_TOL``."""
+        centre, scale = self.centre, self.scale
+        centred = DiscreteDist(tuple((x - centre) / scale for x in dist.support), dist.probs)
+        wanted = Moments1D((target.mean - centre) / scale, target.stddev / scale)
+        return check_moments(centred, wanted, ORACLE_MOMENT_TOL)
+
 
 def _cheapest(t: list[float], g: float, k: float) -> int:
     """The index of the smallest value over the sorted ``t`` of a quadratic
@@ -236,34 +280,34 @@ class LPStandardForm(NamedTuple):
     """``min c.x  s.t.  constraint_matrix x = rhs, x >= 0``.
 
     ``constraint_matrix`` is a column set for ``solve_dense``, which also
-    prices the costs ``c``.  ``pair`` holds the moments the rows encode and
-    ``grid`` the support the probability variables live on, so that a
-    solve can hand back the optimizers as distributions and certify them
-    against the pair itself; neither plays a role in the algebra.
+    prices the costs ``c``; a ``GridColumns`` also holds the grid the
+    probability variables live on, and reads a solution back as
+    distributions on it.  ``pair`` holds the moments the optimizers are
+    certified against; it plays no role in the algebra.
     """
 
     constraint_matrix: GridColumns
     rhs: tuple[float, ...]
     pair: MomentPair1D
-    grid: tuple[float, ...]
 
 
 def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     """Encode grid-supported TV minimization under exact moment equality.
 
-    The variables are three blocks over the sorted grid: the common part
-    ``w`` and the two excesses ``u`` and ``v``, so that ``p = w + u`` and
-    ``q = w + v``.  Six equality rows (see ``GridColumns``) pin the total
-    mass, the mean ``t_p`` and the variance ``(sd_p / s)^2`` about it of
-    ``p`` in centred units, and the same of ``q``; the objective, which
-    the columns price, is ``sum u``.  Any grid pair is feasible with
-    ``w = min(p, q)``, where ``sum u = 1 - sum min(p, q) = TV(p, q)``, and
-    every feasible point has ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.
-    The optimum is therefore the minimal TV over grid pairs.  Upper bounds
-    such as ``p_i <= 1`` are implied by non-negativity and the mass rows.  A
-    grid of fewer than 2 points raises ``BadParameterError``; a point that
-    is not finite, a row coefficient past the float range, or a centring
-    scale past it (see ``_centring``), ``ValueError``.
+    The variables are three blocks over the sorted grid, which the column
+    set holds: the common part ``w`` and the two excesses ``u`` and ``v``,
+    so that ``p = w + u`` and ``q = w + v``.  Six equality rows (see
+    ``GridColumns``) pin the total mass, the mean ``t_p`` and the variance
+    ``(sd_p / s)^2`` about it of ``p`` in centred units, and the same of
+    ``q``; the objective, which the columns price, is ``sum u``.  Any grid
+    pair is feasible with ``w = min(p, q)``, where
+    ``sum u = 1 - sum min(p, q) = TV(p, q)``, and every feasible point has
+    ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.  The optimum is
+    therefore the minimal TV over grid pairs.  Upper bounds such as
+    ``p_i <= 1`` are implied by non-negativity and the mass rows.  A grid of
+    fewer than 2 points raises ``BadParameterError``; a point that is not
+    finite, a row coefficient past the float range, or a centring scale
+    past it (see ``_centring``), ``ValueError``.
     """
     x = list(map(float, grid))
     n = len(x)
@@ -277,8 +321,7 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     t_q = (pair.q_side.mean - centre) / scale
     r_p, r_q = pair.p_side.stddev / scale, pair.q_side.stddev / scale
     rhs = (1.0, t_p, r_p * r_p, 1.0, t_q, r_q * r_q)
-    columns = GridColumns(x, centre, scale, t_p, t_q)
-    return LPStandardForm(columns, rhs, pair, tuple(x))
+    return LPStandardForm(GridColumns(x, centre, scale, t_p, t_q), rhs, pair)
 
 
 class OracleStatus(enum.Enum):
@@ -306,56 +349,16 @@ class OracleResult(NamedTuple):
         }
 
 
-def _extract_pair(
-    x: dict[int, float], grid: tuple[float, ...]
-) -> tuple[DiscreteDist, DiscreteDist] | None:
-    """The optimizers ``p = w + u`` and ``q = w + v`` of an LP solution laid
-    out as ``formulate`` does, read from its basic columns ``x``, or None if
-    they are too corrupted to certify.
-
-    Both sides go through the same steps: no mass may lie below -1e-9, and
-    each side, with its negative entries clamped to 0, must total within
-    1e-9 of 1 and is divided by its total.
-    """
-    n = len(grid)
-    sides: tuple[dict, dict] = ({}, {})
-    for j, value in x.items():
-        family, i = divmod(j, n)
-        # w joins both sides, u the p side and v the q side
-        for side in ((0, 1), (0,), (1,))[family]:
-            masses = sides[side]
-            masses[i] = masses.get(i, 0.0) + value
-    optimizers = []
-    for masses in sides:
-        if masses and min(masses.values()) < -1e-9:
-            return None
-        kept = sorted((i, m) for i, m in masses.items() if m > 0.0)
-        total = math.fsum(m for _, m in kept)
-        if abs(total - 1.0) > 1e-9:
-            return None
-        optimizers.append(
-            DiscreteDist(tuple(grid[i] for i, _ in kept), tuple(m / total for _, m in kept))
-        )
-    return tuple(optimizers)
-
-
-def _certified(dist: DiscreteDist, target: Moments1D, centre: float, scale: float) -> bool:
-    """Whether ``dist`` has the moments of ``target`` in the units
-    ``t = (x - centre) / scale``, at ``ORACLE_MOMENT_TOL``."""
-    centred = DiscreteDist(tuple((x - centre) / scale for x in dist.support), dist.probs)
-    wanted = Moments1D((target.mean - centre) / scale, target.stddev / scale)
-    return check_moments(centred, wanted, ORACLE_MOMENT_TOL)
-
-
 def solve(lp: LPStandardForm) -> OracleResult:
     """Run the simplex on ``lp`` and package the outcome.
 
     An optimal solve yields the minimal TV (clamped to [0, 1] against
     terminal rounding) and the two optimizing distributions ``p = w + u``
-    and ``q = w + v`` on ``lp.grid``, read from the at most six basic
-    columns, keeping only the atoms that carry mass.  Each optimizer must
-    match its side of ``lp.pair`` at ``ORACLE_MOMENT_TOL`` in the centred
-    units of the rows; if either does not, the result is demoted to
+    and ``q = w + v``, which the column set reads back from the at most six
+    basic columns onto its grid, keeping only the atoms that carry mass.
+    Each optimizer must match its side of ``lp.pair`` at
+    ``ORACLE_MOMENT_TOL`` in the centred units of the rows, as the column
+    set certifies it; if either does not, the result is demoted to
     ``NUMERIC_FAILURE`` rather than trusted.  The atoms are reported in x.
     """
     res: SimplexResult = solve_dense(lp.constraint_matrix, lp.rhs)
@@ -364,13 +367,10 @@ def solve(lp: LPStandardForm) -> OracleResult:
     failed = OracleResult(OracleStatus.NUMERIC_FAILURE, None, None, None, res.iterations)
     if res.status != "optimal":
         return failed
-    optimizers = _extract_pair(res.x, lp.grid)
-    if optimizers is None:
+    columns = lp.constraint_matrix
+    optimizers = columns.optimizers(res.x)
+    if optimizers is None or not all(map(columns.certified, optimizers, lp.pair)):
         return failed
-    centre, scale = _centring(lp.pair)
-    for dist, target in zip(optimizers, lp.pair):
-        if not _certified(dist, target, centre, scale):
-            return failed
     tv = min(1.0, max(0.0, res.objective))
     return OracleResult(OracleStatus.OPTIMAL, tv, *optimizers, res.iterations)
 

@@ -3,9 +3,9 @@
 ``<name>.out`` under ``tests/golden/`` holds a case's expected stdout and
 ``<name>.err`` its expected stderr (empty when absent).  ``test_golden``
 runs every case in-process.  Run as a script, this module runs them through
-the installed ``tvbounds`` script, each a second time under
-``PYTHONPROFILEIMPORTTIME`` to read which modules its command loads, and
-exits nonzero if any output or any set of modules differs:
+the installed ``tvbounds`` script, once each under
+``PYTHONPROFILEIMPORTTIME`` to read which modules its command loads as
+well, and exits nonzero if any output or any set of modules differs:
 
     python tests/golden_cases.py                  # every case
     python tests/golden_cases.py --without-numpy  # the commands that never
@@ -140,16 +140,16 @@ def program_imports(stderr):
 
 
 def run_case(entry, args, env=None):
-    """Run ``args`` through the command line ``entry`` twice: as it is, and
-    under ``PYTHONPROFILEIMPORTTIME``.  Returns the first run's exit code,
-    stdout and stderr, and the modules the second run imported."""
+    """Run ``args`` through the command line ``entry`` once, under
+    ``PYTHONPROFILEIMPORTTIME``.  Returns its exit code, its stdout and its
+    stderr without the profile's ``import time:`` lines, and the modules it
+    imported, read from those lines."""
     env = dict(os.environ if env is None else env)
-    env.pop("PYTHONPROFILEIMPORTTIME", None)
-    command = [*entry, *args]
-    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
     env["PYTHONPROFILEIMPORTTIME"] = "1"
-    traced = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    return (proc.returncode, proc.stdout, proc.stderr), program_imports(traced.stderr)
+    proc = subprocess.run([*entry, *args], capture_output=True, text=True, env=env, timeout=120)
+    lines = proc.stderr.splitlines(keepends=True)
+    stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return (proc.returncode, proc.stdout, stderr), program_imports(proc.stderr)
 
 
 def loaded_modules(imports):

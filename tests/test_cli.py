@@ -814,6 +814,34 @@ def test_nd_bound_names_a_missing_key(capsys, tmp_path, missing):
     assert err == f"error: moments file is missing key {missing!r}\n"
 
 
+@pytest.mark.parametrize(
+    "depth", [100_000, sys.getrecursionlimit() + 50], ids=["100000", "recursion-limit+50"]
+)
+def test_nd_bound_refuses_a_deep_nesting_in_one_line(capsys, tmp_path, depth):
+    # the JSON parser meets the recursion limit, or on Python 3.12+, whose
+    # parser can go deeper, the walk that screens the fields does
+    nested = "[" * depth + "1" + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text('{"mean_p": %s, "cov_p": [[1]], "mean_q": [0], "cov_q": [[1]]}' % nested)
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nd_bound_names_a_field_too_deep_for_the_walk(capsys, monkeypatch, tmp_path):
+    # a parser that returns a nesting deeper than the recursion limit, as
+    # Python 3.12+'s can: the screening walk refuses it by its field
+    deep = [1.0]
+    for _ in range(5000):
+        deep = [deep]
+    payload = {"mean_p": [0.0], "cov_p": deep, "mean_q": [0.0], "cov_q": [[1.0]]}
+    monkeypatch.setattr(json, "load", lambda handle: payload)
+    path = tmp_path / "deep.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, "nd-bound", str(path))
+    assert (code, out, err) == (1, "", "error: moments file nests 'cov_p' too deeply to read\n")
+
+
 def test_nd_bound_rejects_bad_covariance(capsys, tmp_path):
     payload = {
         "mean_p": [0.0, 0.0],

@@ -263,16 +263,32 @@ def test_json_shape_and_determinism():
         ("[1, 2]", "a distribution must be a JSON object, got list"),
         ('{"support": 5, "probs": 1}', "support must be a list, got int"),
         ('{"support": [0.0], "probs": {"0": 1}}', "probs must be a list, got dict"),
+        # past the recursion limit, where the parser gives up
+        (
+            '{"support": ' + "[" * 100_000 + "]" * 100_000 + ', "probs": [1]}',
+            "a distribution's JSON nests too deeply to read",
+        ),
     ],
     ids=[
         "string", "boolean", "null", "string-mass", "huge-integer", "huge-integer-mass",
-        "empty-object", "no-probs", "array", "number-fields", "object-probs",
+        "empty-object", "no-probs", "array", "number-fields", "object-probs", "deep-nesting",
     ],
 )
 def test_json_refuses_what_is_not_a_json_number(text, message):
     with pytest.raises(ValueError) as info:
         DiscreteDist.from_json(text)
     assert str(info.value) == message
+
+
+def test_json_refuses_a_parsed_nesting_too_deep_to_read(monkeypatch):
+    # a parser that returns a nesting deeper than the recursion limit, as
+    # Python 3.12+'s can: the refusal's repr of the field meets the limit
+    deep = [1.0]
+    for _ in range(5000):
+        deep = [deep]
+    monkeypatch.setattr(json, "loads", lambda text: {"support": deep, "probs": [1.0]})
+    with pytest.raises(ValueError, match="^a distribution's JSON nests too deeply to read$"):
+        DiscreteDist.from_json("{}")
 
 
 # --------------------------------------------- reference: the parent's layer

@@ -649,6 +649,15 @@ def test_momentsnd_refuses_with_the_exact_message(mean, bad, message):
     assert str(raised.value) == message
 
 
+def test_momentsnd_names_a_mean_nested_too_deeply_to_read():
+    # built iteratively, deeper than the walk that reads it can recurse
+    mean = [0.0]
+    for _ in range(5000):
+        mean = [mean]
+    with pytest.raises(ValueError, match="^mean nests too deeply to read$"):
+        MomentsND(mean, [[1.0]])
+
+
 def _hex_rows(rows):
     """A matrix's entries as ``float.hex`` strings, row by row: equal only
     bit for bit, where ``==`` takes -0.0 for 0.0."""

@@ -30,7 +30,6 @@ import tvbounds.discrete as discrete
 import tvbounds.nd as nd
 import tvbounds.oracle as oracle
 from tvbounds.cli import VERIFY_SOUND_TOL, VERIFY_TIGHT_TOL
-from tvbounds.simplex import solve_dense
 
 from conftest import DenseColumns
 
@@ -234,14 +233,14 @@ def test_formulate_writes_centred_rows():
     n = 3
     columns = lp.constraint_matrix
     assert columns.shape == (6, 3 * n)
-    assert lp.grid == (-1.0, 0.0, 1.0)  # sorted
+    assert columns.grid == [-1.0, 0.0, 1.0]  # sorted
     # objective: the mass of the p-side excess u, nothing else
     assert [columns.cost(j) for j in range(3 * n)] == [0.0] * n + [1.0] * n + [0.0] * n
     t_p, t_q = 0.125 / 0.75, -0.125 / 0.75
     assert lp.rhs == (1.0, t_p, (0.5 / 0.75) ** 2, 1.0, t_q, (0.25 / 0.75) ** 2)
     # p = w + u carries rows 0-2 and q = w + v rows 3-5; u never meets q
     # and v never meets p
-    for i, x in enumerate(lp.grid):
+    for i, x in enumerate(columns.grid):
         t = (x - 0.125) / 0.75
         p_rows, q_rows = [1.0, t, (t - t_p) ** 2], [1.0, t, (t - t_q) ** 2]
         assert columns.column(i) == pytest.approx(p_rows + q_rows, abs=1e-15)
@@ -321,7 +320,6 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
         constraint_matrix=DenseColumns([[1.0, -1.0]], [-1.0, 0.0]),
         rhs=(0.0,),
         pair=pair(0, 1, 0, 1),
-        grid=(-1.0, 1.0),
     )
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
 
@@ -401,16 +399,6 @@ def test_grid_refinement_never_raises_optimum():
     coarse = solve(formulate(this, build_grid(spec)))
     fine = solve(formulate(this, build_grid(spec, (-1.234, 0.777, 2.5))))
     assert fine.tv_min <= coarse.tv_min + 1e-9
-
-
-def test_solver_determinism():
-    this = pair(0.9, 1.1, -0.2, 0.7)
-    first = minimize_tv_on_grid(this)
-    second = minimize_tv_on_grid(this)
-    assert first.tv_min == second.tv_min
-    assert first.iterations == second.iterations
-    assert first.p_opt == second.p_opt
-    assert first.q_opt == second.q_opt
 
 
 def test_soundness_floor_random_configs():
@@ -558,62 +546,21 @@ def test_robustness_sweep_seeded_grid_is_tight(robustness_sweep):
     assert loose == []
 
 
-# ------------------------------------------------------------ simplex engine
+# ------------------------------------------------------------------ readback
 
 
-def test_extract_pair_clamps_and_refuses():
-    grid = (-1.0, 0.0, 1.0)
+def test_optimizers_clamp_and_refuse():
+    columns = formulate(pair(0, 1, 0, 1), (-1.0, 0.0, 1.0)).constraint_matrix
     # the basic columns of the w, u and v blocks; p = w + u holds -5e-10 at
     # x = 1, within -1e-9, which is clamped to 0 and dropped with the other
     # empty atoms
     x = {0: 0.25, 1: 0.25, 3: 0.5, 5: -5e-10, 7: 0.5, 8: 0.0}
-    p, q = oracle._extract_pair(x, grid)
+    p, q = columns.optimizers(x)
     assert (p.support, p.probs) == ((-1.0, 0.0), (0.75, 0.25))
     assert (q.support, q.probs) == ((-1.0, 0.0), (0.25, 0.75))
     # mass below -1e-9 on either side, or a total off 1 by more than 1e-9
-    assert oracle._extract_pair({**x, 5: -2e-9}, grid) is None
-    assert oracle._extract_pair({**x, 5: 0.0, 7: 0.5 + 2e-9}, grid) is None
-
-
-def test_simplex_small_equality_program():
-    # min x + y  s.t.  x + 2y = 4, x >= 0, y >= 0
-    res = solve_dense(DenseColumns([[1.0, 2.0]], [1.0, 1.0]), [4.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.0, abs=1e-12)
-    assert res.x == pytest.approx({1: 2.0}, abs=1e-12)
-
-
-def test_simplex_handles_negative_rhs():
-    # same program written with a negated row
-    res = solve_dense(DenseColumns([[-1.0, -2.0]], [1.0, 1.0]), [-4.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.0, abs=1e-12)
-
-
-def test_simplex_beale_cycling_example():
-    # a classic degenerate program on which naive most-negative pivoting
-    # cycles forever; the anti-cycling fallback must terminate at -1/20
-    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
-    A = [
-        [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
-        [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-    ]
-    b = [0.0, 0.0, 1.0]
-    res = solve_dense(DenseColumns(A, c), b)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-0.05, abs=1e-12)
-
-
-def test_simplex_unbounded():
-    res = solve_dense(DenseColumns([[1.0, -1.0]], [-1.0, 0.0]), [0.0])
-    assert res.status == "unbounded"
-
-
-def test_simplex_infeasible():
-    # x1 + x2 = -1 has no non-negative solution
-    res = solve_dense(DenseColumns([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]), [1.0, 2.0])
-    assert res.status == "infeasible"
+    assert columns.optimizers({**x, 5: -2e-9}) is None
+    assert columns.optimizers({**x, 5: 0.0, 7: 0.5 + 2e-9}) is None
 
 
 # ------------------------------------------------------- d-dimensional check

@@ -48,7 +48,6 @@ def _lp_kwargs():
         constraint_matrix=((1.0, 2.0),),
         rhs=(1.0,),
         pair=MomentPair1D.from_scalars(1.0, 1.0, 0.0, 1.0),
-        grid=(-1.0, 1.0),
     )
 
 

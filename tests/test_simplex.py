@@ -142,23 +142,24 @@ def test_a_100001_point_solve_takes_few_pivots(seeded):
 
 
 @pytest.mark.parametrize(
-    "c,A,b,status,objective",
+    "c,A,b,status,objective,x",
     [
-        ([1.0, 1.0], [[1.0, 2.0]], [4.0], "optimal", 2.0),
-        ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal", 2.0),  # negative rhs
-        ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", None),
-        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible", None),
+        ([1.0, 1.0], [[1.0, 2.0]], [4.0], "optimal", 2.0, {1: 2.0}),
+        ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal", 2.0, {1: 2.0}),  # negative rhs
+        ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", None, None),
+        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible", None, None),
         # a redundant row: its artificial stays basic at zero in phase 2
-        ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal", 0.0),
+        ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal", 0.0, {2: 1.0}),
     ],
 )
-def test_small_programs(c, A, b, status, objective):
+def test_small_programs(c, A, b, status, objective, x):
     res = solve_dense(DenseColumns(A, c), b)
     assert res.status == status
     if objective is None:
         assert res.x is None and res.objective is None
     else:
         assert res.objective == pytest.approx(objective, abs=1e-12)
+        assert res.x == pytest.approx(x, abs=1e-12)
 
 
 def test_basic_artificial_leaves_when_a_column_reaches_its_row():
