@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from typing import Any, Mapping, NamedTuple
 
@@ -63,14 +62,22 @@ class RunConfig(NamedTuple):
     params: Mapping[str, Any]
 
 
+class _NegativeNumber:
+    # argparse takes a "-" token for a flag unless this matches it, and
+    # calls it only by .match; its own pattern misses "-1e-05" and "-inf"
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse takes an argument for a flag unless it matches this
-        # pattern, whose default has no exponent form: ``--mp -1e-05``
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
-        )
+        self._negative_number_matcher = _NegativeNumber
 
     # argparse exits the process on bad flags; raise instead so the caller
     # controls the exit code
@@ -204,8 +211,18 @@ def _cmd_sequence(params: Mapping[str, Any]) -> tuple[dict, int]:
     return construct_vanishing_sequence(*args).to_json_dict(), 0
 
 
+def _verdict(result, bound: float) -> tuple[str, int]:
+    """``verify``'s verdict on a grid ``result`` against the tight ``bound``, and its exit code."""
+    status = result.status.value
+    if status != "optimal":
+        return status, 3 if status == "numeric_failure" else 2
+    if result.tv_min < bound - VERIFY_SOUND_TOL:
+        return "violated", 2
+    return ("tight", 0) if abs(result.tv_min - bound) <= VERIFY_TIGHT_TOL else ("sound", 0)
+
+
 def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
-    from .oracle import GridSpec, OracleStatus, minimize_tv_on_grid
+    from .oracle import GridSpec, minimize_tv_on_grid
 
     pair = _pair_from(params)
     lo, hi = params["grid_lo"], params["grid_hi"]
@@ -218,18 +235,7 @@ def _cmd_verify(params: Mapping[str, Any]) -> tuple[dict, int]:
     include = params["include_witness"]
     result = minimize_tv_on_grid(pair, spec, include_witness_points=include)
     bound = tv_lower_bound_1d(pair)
-
-    if result.status is OracleStatus.NUMERIC_FAILURE:
-        verdict, code = "numeric_failure", 3
-    elif result.status is OracleStatus.INFEASIBLE:
-        verdict, code = "infeasible", 2
-    elif result.tv_min < bound - VERIFY_SOUND_TOL:
-        verdict, code = "violated", 2
-    elif abs(result.tv_min - bound) <= VERIFY_TIGHT_TOL:
-        verdict, code = "tight", 0
-    else:
-        verdict, code = "sound", 0
-
+    verdict, code = _verdict(result, bound)
     return {
         "input": _input(params),
         "grid": {

@@ -15,7 +15,6 @@ idiom imports more of the standard library than ``typing``.
 
 from __future__ import annotations
 
-import json
 import math
 from operator import mul, sub
 from typing import NamedTuple
@@ -130,9 +129,9 @@ class DiscreteDist(FrozenRecord):
     def from_json_dict(cls, payload: dict) -> "DiscreteDist":
         """Inverse of ``to_json_dict``.  ``payload`` must be an object
         whose ``support`` and ``probs`` are lists, and every entry a JSON
-        number that fits in a float: any other shape, or a string, a
-        boolean, ``null`` or an integer past the float range, raises
-        ``ValueError`` naming its field."""
+        number that fits in a float: any other shape or entry, or an
+        integer past the float range, raises ``ValueError`` naming its
+        field, and a list or object entry by its type, at any depth."""
         if not isinstance(payload, dict):
             kind = type(payload).__name__
             raise ValueError(f"a distribution must be a JSON object, got {kind}")
@@ -143,8 +142,10 @@ class DiscreteDist(FrozenRecord):
             if not isinstance(values, list):
                 raise ValueError(f"{name} must be a list, got {type(values).__name__}")
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if isinstance(value, (str, bool)) or value is None:
                     raise ValueError(f"{name} holds {value!r}, not a number")
+                if not isinstance(value, (int, float)):
+                    raise ValueError(f"{name} holds a {type(value).__name__}, not a number")
                 try:
                     float(value)
                 except OverflowError:
@@ -153,20 +154,6 @@ class DiscreteDist(FrozenRecord):
                         "past the float range"
                     ) from None
         return cls(payload["support"], payload["probs"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDist":
-        """Inverse of ``to_json``, refusing as ``from_json_dict`` does; a
-        nesting too deep to parse also raises ``ValueError``."""
-        # where the parser goes deeper than the recursion limit, as it can
-        # on Python 3.12+, the repr in from_json_dict's refusal meets it
-        try:
-            return cls.from_json_dict(json.loads(text))
-        except RecursionError:
-            raise ValueError("a distribution's JSON nests too deeply to read") from None
 
 
 def _mean_variance(d: DiscreteDist) -> tuple[float, float]:

@@ -90,12 +90,17 @@ class GridSpec(FrozenRecord):
     @classmethod
     def default_for(cls, pair: MomentPair1D, count: int = 121) -> "GridSpec":
         """Grid wide enough to cover every constructed witness support:
-        six standard deviations beyond the span of the two means."""
-        pad = 6.0 * max(pair.p_side.stddev, pair.q_side.stddev)
-        if pad == 0.0:
-            pad = 1.0
-        lo = min(pair.p_side.mean, pair.q_side.mean) - pad
-        hi = max(pair.p_side.mean, pair.q_side.mean) + pad
+        six standard deviations beyond the span of the two means.  A span
+        past the float range raises ``BadParameterError``."""
+        stddev = max(pair.p_side.stddev, pair.q_side.stddev)
+        pad = 6.0 * stddev or 1.0
+        means = (pair.p_side.mean, pair.q_side.mean)
+        lo, hi = min(means) - pad, max(means) + pad
+        if not math.isfinite(hi - lo):
+            raise BadParameterError(
+                f"the default grid, six stddevs of {stddev!r} beyond the means "
+                f"{means[0]!r} and {means[1]!r}, overflows the float range"
+            )
         return cls(lo, hi, count)
 
 

@@ -11,7 +11,9 @@ negative reduced cost ``d = c_j - y.A_j`` against the ``ROWS`` duals ``y``
 (the lowest index among ties), with a cost of 0 on every column unless
 ``phase2``.  The grid oracle's programs are such a set, whose column
 families each price as one quadratic over a sorted grid, so that a pivot
-costs no scan of the columns.
+costs no scan of the columns.  A column set may name its columns by any
+indices ``j >= 0``: the kernel names row i's artificial ``~i``, and reads
+``n`` only for the iteration budget.
 
 Phase 1 starts from one artificial variable per row, signed so that it
 starts at ``|b_i|``, and drives their sum to zero; phase 2 prices the real
@@ -74,9 +76,9 @@ class SimplexResult(NamedTuple):
 
 
 class _Basis:
-    """The basis of a program with n real columns, padded to ``ROWS`` rows.
+    """The basis of a program, padded to ``ROWS`` rows.
 
-    ``basis[i]`` is the column basic in row i (``n + i`` is row i's
+    ``basis[i]`` is the column basic in row i (``~i`` is row i's
     artificial).  ``rows[i]``, for i below ``ROWS``, is row i of the basis
     inverse followed by the basic value of row i; ``rows[ROWS]`` holds the
     duals, followed by a value never read.  A pivot updates all of them by
@@ -84,12 +86,11 @@ class _Basis:
     every product with a row of the inverse.
     """
 
-    __slots__ = ("columns", "n", "basis", "rows")
+    __slots__ = ("columns", "basis", "rows")
 
     def __init__(self, columns, b: list[float]) -> None:
-        self.n = n = columns.shape[1]
         self.columns = columns
-        self.basis = list(range(n, n + ROWS))
+        self.basis = [~i for i in range(ROWS)]
         # artificial i is the column sign(b_i) e_i, so it starts at |b_i|
         self.rows = [
             [(-1.0 if b[i] < 0.0 else 1.0) if k == i else 0.0 for k in range(ROWS)]
@@ -100,10 +101,10 @@ class _Basis:
 
     def basic_column(self, j: int, b: list[float]) -> list[float]:
         """Column ``j``, or for an artificial its signed unit column."""
-        if j < self.n:
+        if j >= 0:
             return self.columns.column(j)
         column = [0.0] * ROWS
-        column[j - self.n] = -1.0 if b[j - self.n] < 0.0 else 1.0
+        column[~j] = -1.0 if b[~j] < 0.0 else 1.0
         return column
 
     def values(self) -> list[float]:
@@ -126,17 +127,17 @@ class _Basis:
         ]
 
     def artificial_rows(self) -> list[int]:
-        return [i for i, j in enumerate(self.basis) if j >= self.n]
+        return [i for i, j in enumerate(self.basis) if j < 0]
 
     def reset_duals(self, phase2: bool) -> None:
         """Set the duals to ``c_B`` times the basis inverse, for phase 1
         (cost 1 on every artificial, 0 on every real column), or for phase 2
         on the column set's costs (cost 0 on every artificial)."""
-        n, cost = self.n, self.columns.cost
+        cost = self.columns.cost
         if phase2:
-            costs = [cost(j) if j < n else 0.0 for j in self.basis]
+            costs = [cost(j) if j >= 0 else 0.0 for j in self.basis]
         else:
-            costs = [1.0 if j >= n else 0.0 for j in self.basis]
+            costs = [1.0 if j < 0 else 0.0 for j in self.basis]
         c0, c1, c2, c3, c4, c5 = costs
         u = self.rows
         self.rows[ROWS] = [
@@ -243,6 +244,6 @@ def solve_dense(A, b) -> SimplexResult:
     status, iterations = basis.run(True, iterations, budget)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations)
-    x = {j: v for j, v in zip(basis.basis, basis.refined_values(b)) if j < n}
+    x = {j: v for j, v in zip(basis.basis, basis.refined_values(b)) if j >= 0}
     objective = math.fsum(A.cost(j) * v for j, v in x.items())
     return SimplexResult("optimal", x, objective, iterations)

@@ -525,6 +525,29 @@ def test_verify_overflowing_grid_span_is_an_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, named",
+    [
+        (
+            ("--mp", "0", "--sp", "1e308", "--mq", "1", "--sq", "1"),
+            "1e+308 beyond the means 0.0 and 1.0",
+        ),
+        # the pad is finite, the span of the padded means is not
+        (
+            ("--mp", "1.5e308", "--sp", "1e306", "--mq", "-2e307", "--sq", "1"),
+            "1e+306 beyond the means 1.5e+308 and -2e+307",
+        ),
+    ],
+    ids=["pad", "span"],
+)
+def test_verify_names_a_default_grid_past_the_float_range(capsys, args, named):
+    # six stddevs beyond the means overflow: the refusal names the default
+    # grid, not lo and hi the caller never gave
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: the default grid, six stddevs of {named}, overflows the float range\n"
+
+
+@pytest.mark.parametrize(
     "grid", [(), ("--grid-lo", "-6", "--grid-hi", "6")], ids=["default", "explicit"]
 )
 def test_verify_refuses_a_grid_past_its_limit(capsys, monkeypatch, grid):
@@ -1101,6 +1124,42 @@ def test_negative_scientific_value_reads_as_a_number(capsys, argv, flag, value):
     expected = run_cli(capsys, *argv, f"{flag}={value}")
     assert expected[0] == 0 and expected[2] == ""
     assert run_cli(capsys, *argv, flag, value) == expected
+
+
+# every numeric flag of every command, with the flags the command needs
+_NUMERIC_FLAGS = [
+    *((["bound", *PAIR_FLAGS], flag) for flag in ("--mp", "--sp", "--mq", "--sq")),
+    (["case-c", *PAIR_FLAGS], "--q-param"),
+    *(
+        (["sequence", "--sp", "1", "--sq", "2", "--k", "3"], flag)
+        for flag in ("--m", "--sp", "--k")
+    ),
+    *(
+        (["verify", *PAIR_FLAGS, "--grid-lo", "-6", "--grid-hi", "6", "--grid-n", "21"], flag)
+        for flag in ("--grid-lo", "--grid-hi", "--grid-n")
+    ),
+    *(
+        (["nd-check", "--dims", "1", "--atoms", "3", "--trials", "2"], flag)
+        for flag in ("--dims", "--atoms", "--trials", "--seed")
+    ),
+    *(
+        (["sweep", "--param", "mp", "--start", "0", "--stop", "1", "--step", "0.5",
+          "--sp", "1", "--mq", "0", "--sq", "1"], flag)
+        for flag in ("--start", "--stop", "--step")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", _NUMERIC_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in _NUMERIC_FLAGS]
+)
+def test_every_negative_spelling_float_reads_is_a_value(capsys, argv, flag):
+    # argparse's own pattern took "-inf" for a flag ("--mp: expected one
+    # argument"); the "--flag=value" spelling always reached the check
+    for value in ("-inf", "-nan", "-Infinity", "-1_000"):
+        expected = run_cli(capsys, *argv, f"{flag}={value}")
+        assert "expected one argument" not in expected[2]
+        assert run_cli(capsys, *argv, flag, value) == expected, value
 
 
 def test_negative_stddev_is_invalid_input(capsys):

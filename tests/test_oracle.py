@@ -26,10 +26,10 @@ from tvbounds import (
     tv_lower_bound_nd,
     WitnessConstructionError,
 )
+import tvbounds.cli as cli
 import tvbounds.discrete as discrete
 import tvbounds.nd as nd
 import tvbounds.oracle as oracle
-from tvbounds.cli import VERIFY_SOUND_TOL, VERIFY_TIGHT_TOL
 
 from conftest import DenseColumns
 
@@ -505,13 +505,8 @@ def _verdict(x, count, seeded):
     except WitnessConstructionError:
         # the witness layer refuses to seed the grid (ROADMAP item 3)
         return "witness refused"
-    if result.status is not OracleStatus.OPTIMAL:
-        return result.status.value
-    # verify's own tolerances, so the sweep follows any change to them
-    bound = tv_lower_bound_1d(this)
-    if result.tv_min < bound - VERIFY_SOUND_TOL:
-        return "violated"
-    return "tight" if abs(result.tv_min - bound) <= VERIFY_TIGHT_TOL else "sound"
+    # verify's own verdict, so the sweep follows any change to its rules
+    return cli._verdict(result, tv_lower_bound_1d(this))[0]
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,6 @@ from tvbounds.simplex import solve_dense
 
 from conftest import DenseColumns
 
-linprog = pytest.importorskip("scipy.optimize").linprog
-
 
 def pair(mp, sp, mq, sq):
     return MomentPair1D.from_scalars(mp, sp, mq, sq)
@@ -43,6 +41,8 @@ def grid_of(p, seeded, spec=None):
 
 def highs(p, grid):
     """HiGHS on the common-part program over ``grid``, raw-power rows."""
+    from scipy.optimize import linprog
+
     x = np.asarray(grid)
     n, zero = x.size, np.zeros((3, x.size))
     powers = np.vstack([np.ones(n), x, x * x])
@@ -70,11 +70,13 @@ def assert_agrees_with_highs(p, grid):
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "plain"])
 @pytest.mark.parametrize("seed", [5, 977, 1809])
 def test_optimum_equals_highs_on_the_benchmark_lattice(seed, seeded):
+    pytest.importorskip("scipy.optimize")
     for p in lattice_pairs(seed):
         assert_agrees_with_highs(p, grid_of(p, seeded))
 
 
 def test_optimum_equals_highs_on_random_grids():
+    pytest.importorskip("scipy.optimize")
     # unevenly spaced points, some too narrow for the variances, and pairs
     # with a point-mass side, whose mean is then a grid point
     rng = random.Random(31)
@@ -141,17 +143,17 @@ def test_a_100001_point_solve_takes_few_pivots(seeded):
 # ------------------------------------------------------- small programs
 
 
-@pytest.mark.parametrize(
-    "c,A,b,status,objective,x",
-    [
-        ([1.0, 1.0], [[1.0, 2.0]], [4.0], "optimal", 2.0, {1: 2.0}),
-        ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal", 2.0, {1: 2.0}),  # negative rhs
-        ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", None, None),
-        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible", None, None),
-        # a redundant row: its artificial stays basic at zero in phase 2
-        ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal", 0.0, {2: 1.0}),
-    ],
-)
+SMALL_PROGRAMS = [
+    ([1.0, 1.0], [[1.0, 2.0]], [4.0], "optimal", 2.0, {1: 2.0}),
+    ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "optimal", 2.0, {1: 2.0}),  # negative rhs
+    ([-1.0, 0.0], [[1.0, -1.0]], [0.0], "unbounded", None, None),
+    ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "infeasible", None, None),
+    # a redundant row: its artificial stays basic at zero in phase 2
+    ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [1.0, 2.0], "optimal", 0.0, {2: 1.0}),
+]
+
+
+@pytest.mark.parametrize("c,A,b,status,objective,x", SMALL_PROGRAMS)
 def test_small_programs(c, A, b, status, objective, x):
     res = solve_dense(DenseColumns(A, c), b)
     assert res.status == status
@@ -160,6 +162,37 @@ def test_small_programs(c, A, b, status, objective, x):
     else:
         assert res.objective == pytest.approx(objective, abs=1e-12)
         assert res.x == pytest.approx(x, abs=1e-12)
+
+
+class ShiftedColumns:
+    """A column set's columns under indices raised by its column count, so
+    that they run from ``shape[1]`` upward."""
+
+    def __init__(self, columns) -> None:
+        self.columns, self.shape, self.offset = columns, columns.shape, columns.shape[1]
+
+    def column(self, j: int) -> list[float]:
+        return self.columns.column(j - self.offset)
+
+    def cost(self, j: int) -> float:
+        return self.columns.cost(j - self.offset)
+
+    def price(self, y: list[float], phase2: bool) -> tuple[int, float]:
+        j, reduced = self.columns.price(y, phase2)
+        return j + self.offset, reduced
+
+
+@pytest.mark.parametrize("c,A,b,status,objective,x", SMALL_PROGRAMS)
+def test_a_column_set_names_its_columns_from_any_index(c, A, b, status, objective, x):
+    # the kernel names its artificials apart from every index a column set
+    # may use, so one past shape[1] is a column like any other
+    plain = solve_dense(DenseColumns(A, c), b)
+    shifted = solve_dense(ShiftedColumns(DenseColumns(A, c)), b)
+    offset = len(c)
+    assert (shifted.status, shifted.objective) == (plain.status, plain.objective)
+    assert shifted.iterations == plain.iterations
+    want = None if plain.x is None else {j + offset: v for j, v in plain.x.items()}
+    assert shifted.x == want
 
 
 def test_basic_artificial_leaves_when_a_column_reaches_its_row():
@@ -180,7 +213,7 @@ def test_a_basic_value_rounded_below_zero_bounds_the_step_at_zero():
     basis = simplex._Basis(A, b)
     basis.rows[1][simplex.ROWS] = -1e-17
     assert basis.run(False, 0, 1) == ("iteration_limit", 1)
-    assert basis.basis[:2] == [2, 0]
+    assert basis.basis[:2] == [~0, 0]
     assert basis.values()[:2] == [1.0, 0.0]
 
 
