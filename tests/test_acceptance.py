@@ -10,14 +10,12 @@ per-criterion lines.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from tvbounds import (
     DiscreteDist,
     GridSpec,
     Moments1D,
-    MomentPair1D,
     MomentPairND,
     MomentsND,
     OracleStatus,
@@ -33,6 +31,7 @@ from tvbounds import (
 )
 
 from conftest import gaussian_tv
+from domain import NEAR_UNIT, PLAIN, POSITIVE, draws, pair
 
 #: Runs of each timed block; the fastest is compared with the budget.
 RUNS = 3
@@ -57,26 +56,8 @@ def _fastest(block):
     return elapsed, results
 
 
-def _pair(mp, sp, mq, sq):
-    return MomentPair1D.from_scalars(mp, sp, mq, sq)
-
-
-def _random_config(rng, sigma_lo=0.0, sigma_hi=3.0, zero_sigma_rate=0.0):
-    mq = rng.uniform(-5.0, 5.0)
-    magnitude = rng.uniform(0.1, 5.0)
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    mp = mq + sign * magnitude
-    sigmas = []
-    for _ in range(2):
-        if zero_sigma_rate and rng.uniform() < zero_sigma_rate:
-            sigmas.append(0.0)
-        else:
-            sigmas.append(rng.uniform(sigma_lo, sigma_hi))
-    return _pair(mp, sigmas[0], mq, sigmas[1])
-
-
 def test_criterion_1_tightness_equality():
-    reference = _pair(1, 1, 0, 1)
+    reference = pair(1, 1, 0, 1)
     construct_tight_witness(reference)  # warm caches before timing
 
     def block():
@@ -104,10 +85,7 @@ def test_criterion_1_tightness_equality():
 
 
 def test_criterion_2_randomized_tightness_sweep():
-    rng = np.random.default_rng(202402)
-    configs = [
-        _random_config(rng, zero_sigma_rate=0.15) for _ in range(200)
-    ]
+    configs = [pair(*x) for x in draws(202402, 200, NEAR_UNIT)]
 
     def block():
         failures = []
@@ -128,18 +106,8 @@ def test_criterion_2_randomized_tightness_sweep():
     _report("criterion 2 randomized tightness sweep", elapsed, 0.1, failures)
 
 
-def _lp_configs():
-    rng = np.random.default_rng(202403)
-    configs = []
-    while len(configs) < 10:
-        pair = _random_config(rng, sigma_lo=0.3, sigma_hi=2.5)
-        if abs(pair.p_side.mean - pair.q_side.mean) <= 3.0:
-            configs.append(pair)
-    return configs
-
-
 def test_criterion_3_lp_attainment():
-    configs = _lp_configs()
+    configs = [pair(*x) for x in draws(202403, 10, PLAIN)]
     def block():
         failures = []
         for pair in configs:
@@ -157,7 +125,7 @@ def test_criterion_3_lp_attainment():
 
 
 def test_criterion_4_lp_soundness_floor():
-    configs = _lp_configs()
+    configs = [pair(*x) for x in draws(202403, 10, PLAIN)]
     def block():
         failures = []
         for pair in configs:
@@ -177,10 +145,7 @@ def test_criterion_4_lp_soundness_floor():
 
 
 def test_criterion_5_ordering_suite():
-    rng = np.random.default_rng(202405)
-    configs = [
-        _random_config(rng, sigma_lo=0.1, sigma_hi=3.0) for _ in range(1000)
-    ]
+    configs = [pair(*x) for x in draws(202405, 1000, POSITIVE)]
 
     def block():
         failures = []
@@ -203,16 +168,7 @@ def test_criterion_5_ordering_suite():
 
 
 def test_criterion_6_dimension_one_dominance():
-    rng = np.random.default_rng(202406)
-    scalars = [
-        (
-            rng.uniform(-5, 5),
-            rng.uniform(0, 3),
-            rng.uniform(-5, 5),
-            rng.uniform(0, 3),
-        )
-        for _ in range(1000)
-    ]
+    scalars = draws(202406, 1000, POSITIVE)
 
     def block():
         failures = []
@@ -222,7 +178,7 @@ def test_criterion_6_dimension_one_dominance():
                     MomentsND([mp], [[sp * sp]]), MomentsND([mq], [[sq * sq]])
                 )
             )
-            if nd > tv_lower_bound_1d(_pair(mp, sp, mq, sq)) + 1e-12:
+            if nd > tv_lower_bound_1d(pair(mp, sp, mq, sq)) + 1e-12:
                 failures.append((mp, sp, mq, sq, nd))
         return failures
 
@@ -268,19 +224,14 @@ def test_criterion_8_vanishing_sequence():
 
 
 def test_criterion_9_gaussian_sanity():
-    rng = np.random.default_rng(202409)
-    configs = []
-    for _ in range(99):
-        mp, mq = rng.uniform(-3.0, 3.0, size=2)
-        sp, sq = rng.uniform(0.2, 2.5, size=2)
-        configs.append((mp, sp, mq, sq))
+    configs = draws(202409, 99, POSITIVE)
     configs.append((1.0, 1.0, 0.0, 1.0))
 
     def block():
         failures = []
         for mp, sp, mq, sq in configs:
             tv = gaussian_tv(mp, sp, mq, sq)
-            bound = tv_lower_bound_1d(_pair(mp, sp, mq, sq))
+            bound = tv_lower_bound_1d(pair(mp, sp, mq, sq))
             if tv < bound - 1e-8:
                 failures.append((mp, sp, mq, sq, tv, bound))
         return failures

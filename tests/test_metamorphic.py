@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvbounds import (
@@ -35,6 +35,8 @@ from tvbounds.cli import RunConfig, run
 from tvbounds.errors import TVBoundError
 from tvbounds.nd import MomentPairND, MomentsND, tv_lower_bound_nd
 
+from domain import GRID, draws, pairs, sample
+
 SCALES = {"scale_2^20": 2.0**20, "scale_2^-20": 2.0**-20}
 #: Each map takes and returns (mean_p, sd_p, mean_q, sd_q).
 MAPS = {
@@ -44,19 +46,9 @@ MAPS = {
 }
 
 
-def draw_pair(rng: random.Random) -> tuple[float, float, float, float]:
-    """Scale 1 or 10^U(-6, 6), offset 0 or U(-1e3, 1e3) (even odds each);
-    each stddev 0 with odds 0.2, else U(0.05, 2) * scale; equal means 5%."""
-    scale = 1.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-6, 6)
-    offset = 0.0 if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
-    sp, sq = (0.0 if rng.random() < 0.2 else rng.uniform(0.05, 2) * scale for _ in "pq")
-    mp = offset + rng.uniform(-2, 2) * scale
-    mq = mp if rng.random() < 0.05 else offset + rng.uniform(-2, 2) * scale
-    return mp, sp, mq, sq
-
-
-_rng = random.Random(11)
-SWEEP = [draw_pair(_rng) for _ in range(3000)]
+#: Spreads 10^-6.5 to 10^6.5, offsets to 1e9.5 spreads, gap ratios 1e-4 to 100
+#: and stddev ratios 1/40 to 40, any zero side and equal means 5%.
+SWEEP = draws(11, 3000, scale=(-6.5, 6.5), offset=(0, 9.5), gap=(-4, 2), ratio=(-1.6, 1.6))
 # the constructors cost about 20 times a bound report, so they see a prefix
 CONSTRUCTOR_SWEEP = SWEEP[:400]
 
@@ -133,18 +125,14 @@ def test_bound_report_is_bit_exact_under_the_map(name):
         assert report_of(MAPS[name](*x)) == mapped_report(report, name, x), x
 
 
-# 0 or a magnitude in [1e-100, 1e100]: every report field, of degree at
-# most 2 in the inputs, stays normal at 2^+-20
-magnitudes = st.floats(1e-100, 1e100)
-means = st.one_of(st.just(0.0), magnitudes, magnitudes.map(float.__neg__))
-stddevs = st.one_of(st.just(0.0), magnitudes)
-
-
 @pytest.mark.parametrize("name", MAPS)
-@given(means, stddevs, means, stddevs)
+@given(pairs(scale=(-324, 100.3), offset=(0, 308), gap=(-324, 200.3), ratio=(-200, 200)))
+@example(x=(0.0, 0.0, 0.0, 0.0))
 @settings(deadline=None, max_examples=30)
-def test_bound_report_is_bit_exact_under_the_map_property(name, mp, sp, mq, sq):
-    x = (mp, sp, mq, sq)
+def test_bound_report_is_bit_exact_under_the_map_property(name, x):
+    # 0 or a magnitude in [1e-100, 1e100]: every report field, of degree at
+    # most 2 in the inputs, stays normal at 2^+-20
+    assume(all(v == 0.0 or 1e-100 <= abs(v) <= 1e100 for v in x))
     assert report_of(MAPS[name](*x)) == mapped_report(report_of(x), name, x)
 
 
@@ -156,18 +144,6 @@ def test_constructors_build_or_refuse_alike_under_the_map(name):
     assert outcome_breaks(name, EXACT_CONSTRUCTORS[name], CONSTRUCTOR_SWEEP) == []
 
 
-@st.composite
-def ordinary_pairs(draw):
-    """The domain of ``draw_pair``, searched by hypothesis: scale 1e-6 to
-    1e6, offset up to 1e3, stddevs 0 or 0.05 to 2 scales, means 2 scales
-    off the offset."""
-    scale = draw(st.floats(1e-6, 1e6))
-    offset = draw(st.floats(-1e3, 1e3))
-    stddev = st.one_of(st.just(0.0), st.floats(0.05, 2).map(scale.__mul__))
-    mean = st.floats(-2, 2).map(lambda u: offset + u * scale)
-    return draw(mean), draw(stddev), draw(mean), draw(stddev)
-
-
 def anchored_atoms_may_merge(x) -> bool:
     # with equal stddevs the exclusive atom sits about |gap| / 2 from a
     # shared one; below the merge tolerance the pair breaks negation
@@ -177,7 +153,14 @@ def anchored_atoms_may_merge(x) -> bool:
 
 
 @pytest.mark.parametrize("name", EXACT_CONSTRUCTORS)
-@given(ordinary_pairs(), st.integers(2, 10**6))
+@given(
+    # spreads from 5e-8, and any gap between two point masses
+    st.one_of(
+        pairs(scale=(-7.4, 6.61), offset=(0, 10.4), gap=(-324, 1.9), ratio=(-1.6, 1.6), zero=("none", "p", "q")),
+        pairs(scale=(-324, 6.61), zero=("both",)),
+    ),
+    st.integers(2, 10**6),
+)
 @settings(deadline=None, max_examples=30)
 def test_constructors_build_or_refuse_alike_under_the_map_property(name, x, k):
     before = constructor_outcomes(x, k)
@@ -232,16 +215,10 @@ def test_known_break(name, constructor, x):
 # ------------------------------------------------------------------ verify
 
 
-def draw_verify_case(rng: random.Random) -> tuple:
-    """Means U(-2, 2); each stddev 0 or U(0.2, 2), even odds; grid mode at
-    random: ordinary pairs, many with a point-mass side."""
-    mp, mq = rng.uniform(-2, 2), rng.uniform(-2, 2)
-    sp, sq = (0.0 if rng.random() < 0.5 else rng.uniform(0.2, 2) for _ in "pq")
-    return (mp, sp, mq, sq), rng.random() < 0.5
-
-
+#: Ordinary pairs near unit scale, many with a point-mass side, each in a
+#: grid mode drawn at random.
 _rng = random.Random(2026)
-VERIFY_CASES = [draw_verify_case(_rng) for _ in range(400)]
+VERIFY_CASES = [(sample(_rng, GRID), _rng.random() < 0.5) for _ in range(400)]
 
 
 def verdict(x, include_witness: bool) -> str:
@@ -262,13 +239,57 @@ def base_verdicts():
     return [verdict(x, include) for x, include in VERIFY_CASES]
 
 
+def close_point_masses(x) -> bool:
+    """Two point masses under 1e-7 apart, which ``GridSpec.default_for``
+    pads by an absolute 1 (a known limit, ROADMAP item 3)."""
+    mp, sp, mq, sq = x
+    return sp == sq == 0.0 and abs(mp - mq) < 1e-7
+
+
+#: Seeded cases that a map moves from tight to numeric_failure, each with a
+#: point-mass side at a gap ratio near 2e-3.
+SMALL_GAP_BREAKS = [
+    ("swap", (-1.1859142668293667, 0.11541667062803675, -1.1856924800446118, 0.0)),
+    ("negate", (0.006051338186925609, 0.0, 0.006028351666125313, 0.009428860718983271)),
+]
+
+
+def verdict_changes(name, base_verdicts, close) -> list:
+    """The cases whose verdict the map changes, among those whose mapped
+    pair is two close point masses when ``close``, else among the others,
+    outside ``SMALL_GAP_BREAKS``."""
+    changed = []
+    for (x, include), before in zip(VERIFY_CASES, base_verdicts):
+        mapped = MAPS[name](*x)
+        if close_point_masses(mapped) is close and (name, x) not in SMALL_GAP_BREAKS:
+            after = verdict(mapped, include)
+            changed += [(x, include, before, after)] if after != before else []
+    return changed
+
+
 @pytest.mark.parametrize("name", MAPS)
 def test_verify_verdict_is_invariant_under_the_map(name, base_verdicts):
-    changed = [
-        (x, include, before, verdict(MAPS[name](*x), include))
-        for (x, include), before in zip(VERIFY_CASES, base_verdicts)
-    ]
-    assert [case for case in changed if case[2] != case[3]] == []
+    assert verdict_changes(name, base_verdicts, close=False) == []
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="FOUND: 2^-20 brings two point masses within 1e-7 of each other, "
+    "where GridSpec.default_for's absolute pad of 1 can turn a tight "
+    "verdict into numeric_failure (ROADMAP item 3)",
+)
+def test_verify_verdict_is_invariant_under_downscaling_to_close_point_masses(base_verdicts):
+    assert verdict_changes("scale_2^-20", base_verdicts, close=True) == []
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="FOUND: with a point-mass side at a gap ratio near 2e-3 the seeded grid LP "
+    "can end in numeric_failure on one side of the map (ROADMAP item 11)",
+)
+@pytest.mark.parametrize("name, x", SMALL_GAP_BREAKS)
+def test_verify_verdict_is_invariant_under_the_map_at_a_small_gap(name, x):
+    assert verdict(MAPS[name](*x), True) == verdict(x, True)
 
 
 # ------------------------------------------------------------- trace bound

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,17 +39,11 @@ from tvbounds.nd import (
 )
 
 from conftest import ref_moments
+from domain import BOX, NEAR_UNIT, POSITIVE, draws, pair, pairs, sample
 
-
-def pair(mp, sp, mq, sq):
-    return MomentPair1D.from_scalars(mp, sp, mq, sq)
-
-
-means = st.floats(-10, 10)
-# zero is a meaningful degenerate case; strictly positive draws stay above
-# the scale where sub-ulp ordering margins round away
-sigmas = st.one_of(st.just(0.0), st.floats(1e-6, 5))
-pos_sigmas = st.floats(1e-3, 5)
+#: Spreads to 10, any zero side or equal means: the box of means in
+#: [-10, 10] and stddevs 0 or in [1e-6, 5], as axes.
+ANY_PAIRS = pairs(scale=(-324, 1.31), offset=(0, 16), gap=(-324, 7.4), ratio=(-7, 7))
 
 
 # ---------------------------------------------------------------- gap / radical
@@ -146,11 +141,10 @@ def test_sibling_branch_examples():
 def test_sibling_branch_realized_by_stationary_configuration():
     # when the side condition holds, an explicit three-point configuration
     # with the branch's TV and the right moments exists; build it and check
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     checked = 0
     while checked < 50:
-        mp, mq = rng.uniform(-5, 5, size=2)
-        sp, sq = rng.uniform(0.1, 3, size=2)
+        mp, sp, mq, sq = sample(rng, POSITIVE)
         a = mp - mq
         if a == 0 or sp == sq or (a > 0) == (sp > sq):
             continue
@@ -184,12 +178,7 @@ def test_anchored_examples():
 
 
 def test_anchored_swap_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        mp, mq = rng.uniform(-5, 5, size=2)
-        sp, sq = rng.uniform(0.05, 3, size=2)
-        if mp == mq:
-            continue
+    for mp, sp, mq, sq in draws(11, 50, POSITIVE):
         fwd = pair(mp, sp, mq, sq)
         rev = pair(mq, sq, mp, sp)
         assert anchored(fwd) == anchored(rev)[::-1]
@@ -227,13 +216,9 @@ def test_close_stddevs_match_decimal_reference():
     # closed forms and 3e-13 in the two-point masses)
     from decimal import Decimal
 
-    rng = np.random.default_rng(29)
-    for _ in range(2000):
-        sp = rng.uniform(0.3, 2.0)
-        step = math.exp(rng.uniform(math.log(2e-4), math.log(5e-4)))
-        a = math.exp(rng.uniform(math.log(3e-7), math.log(5e-4)))
-        sq = sp + rng.choice((-1.0, 1.0)) * step
-        a *= rng.choice((-1.0, 1.0))
+    close = dict(scale=(-0.3, 0.7), offset=(0, 0), gap=(-7.2, -3), ratio=(-8e-4, 8e-4), zero=("none",), equal=False)
+    for mp, sp, mq, sq in draws(29, 2000, **close):
+        a = mp - mq
         this = pair(a, sp, 0.0, sq)
         witness = construct_two_point(this)
         report = bound_report(this)
@@ -291,25 +276,6 @@ def _bits(x):
     return x.hex() if isinstance(x, float) else x
 
 
-def _seeded_pairs(seed, count):
-    """Pairs at scales 10^U(-300, 300) and offsets up to 1e12 of the scale,
-    with a zero stddev on about a fifth of each side and equal means on
-    about a tenth of the pairs."""
-    rng = random.Random(seed)
-    made = 0
-    while made < count:
-        scale = 10.0 ** rng.uniform(-300.0, 300.0)
-        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 12.0)
-        offset = offset if rng.random() < 0.5 else 0.0
-        mp = scale * (offset + rng.uniform(-2.0, 2.0))
-        mq = mp if rng.random() < 0.1 else scale * (offset + rng.uniform(-2.0, 2.0))
-        sp = 0.0 if rng.random() < 0.2 else scale * rng.uniform(0.0, 2.0)
-        sq = 0.0 if rng.random() < 0.2 else scale * rng.uniform(0.0, 2.0)
-        if all(map(math.isfinite, (mp, mq, sp, sq))):
-            made += 1
-            yield pair(mp, sp, mq, sq)
-
-
 # a subnormal gap that the scaling rounds to 0, against either sign of the
 # stddev difference and with either stddev 0
 SCALED_GAP_ZERO = [
@@ -332,7 +298,8 @@ RADICAL_OVERFLOW = (
 def test_bound_report_equals_the_public_closed_forms_bit_for_bit(seed):
     # bound_report and the witnesses share one scaled tuple per call; each
     # value must be the one the public function computes on its own
-    for p in [*SCALED_GAP_ZERO, *_seeded_pairs(seed, 1000)]:
+    # the whole domain
+    for p in [*SCALED_GAP_ZERO, *(pair(*x) for x in draws(seed, 1000))]:
         report = _outcome(bound_report, p)
         tight = _outcome(tv_lower_bound_1d, p)
         if not isinstance(report, BoundReport1D):
@@ -353,10 +320,19 @@ def test_bound_report_equals_the_public_closed_forms_bit_for_bit(seed):
             assert _bits(two.claimed_tv) == _bits(report.two_point_tv), p
 
 
-@given(means, sigmas, means, sigmas)
+def _saturated(x):
+    """Whether the gap ratio r times the stddev ratio, sp / sq or its
+    inverse, passes 1e8, where the diagnostics can round an ulp below the
+    bound (``test_bound_report_diagnostics_dominate_at_saturation``)."""
+    mp, sp, mq, sq = x
+    return sp > 0.0 and sq > 0.0 and abs(mp - mq) * max(sp, sq) / (sp + sq) > 1e8 * min(sp, sq)
+
+
+@given(ANY_PAIRS)
 @settings(deadline=None)
-def test_bound_report_diagnostics_dominate(mp, sp, mq, sq):
-    report = bound_report(pair(mp, sp, mq, sq))
+def test_bound_report_diagnostics_dominate(x):
+    assume(not _saturated(x))
+    report = bound_report(pair(*x))
     assert 0.0 <= report.tight_bound <= 1.0
     for value in (
         report.two_point_tv,
@@ -369,41 +345,62 @@ def test_bound_report_diagnostics_dominate(mp, sp, mq, sq):
             assert value <= 1.0
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="FOUND: where the gap ratio times the stddev ratio passes about "
+    "1e8, the bound and the diagnostics lie within an ulp of 1 and "
+    "two_point_tv rounds one ulp below tight_bound (ROADMAP item 2)",
+)
+def test_bound_report_diagnostics_dominate_at_saturation():
+    report = bound_report(pair(-1.0, 2.0131533866289757e-07, 0.9999997810987835, 2.2793226233641796e-10))
+    assert report.two_point_tv >= report.tight_bound
+
+
 # ------------------------------------------------------------- properties
 
 
-@given(means, sigmas, means, sigmas)
+@given(ANY_PAIRS)
 @settings(deadline=None)
-def test_bound_range_and_symmetry(mp, sp, mq, sq):
+def test_bound_range_and_symmetry(x):
+    mp, sp, mq, sq = x
     this = tv_lower_bound_1d(pair(mp, sp, mq, sq))
     assert 0.0 <= this <= 1.0
     assert this == tv_lower_bound_1d(pair(mq, sq, mp, sp))
 
 
-@given(means, pos_sigmas, sigmas, st.floats(0.01, 5), st.floats(1.01, 3))
+@given(
+    pairs(BOX, ratio=(-4, 6.7), zero=("none", "q")),
+    st.floats(1.01, 3),
+)
 @settings(deadline=None)
-def test_bound_strictly_increasing_in_gap(mq, sp, sq, a1, factor):
+def test_bound_strictly_increasing_in_gap(x, factor):
     # a positive stddev sum keeps the bound away from its saturation at 1
+    mp, sp, mq, sq = x
+    a1 = mp - mq
     a2 = a1 * factor
     lo = tv_lower_bound_1d(pair(mq + a1, sp, mq, sq))
     hi = tv_lower_bound_1d(pair(mq + a2, sp, mq, sq))
     assert hi > lo
 
 
-@given(means, means, pos_sigmas, st.floats(1.01, 3))
+@given(pairs(BOX, ratio=(0, 0), zero=("none",)), st.floats(1.01, 3))
 @settings(deadline=None)
-def test_bound_strictly_decreasing_in_sigma_sum(mp, mq, sp, factor):
+def test_bound_strictly_decreasing_in_sigma_sum(x, factor):
+    mp, sp, mq, _ = x
     assume(abs(mp - mq) > 1e-3)
     narrow = tv_lower_bound_1d(pair(mp, sp, mq, sp))
     wide = tv_lower_bound_1d(pair(mp, sp * factor, mq, sp * factor))
     assert wide < narrow
 
 
-@given(means, pos_sigmas, means, pos_sigmas)
+# strictly positive stddevs stay above the scale where sub-ulp ordering
+# margins round away
+@given(pairs(BOX, zero=("none",)))
 @settings(deadline=None)
-def test_orderings_strict_for_positive_sigmas(mp, sp, mq, sq):
+def test_orderings_strict_for_positive_sigmas(x):
+    mp, sp, mq, sq = x
     assume(abs(mp - mq) > 1e-3)
-    report = bound_report(pair(mp, sp, mq, sq))
+    report = bound_report(pair(*x))
     tight = report.tight_bound
     assert report.two_point_tv > tight
     assert report.anchored_p_tv > tight
@@ -433,24 +430,57 @@ def test_translation_invariance_bit_exact(mp, sp, mq, sq, shift):
     assert bound_report(base) == bound_report(moved)
 
 
-@given(means, sigmas, means, sigmas, st.floats(1e-3, 1e3))
-@example(mp=0.0, sp=0.0, mq=5e-324, sq=1.0, t=1.0)
-@settings(deadline=None)
-def test_scale_covariance(mp, sp, mq, sq, t):
-    base = pair(mp, sp, mq, sq)
+def _scaled(x, t):
+    """The pair ``x`` and the pair of its gap and stddevs scaled by ``t``."""
+    _, sp, _, sq = x
+    base = pair(*x)
     # the formulas see only the gap, so the gap itself is scaled: t * mp -
     # t * mq cancels for close means and is not t times the gap (mp=1.0,
     # mq=0.99999, t=0.75 puts the bound off by 7.4e-12 relative)
-    scaled = pair(t * gap(base), t * sp, 0.0, t * sq)
-    # t * a can round a distinct gap onto 0.0 (0.5 * 5e-324 == 0.0); the
-    # scaled pair then has equal means and is no longer the base pair
-    # scaled, so the property does not apply to it
-    assume((gap(scaled) == 0.0) == (gap(base) == 0.0))
+    return base, pair(t * gap(base), t * sp, 0.0, t * sq)
+
+
+def _assert_scale_covariant(base, scaled):
     assert tv_lower_bound_1d(scaled) == pytest.approx(
         tv_lower_bound_1d(base), rel=1e-12, abs=1e-300
     )
     if gap(base) != 0.0 and gap(scaled) != 0.0:
         assert two_point(scaled) == pytest.approx(two_point(base), rel=1e-12)
+
+
+def _subnormal_break(x):
+    """A subnormal stddev, or a subnormal gap beside a positive stddev under
+    1e-6 (``test_scale_covariance_at_subnormal_inputs``)."""
+    mp, sp, mq, sq = x
+    subnormal = [0.0 < abs(v) < sys.float_info.min for v in (mp - mq, sp, sq)]
+    return subnormal[1] or subnormal[2] or (subnormal[0] and any(0.0 < s < 1e-6 for s in (sp, sq)))
+
+
+@given(ANY_PAIRS, st.floats(1e-3, 1e3))
+@example(x=(0.0, 0.0, 5e-324, 1.0), t=1.0)
+@settings(deadline=None)
+def test_scale_covariance(x, t):
+    assume(not _subnormal_break(x))
+    base, scaled = _scaled(x, t)
+    # t * a can round a distinct gap onto 0.0 (0.5 * 5e-324 == 0.0); the
+    # scaled pair then has equal means and is no longer the base pair
+    # scaled, so the property does not apply to it
+    assume((gap(scaled) == 0.0) == (gap(base) == 0.0))
+    _assert_scale_covariant(base, scaled)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="FOUND: a subnormal stddev or mean gap holds fewer than 53 bits, so "
+    "t times it moves the bound by more than 1e-12 relative (ROADMAP item 3)",
+)
+@pytest.mark.parametrize(
+    "x, t",
+    [((-1e-312, 1e-312, 1e-312, 1e-312), 1.5), ((-1e-312, 1e-168, 1e-312, 1e-168), 0.25)],
+    ids=["stddevs", "gap"],
+)
+def test_scale_covariance_at_subnormal_inputs(x, t):
+    _assert_scale_covariant(*_scaled(x, t))
 
 
 # ------------------------------------------------------------------- d-dim
@@ -481,10 +511,7 @@ def test_nd_bound_dimension_one_matches_formula():
 
 
 def test_nd_dominated_by_1d():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        mp, mq = rng.uniform(-5, 5, size=2)
-        sp, sq = rng.uniform(0, 3, size=2)
+    for mp, sp, mq, sq in draws(3, 500, NEAR_UNIT):
         nd = tv_lower_bound_nd(
             MomentPairND(
                 MomentsND([mp], [[sp * sp]]), MomentsND([mq], [[sq * sq]])

@@ -14,14 +14,11 @@ import pytest
 
 import tvbounds.oracle as oracle
 import tvbounds.simplex as simplex
-from tvbounds import GridSpec, MomentPair1D, OracleStatus, build_grid, formulate, solve
+from tvbounds import GridSpec, OracleStatus, build_grid, formulate, solve
 from tvbounds.simplex import solve_dense
 
 from conftest import DenseColumns
-
-
-def pair(mp, sp, mq, sq):
-    return MomentPair1D.from_scalars(mp, sp, mq, sq)
+from domain import GRID, pair, sample
 
 
 def lattice_pairs(seed, pool=149, lattice=(1, 12, 44)):
@@ -82,8 +79,9 @@ def test_optimum_equals_highs_on_random_grids():
     rng = random.Random(31)
     statuses = set()
     for _ in range(60):
-        mp, mq = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        sp, sq = (0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2) for _ in "pq")
+        # HiGHS reads raw powers on a grid reaching 8 past the means, so the
+        # pair keeps a spread and offset of a few units
+        mp, sp, mq, sq = sample(rng, GRID, scale=(-1.2, 0.6), offset=(0, 1.2))
         lo, hi = min(mp, mq) - rng.uniform(0.0, 8), max(mp, mq) + rng.uniform(0.0, 8)
         points = [rng.uniform(lo, hi) for _ in range(rng.randrange(3, 150))]
         points += [m for m, s in ((mp, sp), (mq, sq)) if s == 0.0]
