@@ -25,6 +25,14 @@ NARROWINGS = [
     dict(scale=(4, 4.01), offset=(3.2, 4.7), gap=(-2.8, 1.2), zero=("p", "q")),
     dict(scale=(-324, 1), zero=("both",)),
 ]
+#: Pairs pinned inside a narrowing, by its index: means 3.2e308 apart,
+#: past the float range; point masses a unit 1e-7 apart at offset 1e8,
+#: whose |mp - mq| reads 6.1e-9 low after the means round, and 1e4 apart at
+#: offset 1e13, whose offset reads 1.6e-3 high.
+PINNED = {
+    0: [(-1.5811388300841895e308, 15.811388300841896, 1.5811388300841895e308, 15.811388300841896)],
+    2: [(-9.99999995, 0.0, -10.000000049999999, 0.0), (-1.00000000000005e17, 0.0, -9.9999999999995e16, 0.0)],
+}
 
 
 def assert_inside(x, narrow):
@@ -36,20 +44,27 @@ def assert_inside(x, narrow):
     offset = abs(0.5 * mp + 0.5 * mq) / unit if unit else 0.0
     # equal=False keeps the means apart, unless the gap rounds away beside the offset
     assert mp != mq or narrow.get("equal", True) or 10.0 ** narrow.get("gap", AXES["gap"])[0] <= 2.3e-16 * offset, x
-    values = dict(scale=unit, offset=offset, gap=sp + sq and abs(mp - mq) / (sp + sq), ratio=sp and sq and sp / sq)
+    # halved, as |mp - mq| can pass the float range where |mp| and |mq| do not
+    gap = sp + sq and abs(0.5 * mp - 0.5 * mq) / (sp + sq) * 2.0
+    values = dict(scale=unit, offset=offset, gap=gap, ratio=sp and sq and sp / sq)
     tol = 1e-9 + 1e-300 / min([v for v in (abs(mp - mq), sp, sq) if v] or [1.0])
     for name, value in values.items():
         lo, hi = (10.0**e for e in narrow.get(name, AXES[name][:2]))
         if name == "offset":
             # the jitter moves the midpoint by up to one unit
             lo, hi = (lo - 1.0 if lo > 1.0 else 0.0), hi + 1.0
-        slack = tol + (4e-16 * offset / value if name == "gap" and value else 0.0)
+        # the means round beside the offset, which moves |mp - mq| by up to
+        # 4e-16 offset units: the gap, and where both stddevs are 0 the unit
+        # and with it the offset
+        drift = 4e-16 * offset if name == "gap" or (name != "ratio" and not sp + sq) else 0.0
+        slack = tol + (drift / value if name == "gap" and value else drift)
         assert not value or lo * (1 - slack) <= value <= hi * (1 + slack), (name, x)
 
 
-@pytest.mark.parametrize("narrow", NARROWINGS)
-def test_draws_stay_inside_the_narrowed_axes(narrow):
-    for x in draws(7, 500, narrow):
+@pytest.mark.parametrize("i", range(len(NARROWINGS)), ids="narrow{}".format)
+def test_draws_stay_inside_the_narrowed_axes(i):
+    narrow = NARROWINGS[i]
+    for x in draws(7, 500, narrow) + PINNED.get(i, []):
         assert_inside(x, narrow)
 
     @given(pairs(narrow))
