@@ -380,7 +380,8 @@ def construct_vanishing_sequence(
     ------
     BadParameterError
         If ``k`` is not an integer >= 2, or a stddev squares past the float
-        range, or the stddevs differ and ``k`` is past the float range.
+        range, or the stddevs differ and ``k`` is past the float range or
+        puts the far atoms past it.
     WitnessConstructionError
         If the atoms miss those moments, as when the spread is too small
         against ``m`` for the near points to stay apart.
@@ -402,6 +403,12 @@ def construct_vanishing_sequence(
     s_small, s_big = sorted((sigma_p, sigma_q))
     inner = 0.5 - outer
     x_far = math.sqrt((s_big * s_big - s_small * s_small) * k + s_small * s_small)
+    if math.isinf(x_far):
+        # a stddev that squares past the float range is named first
+        _refuse_overflowing_variance(targets)
+        raise BadParameterError(
+            f"k {k!r} puts the far atoms of the wider side past the float range"
+        )
     narrow = ([m - s_small, m + s_small], [0.5, 0.5])
     wide = ([m - x_far, m - s_small, m + s_small, m + x_far], [outer, inner, inner, outer])
     p_atoms, q_atoms = (wide, narrow) if sigma_p > sigma_q else (narrow, wide)

@@ -376,6 +376,17 @@ def test_sequence_refuses_a_k_past_the_float_range(capsys):
     assert err.startswith("error: k must fit in a float, below about 1.8e308")
 
 
+def test_sequence_refuses_a_k_whose_far_atoms_overflow(capsys):
+    # k fits in a float, but (sp^2 - sq^2) * k does not; the far atoms used
+    # to reach the support check as -inf
+    err = run_refused(
+        capsys, "sequence", "--m", "0", "--sp", "1e150", "--sq", "1", "--k", "100000000000000"
+    )
+    assert err == (
+        "error: k 100000000000000 puts the far atoms of the wider side past the float range\n"
+    )
+
+
 def test_flag_defaults_are_the_library_defaults():
     # verify --grid-n and case-c --q-param copy the defaults of the functions
     # they feed; neither copy may drift alone

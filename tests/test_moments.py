@@ -32,7 +32,7 @@ from tvbounds import (
 from tvbounds.nd import (
     COV_PSD_TOL,
     _floats,
-    _trace_bound_batch,
+    _twice_trace_bound_batch,
     finite_traces,
     gap_norm_sq,
     trace_bound,
@@ -893,10 +893,10 @@ def test_the_reader_matches_numpy_array_of_dtype_float():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_nd_check_computes_no_eigenvalues_on_certified_stacks(monkeypatch, d):
-    # the check's covariances are Gram matrices of its own draws: nothing
-    # factors them or computes their eigenvalues
+    # the check reads traces of its own draws and forms no covariance
+    # matrix: nothing factors one or computes its eigenvalues
     def refuse(*args, **kwargs):
-        raise AssertionError("the n-d check re-validated its own Gram matrices")
+        raise AssertionError("the n-d check validated a covariance matrix")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
@@ -934,19 +934,20 @@ def test_gap_and_traces_are_correctly_rounded():
 
 
 def test_batch_bound_equals_trace_bound_elementwise():
-    # the randomized check's array arithmetic against the scalar bound,
-    # on ingredients of the check's scale and shape, equal means included
+    # the randomized check's array arithmetic, halved, against the scalar
+    # bound on the same trace sum, on ingredients of the check's scale and
+    # shape, equal means included
     rng = np.random.default_rng(2601)
     for d in (1, 2, 3, 4):
         points = rng.normal(size=(500, d + 4, d))
         a = points[:, 0] - points[:, 1]
         a[::7] = 0.0
         gaps = np.einsum("ti,ti->t", a, a)
-        traces = np.einsum("tai,tai->t", points, points) * rng.uniform(0.0, 2.0, size=(2, 500))
-        batch = _trace_bound_batch(gaps, traces[0], traces[1])
-        for got, gap_sq, trace_p, trace_q in zip(batch, gaps, *traces):
-            want = trace_bound(float(gap_sq), float(trace_p), float(trace_q))
-            assert float(got).hex() == want.hex()
+        trace_sums = np.einsum("tai,tai->t", points, points) * rng.uniform(0.0, 2.0, size=500)
+        batch = _twice_trace_bound_batch(gaps, trace_sums)
+        for got, gap_sq, trace_sum in zip(batch, gaps, trace_sums):
+            want = trace_bound(float(gap_sq), float(trace_sum), 0.0)
+            assert (0.5 * float(got)).hex() == want.hex()
 
 
 def test_trace_bound_of_a_halved_gap_that_rounds_to_zero():

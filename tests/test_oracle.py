@@ -1,5 +1,6 @@
 """Grid LP verifier: formulation, simplex behavior, bound certification."""
 
+import hashlib
 import math
 import random
 
@@ -650,6 +651,47 @@ def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(BadParameterError, match="ND_CHECK_MAX_DRAWS = 100"):
         check_nd_bound_random(2, 5, 11, 0)
+
+
+#: ``ND_CHECK_TOL`` -> the check's counts on the sweep below: each (d, atoms)
+#: row's total over the seeds, in sweep order, and the sha256 of every count.
+_ND_SWEEP_COUNTS = {
+    1e-10: (
+        [0] * 28,
+        "663e95f263c1faa8e2139394d7a0e08b9ad8a4e6d35f6509d3fbf15dfcd62e23",
+    ),
+    -0.05: (
+        [92, 19, 2, 1, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0]
+        + [1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+        "f9ebb708915bd6cb33756b394ef2d4f25e8203aedc54d3227bd4d77a012fd3bd",
+    ),
+    -0.3: (
+        [4012, 3015, 2262, 1757, 1354, 1043, 825, 2850, 2104, 1677, 1197, 977, 755, 589]
+        + [2040, 1522, 1219, 939, 755, 552, 471, 1526, 1100, 882, 726, 565, 496, 355],
+        "037be393bc9b27ea7000caf8e00097e9404645d1a55a34bac4fbce1126335f36",
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(_ND_SWEEP_COUNTS))
+def test_nd_check_counts_on_a_seeded_sweep(tol, monkeypatch):
+    """The check's decisions on a seeded sweep: ``check_nd_bound_random(d,
+    atoms, 200, seed)`` for d = 1..4, atoms d + 2 to d + 8 and seeds 0..29.
+
+    The counts were taken from the check as it stood when it still formed
+    each trial's covariance matrices and halved the TV, so they pin every
+    decision across the rewrite to one weighted pass and one comparison.
+    At -0.05 a few trials in a thousand sit near the slack, so a change to
+    the arithmetic that moves a decision moves a count."""
+    monkeypatch.setattr(nd, "ND_CHECK_TOL", tol)
+    counts = [
+        [check_nd_bound_random(d, atoms, 200, seed) for seed in range(30)]
+        for d in range(1, 5)
+        for atoms in range(d + 2, d + 9)
+    ]
+    totals, digest = _ND_SWEEP_COUNTS[tol]
+    assert [sum(row) for row in counts] == totals
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
 
 def _loop_margins(d, atoms, trials, seed):

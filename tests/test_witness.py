@@ -480,6 +480,20 @@ def test_vanishing_sequence_refuses_k_past_the_float_range(k):
     assert construct_vanishing_sequence(0.0, 1.0, 1.0, k).claimed_tv == 0.0
 
 
+@pytest.mark.parametrize(
+    "m,sigma_p,sigma_q,k",
+    [(0.0, 1e150, 1.0, 10**14), (0.0, 1.0, 2.0, 10**308), (-3.0, 2.0, 1.0, 6 * 10**307)],
+)
+def test_vanishing_sequence_refuses_a_k_whose_far_atoms_overflow(m, sigma_p, sigma_q, k):
+    # (s_big^2 - s_small^2) * k overflows, and the far atoms used to reach
+    # the support check as -inf
+    with pytest.raises(BadParameterError) as raised:
+        construct_vanishing_sequence(m, sigma_p, sigma_q, k)
+    assert str(raised.value) == (
+        f"k {k} puts the far atoms of the wider side past the float range"
+    )
+
+
 # -------------------------------------------------------- pair self-checking
 
 
