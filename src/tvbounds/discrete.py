@@ -125,36 +125,6 @@ class DiscreteDist(FrozenRecord):
     def to_json_dict(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DiscreteDist":
-        """Inverse of ``to_json_dict``.  ``payload`` must be an object
-        whose ``support`` and ``probs`` are lists, and every entry a JSON
-        number that fits in a float: any other shape or entry, or an
-        integer past the float range, raises ``ValueError`` naming its
-        field, and a list or object entry by its type, at any depth."""
-        if not isinstance(payload, dict):
-            kind = type(payload).__name__
-            raise ValueError(f"a distribution must be a JSON object, got {kind}")
-        for name in ("support", "probs"):
-            if name not in payload:
-                raise ValueError(f"a distribution needs the field {name!r}")
-            values = payload[name]
-            if not isinstance(values, list):
-                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
-            for value in values:
-                if isinstance(value, (str, bool)) or value is None:
-                    raise ValueError(f"{name} holds {value!r}, not a number")
-                if not isinstance(value, (int, float)):
-                    raise ValueError(f"{name} holds a {type(value).__name__}, not a number")
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(
-                        f"{name} holds an integer of {value.bit_length()} bits, "
-                        "past the float range"
-                    ) from None
-        return cls(payload["support"], payload["probs"])
-
 
 def _mean_variance(d: DiscreteDist) -> tuple[float, float]:
     # the one moment routine: DiscreteDist.moments wraps its result and

@@ -19,6 +19,7 @@ from tvbounds import (
     MomentPairND,
     MomentsND,
     OracleStatus,
+    WitnessKind,
     bound_report,
     check_moments,
     check_nd_bound_random,
@@ -75,7 +76,11 @@ def test_criterion_1_tightness_equality():
             failures.append(("p atoms", witness.p_dist))
         if witness.q_dist.compact() != DiscreteDist((-2.0, 0.5), (0.2, 0.8)):
             failures.append(("q atoms", witness.q_dist))
-        if abs(recomputed - 0.2) > 1e-12:
+        if witness.p_dist.support != witness.q_dist.support:  # shared, zeros explicit
+            failures.append(("shared support", witness.p_dist, witness.q_dist))
+        if (witness.kind, witness.claimed_tv) != (WitnessKind.THREE_POINT, 0.2):
+            failures.append(("claim", witness.kind, witness.claimed_tv))
+        if abs(recomputed - 0.2) > 1e-15:
             failures.append(("tv", recomputed))
         if not check_moments(witness.p_dist, Moments1D(1.0, 1.0), 1e-9):
             failures.append(("p moments", witness.p_dist.moments()))

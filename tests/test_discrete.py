@@ -236,19 +236,13 @@ def test_check_moments_requires_positive_tol():
 # ------------------------------------------------------------ serialization
 
 
-def test_json_round_trip():
-    d = DiscreteDist((-2.0, 0.5, 3.0), (0.2, 0.8, 0.0))
-    again = DiscreteDist.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
-    assert again == d
-
-
 def test_json_round_trip_preserves_every_bit():
-    d = DiscreteDist(
-        (-1 / 3, 2 / 7, math.sqrt(2)), (0.1 + 0.2, 1 / 7, 1.0 - 0.1 - 0.2 - 1 / 7)
-    )
-    again = DiscreteDist.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
-    assert all(a == b for a, b in zip(again.support, d.support))
-    assert all(a == b for a, b in zip(again.probs, d.probs))
+    for d in (
+        DiscreteDist((-2.0, 0.5, 3.0), (0.2, 0.8, 0.0)),  # a zero-mass atom is kept
+        DiscreteDist((-1 / 3, 2 / 7, math.sqrt(2)), (0.1 + 0.2, 1 / 7, 1.0 - 0.1 - 0.2 - 1 / 7)),
+    ):
+        again = DiscreteDist(**json.loads(json.dumps(d.to_json_dict())))
+        assert (again.support, again.probs) == (d.support, d.probs)
 
 
 def test_json_shape_and_determinism():
@@ -256,53 +250,6 @@ def test_json_shape_and_determinism():
     payload = d.to_json_dict()
     assert list(payload.items()) == [("support", [0.0, 2.0]), ("probs", [0.5, 0.5])]
     assert d.to_json_dict() == payload
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ('{"support": ["1", "2"], "probs": [0.5, 0.5]}', "support holds '1', not a number"),
-        ('{"support": [1, 2], "probs": [true, 0]}', "probs holds True, not a number"),
-        ('{"support": [0, null], "probs": [0.5, 0.5]}', "support holds None, not a number"),
-        ('{"support": [0, 1], "probs": ["0.5", 0.5]}', "probs holds '0.5', not a number"),
-        (
-            '{"support": [1' + "0" * 400 + '], "probs": [1]}',
-            "support holds an integer of 1329 bits, past the float range",
-        ),
-        (
-            '{"support": [0, 1], "probs": [-1' + "0" * 400 + ', 0.5]}',
-            "probs holds an integer of 1329 bits, past the float range",
-        ),
-        # a nested entry is named by its type, not by its contents
-        ('{"support": [[0, 1]], "probs": [1]}', "support holds a list, not a number"),
-        ('{"support": [0], "probs": [{"p": 1}]}', "probs holds a dict, not a number"),
-        # a malformed shape is refused by its field too
-        ("{}", "a distribution needs the field 'support'"),
-        ('{"support": [0.0]}', "a distribution needs the field 'probs'"),
-        ("[1, 2]", "a distribution must be a JSON object, got list"),
-        ('{"support": 5, "probs": 1}', "support must be a list, got int"),
-        ('{"support": [0.0], "probs": {"0": 1}}', "probs must be a list, got dict"),
-    ],
-    ids=[
-        "string", "boolean", "null", "string-mass", "huge-integer", "huge-integer-mass",
-        "nested-list", "nested-object",
-        "empty-object", "no-probs", "array", "number-fields", "object-probs",
-    ],
-)
-def test_json_refuses_what_is_not_a_json_number(text, message):
-    with pytest.raises(ValueError) as info:
-        DiscreteDist.from_json_dict(json.loads(text))
-    assert str(info.value) == message
-
-
-def test_json_names_a_nesting_past_the_recursion_limit_by_its_type():
-    # as a parser can return on Python 3.12+: the refusal names the entry's
-    # type, where a repr of the whole nesting met the recursion limit
-    deep = [1.0]
-    for _ in range(5000):
-        deep = [deep]
-    with pytest.raises(ValueError, match="^support holds a list, not a number$"):
-        DiscreteDist.from_json_dict({"support": deep, "probs": [1.0]})
 
 
 # ------------------------------------------------------- the layer's contract

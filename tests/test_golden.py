@@ -3,11 +3,24 @@
 Each case of ``golden_cases.CASES`` runs ``main`` in-process and compares
 its exit code, stdout and stderr with the files under ``tests/golden/``.
 The CI workflow runs the installed ``tvbounds`` script on the same cases.
+What the pinned bytes claim is checked against the library as well.
 """
+
+import json
 
 import pytest
 
-from tvbounds.cli import main
+from tvbounds import (
+    DiscreteDist,
+    MomentPair1D,
+    Moments1D,
+    check_moments,
+    tv_distance,
+    tv_lower_bound_1d,
+)
+from tvbounds.cli import _verdict, main
+from tvbounds.oracle import OracleResult, OracleStatus
+from tvbounds.witness import MOMENT_MATCH_TOL, TV_MATCH_TOL
 
 from golden_cases import CASES, expected
 
@@ -17,3 +30,52 @@ def test_command_output_is_golden(capsys, name, code, argv):
     returned = main(argv)
     captured = capsys.readouterr()
     assert (returned, captured.out, captured.err) == expected(name, code)
+
+
+def _sides(flags):
+    """The target moments of each side that a golden argv's flags give."""
+    m = flags.get("--m")
+    return (
+        Moments1D(float(flags.get("--mp", m)), float(flags["--sp"])),
+        Moments1D(float(flags.get("--mq", m)), float(flags["--sq"])),
+    )
+
+
+#: The cases whose report the library can re-derive: the witnesses, the
+#: verdicts and the swept bounds.
+CHECKED = [
+    case for case in CASES
+    if case[2][0] in ("witness", "two-point", "case-c", "sequence", "verify", "sweep")
+]
+
+
+@pytest.mark.parametrize("name, code, argv", CHECKED, ids=[case[0] for case in CHECKED])
+def test_golden_reports_hold_against_the_library(name, code, argv):
+    # a witness's atoms give its tv and the input's moments, a verdict and
+    # its exit code follow from tv_min and the bound, and each swept row's
+    # bound is the closed form's
+    out, command, flags = expected(name, code)[1], argv[0], dict(zip(argv[1::2], argv[2::2]))
+    if command == "sweep":
+        if flags.get("--format") == "json":
+            rows = [(row["swept_value"], row["tight_bound"]) for row in json.loads(out)["rows"]]
+        else:
+            cells = [line.split(",") for line in out.splitlines()[1:]]
+            rows = [(float(row[0]), float(row[3])) for row in cells]
+        for value, bound in rows:
+            # the swept flag is the one the argv leaves out
+            mp, sp, mq, sq = (float(flags.get(f"--{flag}", value)) for flag in ("mp", "sp", "mq", "sq"))
+            assert bound == tv_lower_bound_1d(MomentPair1D.from_scalars(mp, sp, mq, sq))
+        return
+    report = json.loads(out)
+    if command == "verify":
+        oracle = report["oracle"]
+        result = OracleResult(OracleStatus(oracle["status"]), oracle["tv_min"], None, None, 0)
+        assert _verdict(result, report["tight_bound"]) == (report["verdict"], code)
+        if oracle["status"] == "optimal":
+            for side, target in zip(("p_opt", "q_opt"), _sides(flags)):
+                assert check_moments(DiscreteDist(**oracle[side]), target, 1e-7)
+        return
+    p, q = DiscreteDist(**report["p"]), DiscreteDist(**report["q"])
+    assert abs(tv_distance(p, q) - report["tv"]) <= TV_MATCH_TOL
+    for dist, target in zip((p, q), _sides(flags)):
+        assert check_moments(dist, target, MOMENT_MATCH_TOL)

@@ -11,7 +11,6 @@ from tvbounds import (
     BadParameterError,
     GridSpec,
     LPStandardForm,
-    Moments1D,
     MomentPairND,
     MomentsND,
     OracleStatus,
@@ -398,14 +397,6 @@ def test_grid_refinement_never_raises_optimum():
     assert fine.tv_min <= coarse.tv_min + 1e-9
 
 
-def test_soundness_floor_random_configs():
-    for x in draws(101, 5, PLAIN):
-        this = pair(*x)
-        result = minimize_tv_on_grid(this, include_witness_points=False)
-        assert result.status is OracleStatus.OPTIMAL
-        assert result.tv_min >= tv_lower_bound_1d(this) - 1e-8
-
-
 def test_seeded_sweep_has_no_numeric_failure():
     # broad enough to reach the inputs on which a badly conditioned grid LP
     # stalls or lands on a wrong vertex; no solve may fall back on
@@ -609,15 +600,6 @@ def test_optimizers_clamp_and_refuse():
 
 
 # ------------------------------------------------------- d-dimensional check
-
-
-def test_nd_check_small_runs_clean():
-    assert check_nd_bound_random(2, 6, 300, 7) == 0
-    assert check_nd_bound_random(1, 3, 300, 8) == 0
-
-
-def test_nd_check_deterministic():
-    assert check_nd_bound_random(2, 6, 50, 9) == check_nd_bound_random(2, 6, 50, 9)
 
 
 @pytest.mark.parametrize(
