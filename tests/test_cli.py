@@ -199,17 +199,8 @@ def test_flag_defaults_are_the_library_defaults():
 
 def test_verify_tight_verdict(capsys):
     code, payload = run_json(
-        capsys,
-        "verify",
-        *PAIR_FLAGS,
-        "--grid-lo",
-        "-6",
-        "--grid-hi",
-        "6",
-        "--grid-n",
-        "121",
-        "--include-witness",
-        "true",
+        capsys, "verify", *PAIR_FLAGS,
+        "--grid-lo", "-6", "--grid-hi", "6", "--grid-n", "121", "--include-witness", "true",
     )
     assert code == 0
     assert payload["verdict"] == "tight"
@@ -317,10 +308,28 @@ def test_verify_reports_an_optimum_below_the_bound_as_violated(capsys, monkeypat
     assert payload["oracle"]["tv_min"] == 0.1
     assert payload["oracle"]["p_opt"] == p_opt.to_json_dict()
     assert payload["oracle"]["q_opt"] == q_opt.to_json_dict()
-    # the verdict's edges: an optimum the sound tolerance below the bound,
-    # or the tight tolerance above it, is still tight
-    assert _verdict(below._replace(tv_min=0.5 - 1e-8), 0.5) == ("tight", 0)
-    assert _verdict(below._replace(tv_min=1e-6), 0.0) == ("tight", 0)
+
+
+#: ``_verdict``'s edges: an optimum the sound tolerance below the bound,
+#: or the tight tolerance above it, is still tight.
+VERDICTS = {
+    "at-the-bound": ("optimal", 0.5, 0.5, ("tight", 0)),
+    "sound-edge": ("optimal", 0.5 - 1e-8, 0.5, ("tight", 0)),
+    "past-the-sound-edge": ("optimal", 0.5 - 2e-8, 0.5, ("violated", 2)),
+    "tight-edge": ("optimal", 1e-6, 0.0, ("tight", 0)),
+    "past-the-tight-edge": ("optimal", 2e-6, 0.0, ("sound", 0)),
+    "above-the-bound": ("optimal", 0.6, 0.5, ("sound", 0)),
+    "infeasible": ("infeasible", None, 0.5, ("infeasible", 2)),
+    "numeric-failure": ("numeric_failure", None, 0.5, ("numeric_failure", 3)),
+}
+
+
+@pytest.mark.parametrize("status, tv_min, bound, verdict", VERDICTS.values(), ids=list(VERDICTS))
+def test_verdict_edges(status, tv_min, bound, verdict):
+    from tvbounds.oracle import OracleResult, OracleStatus
+
+    result = OracleResult(OracleStatus(status), tv_min, None, None, 0)
+    assert _verdict(result, bound) == verdict
 
 
 # ----------------------------------------------------------------- nd bound
@@ -422,22 +431,8 @@ def test_nd_check_clean_run(capsys):
 
 def test_sweep_blank_cells_for_undefined_diagnostics(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "sweep",
-        "--param",
-        "mp",
-        "--start",
-        "0",
-        "--stop",
-        "1",
-        "--step",
-        "1",
-        "--sp",
-        "1",
-        "--mq",
-        "0",
-        "--sq",
-        "1",
+        capsys, "sweep", "--param", "mp", "--start", "0", "--stop", "1", "--step", "1",
+        "--sp", "1", "--mq", "0", "--sq", "1",
     )
     assert code == 0
     rows = out.strip().splitlines()[1:]

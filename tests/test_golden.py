@@ -13,12 +13,16 @@ import pytest
 from tvbounds import (
     DiscreteDist,
     MomentPair1D,
+    MomentPairND,
     Moments1D,
+    MomentsND,
+    bound_report,
     check_moments,
     tv_distance,
     tv_lower_bound_1d,
+    tv_lower_bound_nd,
 )
-from tvbounds.cli import _verdict, main
+from tvbounds.cli import _verdict, main, parse_args
 from tvbounds.oracle import OracleResult, OracleStatus
 from tvbounds.witness import MOMENT_MATCH_TOL, TV_MATCH_TOL
 
@@ -41,20 +45,20 @@ def _sides(flags):
     )
 
 
-#: The cases whose report the library can re-derive: the witnesses, the
-#: verdicts and the swept bounds.
-CHECKED = [
-    case for case in CASES
-    if case[2][0] in ("witness", "two-point", "case-c", "sequence", "verify", "sweep")
-]
-
-
-@pytest.mark.parametrize("name, code, argv", CHECKED, ids=[case[0] for case in CHECKED])
+@pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
 def test_golden_reports_hold_against_the_library(name, code, argv):
-    # a witness's atoms give its tv and the input's moments, a verdict and
-    # its exit code follow from tv_min and the bound, and each swept row's
-    # bound is the closed form's
-    out, command, flags = expected(name, code)[1], argv[0], dict(zip(argv[1::2], argv[2::2]))
+    # a refusal is the library's message, a bound report the closed forms',
+    # an n-d report the file's bound or a sweep with no violation, a
+    # witness's atoms give its tv and the input's moments, a verdict and its
+    # exit code follow from tv_min and the bound, and each swept row's bound
+    # is the closed form's
+    _, out, err = expected(name, code)
+    command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    if code == 1:
+        with pytest.raises(ValueError) as refused:
+            _sides(flags)
+        assert err == f"error: {refused.value}\n"
+        return
     if command == "sweep":
         if flags.get("--format") == "json":
             rows = [(row["swept_value"], row["tight_bound"]) for row in json.loads(out)["rows"]]
@@ -67,6 +71,25 @@ def test_golden_reports_hold_against_the_library(name, code, argv):
             assert bound == tv_lower_bound_1d(MomentPair1D.from_scalars(mp, sp, mq, sq))
         return
     report = json.loads(out)
+    if command == "nd-bound":
+        with open(argv[1], encoding="utf-8") as handle:
+            m = json.load(handle)
+        pair = MomentPairND(*(MomentsND(m[f"mean_{s}"], m[f"cov_{s}"]) for s in "pq"))
+        gap = sum((p - q) ** 2 for p, q in zip(m["mean_p"], m["mean_q"]))
+        traces = [sum(row[i] for i, row in enumerate(m[f"cov_{s}"])) for s in "pq"]
+        assert list(report.values()) == [len(m["mean_p"]), gap, *traces, tv_lower_bound_nd(pair)]
+        return
+    if command == "nd-check":
+        params = parse_args(argv).params
+        echoed = ("dims", "trials", "seed")
+        assert [report[key] for key in echoed] == [params[key] for key in echoed]
+        assert report["violations"] == code == 0
+        return
+    if command == "bound":
+        (mp, sp), (mq, sq) = ((side.mean, side.stddev) for side in _sides(flags))
+        given = {"mean_p": mp, "stddev_p": sp, "mean_q": mq, "stddev_q": sq}
+        assert report == {"input": given, **bound_report(MomentPair1D.from_scalars(mp, sp, mq, sq))._asdict()}
+        return
     if command == "verify":
         oracle = report["oracle"]
         result = OracleResult(OracleStatus(oracle["status"]), oracle["tv_min"], None, None, 0)
