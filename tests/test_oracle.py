@@ -30,7 +30,7 @@ import tvbounds.discrete as discrete
 import tvbounds.nd as nd
 import tvbounds.oracle as oracle
 
-from conftest import DenseColumns
+from dense_columns import DenseColumns
 from domain import PLAIN, draws, pair, sample
 
 

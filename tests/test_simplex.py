@@ -17,7 +17,7 @@ import tvbounds.simplex as simplex
 from tvbounds import GridSpec, OracleStatus, build_grid, formulate, solve
 from tvbounds.simplex import solve_dense
 
-from conftest import DenseColumns
+from dense_columns import DenseColumns
 from domain import GRID, pair, sample
 
 
