@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
+from operator import sub
 from typing import NamedTuple
 
 from . import _lazy_getattr
@@ -113,6 +114,9 @@ def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     The uniform points are ``lo + i * step``, then ``hi``.  The kept grid is
     ``numpy.linspace(lo, hi, count)``'s, bit for bit: where the step
     underflows to 0, numpy's points span a few subnormal ulps and merge alike.
+    The merge walks the values only if their smallest gap, taken in one
+    pass in C, is at or below the tolerance; otherwise it would keep them
+    all.
     """
     extras = [float(x) for x in extra_points]
     if not all(map(math.isfinite, extras)):
@@ -125,6 +129,8 @@ def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
         values = sorted(values + extras)
     # the largest magnitude sits at one end of the sorted values
     tol = _merge_tol((values[0], values[-1]))
+    if min(map(sub, values[1:], values)) > tol:
+        return values
     kept = values[:1]
     for x in values[1:]:
         if x - kept[-1] > tol:

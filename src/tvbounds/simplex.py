@@ -41,6 +41,25 @@ fixed order, which keeps a pivot cheap in plain Python and its result the
 same on every Python.  The duals and the basic values move with each pivot, and the
 optimum's basic values then take one step of iterative refinement on the
 basis's own columns, which takes out the drift the updates left in them.
+
+A pivot leaves out the products with an exact zero, by two rules:
+
+1. An entering column that is 0 in rows 3-5, or in rows 0-2, meets each
+   row of the inverse in its other three entries only.  The grid's ``u``
+   and ``v`` columns are such columns, and so is every column of a program
+   of at most 3 rows.
+2. The rank-1 update rewrites only the rows whose factor, their entry of
+   the entering column in basis terms, is nonzero, and not the pivot row,
+   which it overwrites.
+
+While the inverse, the values and the duals are finite, a term left out is
+0 or -0, and leaving it out can change only the sign of a zero result.  No
+comparison reads that sign, and no result carries it: the basic values
+start at ``|b_i|``, every step is 0 or positive, and a sum or difference
+rounds to -0 only from a -0 operand, so no basic value is ever -0.  So the
+rules keep every output bit.  Once an entry is infinite or nan, which only
+an overflow makes, a product with 0 that a rule leaves out would have been
+nan, and the row or entry it would have written keeps its value instead.
 """
 
 from __future__ import annotations
@@ -81,9 +100,10 @@ class _Basis:
     ``basis[i]`` is the column basic in row i (``~i`` is row i's
     artificial).  ``rows[i]``, for i below ``ROWS``, is row i of the basis
     inverse followed by the basic value of row i; ``rows[ROWS]`` holds the
-    duals, followed by a value never read.  A pivot updates all of them by
-    one rank-1 step, written out entry by entry in a fixed order, as is
-    every product with a row of the inverse.
+    duals, followed by a value never read.  A pivot updates them by one
+    rank-1 step, written out entry by entry in a fixed order, as is every
+    product with a row of the inverse; both leave out the products with an
+    exact zero that the module docstring's two rules name.
     """
 
     __slots__ = ("columns", "basis", "rows")
@@ -168,10 +188,17 @@ class _Basis:
             if reduced >= optimal:
                 return "optimal", iterations
             a0, a1, a2, a3, a4, a5 = column(col)
-            alpha = [
-                r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5
-                for r0, r1, r2, r3, r4, r5, _ in rows[:ROWS]
-            ]
+            # a column zero in rows 3-5 or in rows 0-2 meets only the other
+            # three entries of each row (rule 1)
+            if a3 == a4 == a5 == 0.0:
+                alpha = [r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2, _, _, _, _ in rows[:ROWS]]
+            elif a0 == a1 == a2 == 0.0:
+                alpha = [r3 * a3 + r4 * a4 + r5 * a5 for _, _, _, r3, r4, r5, _ in rows[:ROWS]]
+            else:
+                alpha = [
+                    r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5
+                    for r0, r1, r2, r3, r4, r5, _ in rows[:ROWS]
+                ]
             reached = artificials and [i for i in artificials if abs(alpha[i]) > tiny]
             if reached:
                 row = max(reached, key=lambda i: abs(alpha[i]))
@@ -194,15 +221,18 @@ class _Basis:
             p0, p1, p2 = p0 / scale, p1 / scale, p2 / scale
             p3, p4, p5 = p3 / scale, p4 / scale, p5 / scale
             # the duals' row takes -reduced times the pivot row, which moves
-            # the duals by reduced times the new pivot row of the inverse
+            # the duals by reduced times the new pivot row of the inverse;
+            # a row whose factor is zero keeps its entries, and the pivot
+            # row is overwritten (rule 2)
+            alpha[row] = 0.0
             alpha.append(-reduced)
-            rows[:] = [
-                [
-                    r0 - f * p0, r1 - f * p1, r2 - f * p2,
-                    r3 - f * p3, r4 - f * p4, r5 - f * p5, r6 - f * step,
-                ]
-                for (r0, r1, r2, r3, r4, r5, r6), f in zip(rows, alpha)
-            ]
+            for i, f in enumerate(alpha):
+                if f:
+                    r0, r1, r2, r3, r4, r5, r6 = rows[i]
+                    rows[i] = [
+                        r0 - f * p0, r1 - f * p1, r2 - f * p2,
+                        r3 - f * p3, r4 - f * p4, r5 - f * p5, r6 - f * step,
+                    ]
             rows[row] = [p0, p1, p2, p3, p4, p5, step]
             basis[row] = col
             iterations += 1
