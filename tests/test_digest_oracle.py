@@ -1,12 +1,12 @@
 """Bit-for-bit digests of the grid LP oracle and of its simplex kernel.
 
-``DIGEST`` is the sha256 of the ``repr`` of ``minimize_tv_on_grid``'s outcome over 700
-seeded pairs, each on its default grid with and without the witness
-support: the status, the minimal TV, the pivot count and both optimizers'
-supports and masses, or the refusal's type and message.  A change that
-moves any output bit of ``verify``'s oracle changes the digest.  ROADMAP
-items 9 (an exchange oracle that adds grid points) and 11 will move it on
-purpose; CHANGES.md must then list each outcome they move.
+``DIGEST`` is the sha256 of the ``repr`` of ``minimize_tv_on_grid``'s
+outcome over 700 seeded pairs, each on its default grid with and without
+the witness support: the status, the minimal TV, the pivot count and both
+optimizers' supports and masses, or the refusal's type and message.  A
+change that moves any output bit of ``verify``'s oracle changes the
+digest.  ROADMAP items 9 (an exchange oracle that adds grid points) and 11
+will move it on purpose; CHANGES.md must then list each outcome they move.
 
 ``KERNEL_DIGEST`` is the sha256 of ``solve_dense``'s outcome over 3,000
 seeded dense programs: the status, the basic values by column, the
