@@ -1,4 +1,5 @@
-"""Shared reference oracles for the test suite.
+"""Shared reference oracles for the test suite, and a fixture that gives
+each test back the trace function it began with.
 
 These helpers deliberately avoid the code paths they are used to check:
 TV and moments are recomputed with plain dictionary/numpy arithmetic, and
@@ -9,8 +10,19 @@ density crossings.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def _keep_the_trace_function():
+    # a RecursionError that reaches a line tracer unsets it, as the
+    # deep-nesting tests raise; each test ends with the one it began with
+    tracer = sys.gettrace()
+    yield
+    sys.settrace(tracer)
 
 
 def ref_tv(atoms_p, atoms_q) -> float:

@@ -65,36 +65,10 @@ def test_grid_spec_refuses_a_count_past_its_limit_before_allocating(monkeypatch)
     for count in (limit + 1, 10**12):
         with pytest.raises(BadParameterError) as raised:
             oracle.minimize_tv_on_grid(pair(0, 1, 0.5, 1), GridSpec(0.0, 1.0, count))
+        assert type(raised.value) is BadParameterError
         assert str(raised.value) == (
             f"count must be at most GRID_MAX_COUNT = {limit}, got {count}"
         )
-
-
-@pytest.mark.parametrize(
-    "lo, hi, count, message",
-    [
-        (1.0, 1.0, 5, "need finite lo < hi, got lo=1.0, hi=1.0"),
-        (2.0, 1.0, 5, "need finite lo < hi, got lo=2.0, hi=1.0"),
-        (math.nan, 1.0, 5, "need finite lo < hi, got lo=nan, hi=1.0"),
-        (0.0, math.inf, 5, "need finite lo < hi, got lo=0.0, hi=inf"),
-        (-1e308, 1e308, 5, "the span hi - lo overflows, got lo=-1e+308, hi=1e+308"),
-        (0.0, 1.0, 1, "count must be >= 2, got 1"),
-        (0.0, 1.0, -3, "count must be >= 2, got -3"),
-        (0.0, 1.0, 2.5, "count must be a whole number, got 2.5"),
-        (0.0, 1.0, math.inf, "count must be a whole number, got inf"),
-        (0.0, 1.0, 10**6, "count must be at most GRID_MAX_COUNT = 500000, got 1000000"),
-    ],
-)
-def test_grid_spec_refuses_with_bad_parameter_error(lo, hi, count, message):
-    with pytest.raises(BadParameterError) as raised:
-        GridSpec(lo, hi, count)
-    assert str(raised.value) == message
-
-
-def test_a_grid_of_one_point_is_refused_with_bad_parameter_error():
-    with pytest.raises(BadParameterError) as raised:
-        formulate(pair(0, 1, 0, 1), [0.5])
-    assert str(raised.value) == "grid needs at least 2 points, got 1"
 
 
 def test_build_grid_merges_extras():
@@ -188,21 +162,6 @@ def test_build_grid_matches_reference_on_random_specs():
         _assert_same_grid(GridSpec(lo, hi, rng.randrange(2, 130)), tuple(extras))
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(1.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 1)
-
-
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_build_grid_refuses_a_non_finite_extra_point(bad):
-    with pytest.raises(ValueError) as raised:
-        build_grid(GridSpec(0.0, 1.0, 5), (0.0, bad))
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == "extra points must be finite"
-
-
 def test_grid_spec_default_covers_witness_support():
     from tvbounds import construct_tight_witness
 
@@ -256,40 +215,11 @@ def test_centring_is_the_midpoint_and_the_summed_stddevs(moments, centre, scale)
     assert oracle._centring(pair(*moments)) == (centre, scale)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_formulate_refuses_a_grid_point_that_is_not_finite(bad):
-    with pytest.raises(ValueError, match="^LP coefficients must be finite$"):
-        formulate(pair(0, 1, 0, 1), [-1.0, bad, 1.0])
-
-
-def test_formulate_refuses_a_row_past_the_float_range():
-    # the grid reaches 1e160 from a centre near 5e159, whose square overflows
-    with pytest.raises(ValueError, match="^LP coefficients must be finite$"):
-        formulate(pair(1e160, 1, 0, 1), [-1.0, 0.0, 1e160])
-
-
-@pytest.mark.parametrize(
-    "moments",
-    [(0, 1e308, 1e307, 1e308), (1e308, 0, -1e308, 0)],
-    ids=["summed_stddevs", "distance_of_the_means"],
-)
-def test_formulate_refuses_a_centring_scale_past_the_float_range(moments):
-    # an infinite scale would divide every row coefficient down to 0, and
-    # the collapsed program would report TV 0 for pairs with a positive bound
-    with pytest.raises(ValueError, match="^LP coefficients must be finite: the centring"):
-        formulate(pair(*moments), [-1e307, 0.0, 1e307])
-
-
 def test_formulate_identical_moments_reaches_zero():
     this = pair(0, 1, 0, 1)
     result = solve(formulate(this, np.array([-1.0, 0.0, 1.0])))
     assert result.status is OracleStatus.OPTIMAL
     assert result.tv_min <= 1e-12
-
-
-def test_formulate_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        formulate(pair(0, 1, 0, 1), np.array([0.0]))
 
 
 # ------------------------------------------------------------------- solves
@@ -602,15 +532,6 @@ def test_optimizers_clamp_and_refuse():
 # ------------------------------------------------------- d-dimensional check
 
 
-@pytest.mark.parametrize(
-    "d,atoms,trials",
-    [(0, 6, 10), (5, 10, 10), (2, 3, 10), (2, 6, 0)],
-)
-def test_nd_check_parameter_validation(d, atoms, trials):
-    with pytest.raises(BadParameterError):
-        check_nd_bound_random(d, atoms, trials, 0)
-
-
 @pytest.mark.parametrize("name", ["d", "atoms", "trials", "seed"])
 @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
 def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, bad):
@@ -618,6 +539,7 @@ def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, 
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(BadParameterError) as raised:
         check_nd_bound_random(**{**args, name: bad})
+    assert type(raised.value) is BadParameterError
     assert str(raised.value) == f"{name} must be a whole number, got {bad!r}"
 
 
@@ -631,8 +553,13 @@ def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
     assert check_nd_bound_random(2, 5, 10, 0) == 0
     # no generator is made, so nothing is drawn or allocated
     monkeypatch.setattr(np.random, "default_rng", None)
-    with pytest.raises(BadParameterError, match="ND_CHECK_MAX_DRAWS = 100"):
+    with pytest.raises(BadParameterError) as raised:
         check_nd_bound_random(2, 5, 11, 0)
+    assert type(raised.value) is BadParameterError
+    assert str(raised.value) == (
+        "trials * atoms * d = 11 * 5 * 2 is more than ND_CHECK_MAX_DRAWS = 100; "
+        "run fewer trials per seed"
+    )
 
 
 #: ``ND_CHECK_TOL`` -> the check's counts on the sweep below: each (d, atoms)

@@ -1,5 +1,6 @@
 """The revised simplex kernel: its optimum against HiGHS, its determinism,
-its termination, its budget and its refusals.
+its termination and its budget; its refusals are rows of
+``tests/test_refusals.py``.
 
 HiGHS (``scipy.optimize.linprog``, a test dependency only) solves each grid
 program as a dense matrix on the raw-power rows ``1, x, x^2``, built here
@@ -221,24 +222,3 @@ def test_optimal_x_holds_the_basic_columns_only():
     assert res.status == "optimal"
     assert {j: round(v, 12) for j, v in res.x.items() if v} == {0: 1.0, 2: 2.0}
     assert res.objective == pytest.approx(-1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "A, b",
-    [([[1.0, 2.0]], [1.0, 2.0]), ([[1.0, 2.0], [1.0]], [1.0, 2.0])],
-    ids=["long-b", "ragged"],
-)
-def test_inconsistent_dimensions_are_rejected(A, b):
-    with pytest.raises(ValueError, match="^inconsistent LP dimensions$"):
-        solve_dense(DenseColumns(A, [1.0, 1.0]), b)
-
-
-def test_more_rows_than_the_basis_holds_are_rejected():
-    with pytest.raises(ValueError, match="^the kernel takes at most 6 rows, got 7$"):
-        solve_dense(DenseColumns([[1.0]] * 7, [1.0]), [1.0] * 7)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_non_finite_coefficients_are_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
-        solve_dense(DenseColumns([[1.0, 2.0]], [1.0, 1.0]), [bad])
