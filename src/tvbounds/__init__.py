@@ -10,8 +10,8 @@ Importing the package loads only the errors and the closed forms
 here on first use: the discrete distributions and witnesses, the grid
 oracle, which only ``verify`` needs, and the d-dimensional layer
 (:mod:`tvbounds.nd`), which reads each input in one walk.  numpy is imported
-only by its randomized check and by ``MomentsND`` for a d > 1 covariance the
-Cholesky proof, run at every d, does not settle, refused by name without it.
+by one gate there, for its randomized check and for a d > 1 covariance the
+Cholesky proof does not settle, and without numpy the gate refuses each.
 """
 
 # Each module's ``__all__`` declares its public names; the package republishes

@@ -6,8 +6,10 @@ JSON key order is fixed, numbers round-trip exactly through their printed
 representation, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 invalid input (message on stderr; an ``nd-check``
-batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates is one, and so
-is a ``verify`` grid of more than ``GRID_MAX_COUNT`` points), 2
+batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates is one, so is
+a ``verify`` grid of more than ``GRID_MAX_COUNT`` points, and, without
+numpy, so are ``nd-check`` and an ``nd-bound`` covariance the Cholesky proof
+does not settle, both refused by the one numpy gate, ``nd._numpy``), 2
 verification failure (a failing ``verify`` verdict or a positive
 ``nd-check`` violation count), 3 numeric failure inside the LP.
 """
@@ -18,7 +20,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import Any, NamedTuple
 
 from . import _lazy_getattr
 from .errors import BadParameterError, TVBoundError
@@ -28,9 +31,7 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 
 # Each handler imports the names it needs beyond the closed forms when it
-# runs, so a command loads only the layers ``tvbounds._LAZY`` lists for it:
-# ``nd-bound`` loads numpy only for a d > 1 covariance its Cholesky proof
-# does not settle, and without numpy refuses that one in one ``error:`` line.
+# runs, so a command loads only the layers ``tvbounds._LAZY`` lists for it.
 # The names still resolve here, bound on first access.
 __getattr__ = _lazy_getattr(globals())
 

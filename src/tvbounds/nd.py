@@ -6,10 +6,10 @@ and is not claimed tight for d > 1.  The records and the bound are plain
 Python: one walk reads each input, a Cholesky factorization proves a
 covariance positive semidefinite at every d, and ``|a|^2`` and the traces
 are correctly rounded sums, so the bound is the same on every platform and
-under any order of the coordinates.  numpy is imported only by
-``check_nd_bound_random``, when it runs, and by ``MomentsND`` for a
-covariance of d > 1 that factorization does not prove, whose smallest
-eigenvalue then decides; without numpy that covariance is refused by name.
+under any order of the coordinates.  numpy is imported by one gate,
+``_numpy``, called by ``check_nd_bound_random`` when it runs and by
+``MomentsND`` for a covariance of d > 1 that factorization does not prove,
+whose smallest eigenvalue then decides; without numpy it refuses each.
 The one-dimensional closed forms live in :mod:`tvbounds.moments` and the
 grid oracle in :mod:`tvbounds.oracle`.
 """
@@ -223,14 +223,18 @@ def _min_eigenvalue(sym) -> float:
     1x1 matrix's entry, and for a larger one ``ValueError`` without numpy."""
     if len(sym) == 1:
         return sym[0][0]
-    try:
-        import numpy as np
-    except ImportError:
-        raise ValueError(
-            "covariance is not proved positive semidefinite, and deciding it "
-            "needs numpy, which is not installed"
-        ) from None
+    np = _numpy("covariance is not proved positive semidefinite, and deciding it")
     return float(np.linalg.eigvalsh(np.array(sym))[0])
+
+
+def _numpy(what: str):
+    """numpy, the package's one import of it, or ``ValueError`` saying that
+    ``what`` needs it where it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        raise ValueError(f"{what} needs numpy, which is not installed") from None
+    return numpy
 
 
 class MomentPairND(FrozenRecord):
@@ -327,10 +331,10 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
     side's weights pile onto one atom.  The TV's and the bound's halves fold
     into one comparison, ``|p - q|_1 < g / (tr Sp + tr Sq + g / 2) - 2 *
     ND_CHECK_TOL``; doubling is exact, so it decides as ``TV < bound -
-    ND_CHECK_TOL`` does.  numpy is imported when the check runs.
-    A count that is not a whole number, a negative seed, and a batch of more
-    than ``ND_CHECK_MAX_DRAWS`` normal coordinates (``trials * atoms * d``)
-    raise ``BadParameterError`` before any draw.
+    ND_CHECK_TOL`` does.  A count that is not a whole number, a negative
+    seed, and a batch of more than ``ND_CHECK_MAX_DRAWS`` normal coordinates
+    (``trials * atoms * d``) raise ``BadParameterError`` before any draw;
+    then, without numpy, the check raises ``ValueError`` saying so.
     """
     d, atoms, trials = _whole("d", d), _whole("atoms", atoms), _whole("trials", trials)
     seed = _whole("seed", seed)
@@ -347,8 +351,7 @@ def check_nd_bound_random(d: int, atoms: int, trials: int, seed: int) -> int:
             f"trials * atoms * d = {trials} * {atoms} * {d} is more than "
             f"ND_CHECK_MAX_DRAWS = {ND_CHECK_MAX_DRAWS}; run fewer trials per seed"
         )
-    import numpy as np
-
+    np = _numpy("the randomized check")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal(size=(trials, atoms, d))
     # both sides at once: axis 0 is the side (p, q), axis 1 the trial

@@ -8,9 +8,9 @@ the installed ``tvbounds`` script, once each under
 well, and exits nonzero if any output or any set of modules differs:
 
     python tests/golden_cases.py                  # every case
-    python tests/golden_cases.py --without-numpy  # the commands that never
-                                                  # import numpy, where it is
-                                                  # not installed
+    python tests/golden_cases.py --without-numpy  # the cases that need no
+                                                  # numpy and WITHOUT_NUMPY,
+                                                  # where it is not installed
 
 It imports neither pytest nor the package, so it runs where only the
 package itself is installed.
@@ -75,6 +75,10 @@ CASES = [
     ("nd_bound", 0, ["nd-bound", str(GOLDEN / "nd_moments.json")]),
     # a 1x1 covariance goes through the same eigenvalue rule as any other
     ("nd_bound_1d", 0, ["nd-bound", str(GOLDEN / "nd_moments_1d.json")]),
+    # the Cholesky proof settles a singular covariance, and a 1x1 entry is
+    # its own eigenvalue, so these two give the same bytes without numpy
+    ("nd_bound_singular", 0, ["nd-bound", str(GOLDEN / "nd_moments_singular.json")]),
+    ("error_nd_negative_1x1", 1, ["nd-bound", str(GOLDEN / "nd_moments_negative_1x1.json")]),
     ("nd_check", 0, ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"]),
     # the default 1000 trials at the largest dimension
     ("nd_check_default_trials", 0, ["nd-check", "--dims", "4", "--seed", "11"]),
@@ -91,6 +95,13 @@ CASES = [
          "--sp", "1", "--mq", "0", "--sq", "1", "--format", "json"],
     ),
     ("error_negative_stddev", 1, ["bound", "--mp", "1", "--sp", "-1", "--mq", "0", "--sq", "1"]),
+]
+
+#: The refusals of ``nd._numpy``, the one numpy gate, where numpy is not
+#: installed: a covariance the Cholesky proof does not settle, and nd-check.
+WITHOUT_NUMPY = [
+    ("error_nd_unproved_without_numpy", 1, ["nd-bound", str(GOLDEN / "nd_moments_unproved.json")]),
+    ("error_nd_check_without_numpy", 1, ["nd-check", "--dims", "2", "--trials", "20", "--seed", "3"]),
 ]
 
 
@@ -123,7 +134,7 @@ COMMAND_MODULES = {
     "nd-check": ("tvbounds.nd", "numpy"),
 }
 #: The commands that import numpy; the others, ``verify`` and ``nd-bound``
-#: among them, must run without it.
+#: among them, must give their goldens without it.
 NUMPY_COMMANDS = tuple(c for c, modules in COMMAND_MODULES.items() if "numpy" in modules)
 
 
@@ -171,7 +182,7 @@ def main(argv) -> int:
         if importlib.util.find_spec("numpy") is not None:
             print("numpy is importable")
             return 1
-        cases = [case for case in CASES if case[2][0] not in NUMPY_COMMANDS]
+        cases = [case for case in CASES if case[2][0] not in NUMPY_COMMANDS] + WITHOUT_NUMPY
     differ = []
     for name, code, args in cases:
         result, imports = run_case(["tvbounds"], args)
@@ -179,7 +190,9 @@ def main(argv) -> int:
         if result != expected(name, code):
             found.append("output")
         loaded = loaded_modules(imports)
-        if loaded != expected_modules(args[0]):
+        # -X importtime prints the gate's failed import of numpy too
+        gated = ["numpy"] if (name, code, args) in WITHOUT_NUMPY else []
+        if loaded != sorted({*expected_modules(args[0]), *gated}):
             found.append(f"loads {', '.join(loaded)}")
         if found:
             differ.append(f"{name} ({' and '.join(found)})")

@@ -16,10 +16,10 @@ Both paths sum with ``math.fsum`` only, never the builtin ``sum`` (whose
 float result changed in Python 3.12), so the digests are the same on every
 supported Python.
 
-The module imports neither numpy nor ``conftest.py``, so it also runs where
-numpy is not installed::
+The module imports no numpy, nor does ``conftest.py``, so it also runs
+where numpy is not installed::
 
-    python -m pytest --noconftest tests/test_digest_1d.py
+    python -m pytest tests/test_digest_1d.py
 """
 
 import hashlib

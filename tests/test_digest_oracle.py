@@ -18,11 +18,11 @@ entries; columns zero in rows 0-2 or in rows 3-5, as the grid's ``v`` and
 from pricing.  A change to the kernel's arithmetic that moves any bit of
 its outcomes changes it.
 
-The module imports neither numpy nor ``conftest.py``, so it also runs where
-numpy is not installed.  Both paths sum with ``math.fsum`` only, never the
-builtin ``sum`` (whose float result changed in Python 3.12)::
+The module imports no numpy, nor does ``conftest.py``, so it also runs
+where numpy is not installed.  Both paths sum with ``math.fsum`` only, never
+the builtin ``sum`` (whose float result changed in Python 3.12)::
 
-    python -m pytest --noconftest tests/test_digest_oracle.py
+    python -m pytest tests/test_digest_oracle.py
 """
 
 import hashlib

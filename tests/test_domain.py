@@ -1,9 +1,9 @@
 """The input domain of ``tests/domain.py``: its draws stay inside what the
 caller narrowed, a range outside the table is refused, and README's "Input
-domain" table is the module's.  It imports neither numpy nor
+domain" table is the module's.  It imports no numpy, nor does
 ``conftest.py``, so it runs where numpy is not installed::
 
-    python -m pytest --noconftest tests/test_domain.py
+    python -m pytest tests/test_domain.py
 """
 
 import math

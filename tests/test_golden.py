@@ -1,12 +1,14 @@
 """Golden bytes: the full output of every command, pinned.
 
 Each case of ``golden_cases.CASES`` runs ``main`` in-process and compares
-its exit code, stdout and stderr with the files under ``tests/golden/``.
+its exit code, stdout and stderr with the files under ``tests/golden/``;
+so does each of ``golden_cases.WITHOUT_NUMPY``, with numpy blocked.
 The CI workflow runs the installed ``tvbounds`` script on the same cases.
 What the pinned bytes claim is checked against the library as well.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -26,11 +28,15 @@ from tvbounds.cli import _verdict, main, parse_args
 from tvbounds.oracle import OracleResult, OracleStatus
 from tvbounds.witness import MOMENT_MATCH_TOL, TV_MATCH_TOL
 
-from golden_cases import CASES, expected
+from golden_cases import CASES, WITHOUT_NUMPY, expected
 
 
-@pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
-def test_command_output_is_golden(capsys, name, code, argv):
+@pytest.mark.parametrize(
+    "name, code, argv", CASES + WITHOUT_NUMPY, ids=[case[0] for case in CASES + WITHOUT_NUMPY]
+)
+def test_command_output_is_golden(capsys, monkeypatch, name, code, argv):
+    if (name, code, argv) in WITHOUT_NUMPY:
+        monkeypatch.setitem(sys.modules, "numpy", None)
     returned = main(argv)
     captured = capsys.readouterr()
     assert (returned, captured.out, captured.err) == expected(name, code)
@@ -45,6 +51,13 @@ def _sides(flags):
     )
 
 
+def _nd_pair(path):
+    """The moments file at ``path``, and the pair it gives the library."""
+    with open(path, encoding="utf-8") as handle:
+        m = json.load(handle)
+    return m, MomentPairND(*(MomentsND(m[f"mean_{s}"], m[f"cov_{s}"]) for s in "pq"))
+
+
 @pytest.mark.parametrize("name, code, argv", CASES, ids=[case[0] for case in CASES])
 def test_golden_reports_hold_against_the_library(name, code, argv):
     # a refusal is the library's message, a bound report the closed forms',
@@ -56,7 +69,7 @@ def test_golden_reports_hold_against_the_library(name, code, argv):
     command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
     if code == 1:
         with pytest.raises(ValueError) as refused:
-            _sides(flags)
+            _nd_pair(argv[1]) if command == "nd-bound" else _sides(flags)
         assert err == f"error: {refused.value}\n"
         return
     if command == "sweep":
@@ -72,9 +85,7 @@ def test_golden_reports_hold_against_the_library(name, code, argv):
         return
     report = json.loads(out)
     if command == "nd-bound":
-        with open(argv[1], encoding="utf-8") as handle:
-            m = json.load(handle)
-        pair = MomentPairND(*(MomentsND(m[f"mean_{s}"], m[f"cov_{s}"]) for s in "pq"))
+        m, pair = _nd_pair(argv[1])
         gap = sum((p - q) ** 2 for p, q in zip(m["mean_p"], m["mean_q"]))
         traces = [sum(row[i] for i, row in enumerate(m[f"cov_{s}"])) for s in "pq"]
         assert list(report.values()) == [len(m["mean_p"]), gap, *traces, tv_lower_bound_nd(pair)]

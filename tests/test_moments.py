@@ -588,17 +588,6 @@ def test_momentsnd_refuses_with_the_exact_message(bad, message):
     assert str(raised.value) == message
 
 
-def test_momentsnd_refuses_what_it_cannot_decide_without_numpy(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ValueError) as raised:
-        MomentsND([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == (
-        "covariance is not proved positive semidefinite, and deciding it "
-        "needs numpy, which is not installed"
-    )
-
-
 def test_momentsnd_names_a_mean_nested_too_deeply_to_read():
     # built iteratively, deeper than the walk that reads it can recurse
     mean = [0.0]

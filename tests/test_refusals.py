@@ -1,10 +1,14 @@
 """Every refusal of the library, one row each: the call, its arguments, the
-exact exception type and the exact message.  No numpy is imported, so the CI
-job without numpy runs these too.  The two refusals that numpy decides, and
-those whose setup a row cannot hold (a patched module, numpy blocked, a
-nesting too deep to read), are tested beside the code they exercise."""
+exact exception type and the exact message.  Each row runs with numpy
+blocked, as where it is not installed: the numpy gate, ``nd._numpy``,
+refuses its two rows, after the randomized check's own parameter checks,
+and no other row needs numpy, so the CI job without numpy runs these too.
+The two refusals that numpy decides, and those whose setup a row cannot
+hold (a patched module, a nesting too deep to read), are tested beside the
+code they exercise."""
 
 import math
+import sys
 
 import pytest
 
@@ -49,6 +53,7 @@ SQUARED_GAP = (
 )
 CENTRING = "LP coefficients must be finite: the centring scale overflows"
 TRACE = "side's covariance trace overflows the float range: its diagonal sums past about 1.8e308"
+NO_NUMPY = "needs numpy, which is not installed"
 
 
 def underflows(what, gap):
@@ -351,11 +356,19 @@ REFUSALS = {
             "run fewer trials per seed",
         ),
     }),
+    # ---------------------------------------- the numpy gate, nd._numpy
+    "momentsnd-unproved-2x2-without-numpy": (
+        MomentsND, ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]), ValueError,
+        f"covariance is not proved positive semidefinite, and deciding it {NO_NUMPY}",
+    ),
+    "nd-check-without-numpy":
+        (check_nd_bound_random, (2, 6, 10, 0), ValueError, f"the randomized check {NO_NUMPY}"),
 }
 
 
 @pytest.mark.parametrize("call, args, exc_type, message", REFUSALS.values(), ids=REFUSALS)
-def test_refusal_names_its_cause(call, args, exc_type, message):
+def test_refusal_names_its_cause(monkeypatch, call, args, exc_type, message):
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(Exception) as raised:
         call(*args)
     assert type(raised.value) is exc_type
