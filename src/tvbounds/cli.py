@@ -258,7 +258,7 @@ def _load_nd_pair(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadParameterError(f"cannot read moments file {path!r}: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadParameterError(

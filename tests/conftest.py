@@ -1,4 +1,5 @@
-"""Shared reference oracles for the test suite, and a fixture that gives
+"""Shared reference oracles for the test suite, the command lines and
+moments files that the CLI refusals are given, and a fixture that gives
 each test back the trace function it began with.
 
 These helpers deliberately avoid the code paths they are used to check:
@@ -9,6 +10,7 @@ density crossings.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -22,6 +24,35 @@ def _keep_the_trace_function():
     tracer = sys.gettrace()
     yield
     sys.settrace(tracer)
+
+
+#: Two 2-D unit normals a unit mean gap apart, the moments file that the
+#: nd-bound refusals vary a field at a time.
+UNIT_ND = {
+    "mean_p": [1.0, 0.0], "cov_p": [[1.0, 0.0], [0.0, 1.0]],
+    "mean_q": [0.0, 0.0], "cov_q": [[1.0, 0.0], [0.0, 1.0]],
+}
+
+
+def moments_text(**fields):
+    """The text of a moments file of ``UNIT_ND`` with ``fields`` replaced."""
+    return json.dumps({**UNIT_ND, **fields})
+
+
+def pair_flags(mp, sp, mq, sq):
+    """The four moment flags of a 1-D command, each value as given."""
+    return ["--mp", mp, "--sp", sp, "--mq", mq, "--sq", sq]
+
+
+def cli_argv(tmp_path, given):
+    """``given`` as a command line: an argv as it is, or the text (``str``
+    or ``bytes``) of a moments file as ``nd-bound`` on a file in ``tmp_path``
+    that holds it."""
+    if not isinstance(given, (str, bytes)):
+        return given
+    path = tmp_path / "moments.json"
+    path.write_bytes(given if isinstance(given, bytes) else given.encode())
+    return ("nd-bound", str(path))
 
 
 def ref_tv(atoms_p, atoms_q) -> float:

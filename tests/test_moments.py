@@ -553,6 +553,7 @@ def test_trace_bound_rescales_only_the_overflowing_entries():
         (2.0, 1.0, 1.0),
         (0.0, 1e308, 1e308),
         (1.69e308, 1e308, 1e308),
+        (1.0, 5e307, 5e307),
     ]
     bound = [trace_bound(*entry) for entry in ingredients]
     assert bound[0] == pytest.approx(0.845 / 1.845, rel=1e-15)
@@ -561,6 +562,8 @@ def test_trace_bound_rescales_only_the_overflowing_entries():
     # here tr Sp + tr Sq alone passes the float range
     exact = Fraction(1.69e308) / (4 * Fraction(1e308) + Fraction(1.69e308))
     assert bound[3] == pytest.approx(float(exact), rel=1e-15)
+    # here 2 * (tr Sp + tr Sq) = 2e308 passes the float range
+    assert bound[4] == 0.5 / 1e308 > 0.0
 
 
 def test_momentsnd_symmetrizes_roundoff():
@@ -719,12 +722,17 @@ def test_one_by_one_matches_the_eigenvalue_rule(entry):
         assert _hex_rows(MomentsND([0.0], cov).covariance) == ((entry.hex(),),)
 
 
-def test_an_overflowing_symmetric_sum_is_halved_term_by_term():
-    m = MomentsND([0.0, 0.0], [[1e308, 5e-324], [5e-324, 1.0]])
+@pytest.mark.parametrize("off", [5e-324, 0.0])
+def test_an_overflowing_symmetric_sum_is_halved_term_by_term(off):
+    # the diagonal's 1e308 + 1e308 passes the float range
+    cov = [[1e308, off], [off, 1.0]]
+    m = MomentsND([0.0, 1.0], cov)
     assert m.trace == 1e308
     # where the sum stays finite, subnormal entries are averaged as before
     # (halving 5e-324 first would round it to 0)
-    assert _hex_rows(m.covariance) == _hex_rows([[1e308, 5e-324], [5e-324, 1.0]])
+    assert _hex_rows(m.covariance) == _hex_rows(cov)
+    bound = tv_lower_bound_nd(MomentPairND(m, MomentsND([0.0, 0.0], np.eye(2))))
+    assert 0.0 <= bound < 1e-300
 
 
 _STRINGS = ("1.5", " -2e3 ", "inf", "1e400", "abc", "")

@@ -1,17 +1,20 @@
 """Every refusal of the library, one row each: the call, its arguments, the
-exact exception type and the exact message.  Each row runs with numpy
-blocked, as where it is not installed: the numpy gate, ``nd._numpy``,
-refuses its two rows, after the randomized check's own parameter checks,
-and no other row needs numpy, so the CI job without numpy runs these too.
-The two refusals that numpy decides, and those whose setup a row cannot
-hold (a patched module, a nesting too deep to read), are tested beside the
-code they exercise."""
+exact exception type and the exact message; and each command line that
+prints one, as the one ``error:`` line of exit 1.  Each row and command
+line runs with numpy blocked, as where it is not installed: the numpy gate,
+``nd._numpy``, refuses its two rows, after the randomized check's own
+parameter checks, and no other row needs numpy, so the CI job without
+numpy runs these too.  The two refusals that numpy decides, and those whose
+setup a row cannot hold (a patched module, a nesting too deep to read), are
+tested beside the code they exercise; the refusals that ``cli.py`` raises
+itself are ``REFUSALS`` of ``tests/test_cli.py``."""
 
 import math
 import sys
 
 import pytest
 
+from tvbounds.cli import main
 from tvbounds.discrete import DiscreteDist, check_moments
 from tvbounds.errors import (
     BadParameterError,
@@ -33,6 +36,7 @@ from tvbounds.witness import (
     construct_vanishing_sequence,
 )
 
+from conftest import cli_argv, moments_text, pair_flags
 from dense_columns import DenseColumns
 from domain import pair
 
@@ -144,6 +148,21 @@ REFUSALS = {
             ((pair(1e-170, 0.0, 0.0, 1.0),), underflows("tight bound", "1e-170")),
         "tight-underflowed-ratio":
             ((pair(5e-324, 1e300, 0.0, 1e300),), underflows("gap-to-spread ratio", "5e-324")),
+        # the atoms' squared deviations overflow, so the moment check refuses them
+        "tight-moments-overflow": (
+            (pair(1e200, 1.0, 0.0, 1.0),),
+            "three_point witness: p side moments (mean 1e+200, variance 0.0) do not match "
+            "the target (mean 1e+200, variance 1.0)",
+        ),
+        # every p * x * x of the raw second moment is finite, but their sum
+        # passes the float range
+        "tight-sum-of-squares-overflows": (
+            (pair(-8.391482909768884e+153, 1.0541747264031324e+154,
+                  -4.7657788459481485e+153, 0.0),),
+            "two_point_q_degenerate witness: p side moments (mean -8.391482909768884e+153, "
+            "variance inf) do not match the target "
+            "(mean -8.391482909768884e+153, variance 1.1112843537871191e+308)",
+        ),
     }),
     # a stddev that squares past the float range is named before the radical
     # or the far atoms of the sequence overflow
@@ -258,21 +277,38 @@ REFUSALS = {
                                       ("nan", math.nan, "nan"), ("string", "5", "'5'")]
         },
     }),
-    # six stddevs of 1e308 is inf
-    "grid-spec-default-overflows": (
-        GridSpec.default_for, (pair(0.0, 1e308, 0.0, 1.0),), BadParameterError,
-        "the default grid, six stddevs of 1e+308 beyond the means 0.0 and 0.0, "
-        "overflows the float range",
-    ),
+    **each(GridSpec.default_for, BadParameterError, {
+        # six stddevs of 1e308 is inf
+        "grid-spec-default-overflows": (
+            (pair(0.0, 1e308, 0.0, 1.0),),
+            "the default grid, six stddevs of 1e+308 beyond the means 0.0 and 0.0, "
+            "overflows the float range",
+        ),
+        # the pad is finite, the span of the padded means is not
+        "grid-spec-default-span-overflows": (
+            (pair(1.5e308, 1e306, -2e307, 1.0),),
+            "the default grid, six stddevs of 1e+306 beyond the means 1.5e+308 and -2e+307, "
+            "overflows the float range",
+        ),
+    }),
     **each(build_grid, ValueError, {
         f"build-grid-{bad}-extra-point":
             ((GridSpec(0.0, 1.0, 5), (0.0, bad)), "extra points must be finite")
         for bad in (math.inf, math.nan)
     }),
-    "build-grid-merges-into-one-point": (
-        build_grid, (GridSpec(0.0, 5e-324, 2),), BadParameterError,
-        "the 2-point grid from 0.0 to 5e-324 merges into one point at the merge tolerance 1e-12",
-    ),
+    **each(build_grid, BadParameterError, {
+        "build-grid-merges-into-one-point": (
+            (GridSpec(0.0, 5e-324, 2),),
+            "the 2-point grid from 0.0 to 5e-324 merges into one point "
+            "at the merge tolerance 1e-12",
+        ),
+        # the tolerance, 1e-12 * (1 + max |x|), is wider than the span
+        "build-grid-merges-at-an-offset": (
+            (GridSpec(74190220.97805403, 74190220.97808279, 121),),
+            "the 121-point grid from 74190220.97805403 to 74190220.97808279 "
+            "merges into one point at the merge tolerance 7.419022197808279e-05",
+        ),
+    }),
     # ---------------------------------------------------------- the grid LP
     "formulate-one-point": (
         formulate, (UNIT, [0.5]), BadParameterError, "grid needs at least 2 points, got 1"
@@ -311,6 +347,12 @@ REFUSALS = {
         "momentsnd-nan-mean": (([math.nan, 0.0], EYE2), "mean must be finite"),
         "momentsnd-covariance-shape":
             (((1.0, 0.0), [[1.0]]), "covariance must have shape (2, 2), got (1, 1)"),
+        "momentsnd-flat-covariance":
+            (((1.0, 0.0), [1.0, 0.0]), "covariance must have shape (2, 2), got (2,)"),
+        "momentsnd-wide-covariance": (
+            ((1.0, 0.0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            "covariance must have shape (2, 2), got (2, 3)",
+        ),
         "momentsnd-nan-covariance":
             (([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]), "covariance must be finite"),
         "momentsnd-inf-covariance":
@@ -373,3 +415,116 @@ def test_refusal_names_its_cause(monkeypatch, call, args, exc_type, message):
         call(*args)
     assert type(raised.value) is exc_type
     assert str(raised.value) == message
+
+
+def route(row, command, *flags):
+    """``row`` and the command line that gives ``command`` its moments: those
+    of the row's pair, or for ``sequence`` the row's m, sp, sq and k; then
+    ``flags``."""
+    args = REFUSALS[row][1]
+    if command == "sequence":
+        moments = zip(("--m", "--sp", "--sq", "--k"), args)
+    else:
+        p, q = args[0]
+        moments = zip(("--mp", "--sp", "--mq", "--sq"), (p.mean, p.stddev, q.mean, q.stddev))
+    tokens = (token for name, value in moments for token in (name, repr(value)))
+    return row, (command, *tokens, *flags)
+
+
+def each_command(name, row, commands):
+    """``route`` for each of ``commands``, as ``name-<command>``."""
+    return {f"{name}-{command}": route(row, command) for command in commands}
+
+
+SWEEP_SP = ("--param", "sp", "--start", "1", "--stop", "2", "--step", "1")
+NO_WITNESS = ("--include-witness", "false")
+
+#: The command lines that print a library refusal, one a test: the row of
+#: ``REFUSALS`` whose message the ``error:`` line holds, and the argv, or the
+#: text of the moments file that ``nd-bound`` reads.
+CLI_REFUSALS = {
+    # ------------------------------------------------------------ witnesses
+    "witness-equal-means": route("tight-equal-means", "witness"),
+    "case-c-q-param-past-1": route("anchored-q-param-1.7", "case-c", "--q-param", "1.7"),
+    "case-c-q-param-overflows-an-atom":
+        route("anchored-q-param-overflows-an-atom", "case-c", "--q-param", "5e-309"),
+    "case-c-underflowed-anchored-value": route("anchored-underflowed-value-1.0-1.0", "case-c"),
+    "underflowed-bound-q-point-mass": route("tight-underflowed-bound-q-point-mass", "witness"),
+    **each_command("underflowed-bound", "tight-underflowed-bound-p-point-mass",
+                   ("witness", "verify")),
+    "underflowed-bound-two-point": route("two-point-underflowed-bound-p-point-mass", "two-point"),
+    "two-point-tiny-scale": route("two-point-tiny-scale", "two-point"),
+    **each_command("variance-overflows", "tight-variance-overflows",
+                   ("witness", "two-point", "case-c", "verify")),
+    "variance-overflows-sequence": route("sequence-variance-overflows", "sequence"),
+    **each_command("witness-moments-overflow", "tight-moments-overflow", ("witness", "verify")),
+    **each_command("sum-of-squares-overflows", "tight-sum-of-squares-overflows",
+                   ("witness", "two-point", "verify")),
+    "sequence-misses-its-moments": route("sequence-misses-its-moments-1e7", "sequence"),
+    "sequence-k-1": route("sequence-k-1", "sequence"),
+    "sequence-k-past-the-float-range":
+        route("sequence-k-401-digit-past-the-float-range", "sequence"),
+    "sequence-far-atoms-overflow": route("sequence-far-atoms-overflow-100000000000000", "sequence"),
+    # ------------------------------------------------------ the closed forms
+    **each_command("radical-overflows", "radical-overflows-gap-1e200", ("bound", "two-point")),
+    "radical-overflows-sweep": route("radical-overflows-gap-1e200", "sweep", *SWEEP_SP),
+    **each_command("mean-gap-overflows", "gap-overflows-bound",
+                   ("bound", "witness", "two-point", "case-c")),
+    "mean-gap-overflows-sweep": route("gap-overflows-bound", "sweep", *SWEEP_SP),
+    # -------------------------------------------------------------- verify
+    "verify-default-grid-pad": route("grid-spec-default-overflows", "verify"),
+    "verify-default-grid-span": route("grid-spec-default-span-overflows", "verify"),
+    # the count is refused before any grid is built
+    **{
+        f"verify-grid-past-its-limit-{name}": (
+            "grid-spec-count-past-the-limit",
+            ("verify", *pair_flags("1", "1", "0", "1"), *grid, "--grid-n", "500001"),
+        )
+        for name, grid in [("default", ()), ("explicit", ("--grid-lo", "-6", "--grid-hi", "6"))]
+    },
+    "verify-grid-span": (
+        "grid-spec-span-overflows",
+        ("verify", *pair_flags("0", "1", "1", "1"), "--grid-lo=-1e308", "--grid-hi=1e308"),
+    ),
+    "verify-grid-merges-into-one-point": (
+        "build-grid-merges-at-an-offset",
+        ("verify", *pair_flags("74190220.978068", "2.051601652900451e-06",
+                               "74190220.97806883", "2.327773945572027e-06"), *NO_WITNESS),
+    ),
+    # the grid reaches 1e160, whose square overflows in the second-moment row
+    "verify-grid-square": route("formulate-row-overflows", "verify", *NO_WITNESS),
+    # sp + sq overflows while every moment and grid point is finite
+    "verify-centring-scale-overflows": route(
+        "formulate-summed-stddevs-overflow", "verify",
+        "--grid-lo", "-1e307", "--grid-hi", "1e307", *NO_WITNESS,
+    ),
+    # ------------------------------------------------------------ nd-bound
+    "nd-trace-overflows-p": ("nd-bound-p-trace-overflows", moments_text(cov_p=WIDE)),
+    "nd-trace-overflows-q": ("nd-bound-q-trace-overflows", moments_text(cov_q=WIDE)),
+    "nd-squared-gap-overflows":
+        ("nd-bound-squared-gap-overflows-2-d", moments_text(mean_p=[1e200, 0])),
+    "nd-gap-overflows": (
+        "nd-bound-squared-gap-overflows-1-d", moments_text(mean_p=[1e308, 0], mean_q=[-1e308, 0])
+    ),
+    "nd-ragged-covariance": ("momentsnd-ragged-covariance", moments_text(cov_p=[[1, 0], [0]])),
+    "nd-ragged-covariance-depth":
+        ("momentsnd-ragged-covariance", moments_text(cov_p=[[1, 0], [0, [1]]])),
+    "nd-ragged-mean": ("momentsnd-ragged-mean", moments_text(mean_p=[1, [2]])),
+    "nd-flat-covariance": ("momentsnd-flat-covariance", moments_text(cov_p=[1, 0])),
+    "nd-wide-covariance":
+        ("momentsnd-wide-covariance", moments_text(cov_p=[[1, 0, 0], [0, 1, 0]])),
+    # ------------------------------------------------------------ nd-check
+    "nd-check-oversized-batch": (
+        "nd-check-batch-past-the-limit",
+        ("nd-check", "--dims", "1", "--atoms", "3", "--trials", "3400000"),
+    ),
+    "nd-check-negative-seed":
+        ("nd-check-seed-negative", ("nd-check", "--dims", "2", "--seed", "-1")),
+}
+
+
+@pytest.mark.parametrize("row, given", CLI_REFUSALS.values(), ids=CLI_REFUSALS)
+def test_the_cli_prints_the_refusal(capsys, monkeypatch, tmp_path, row, given):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main(list(cli_argv(tmp_path, given))) == 1
+    assert capsys.readouterr() == ("", f"error: {REFUSALS[row][3]}\n")
