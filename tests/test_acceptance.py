@@ -7,6 +7,7 @@ are checked.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines.
 """
 
+import contextlib
 import math
 import sys
 import time
@@ -62,6 +63,27 @@ def _fastest(block):
     finally:
         sys.settrace(tracer)
     return elapsed, results
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_fastest_suspends_the_tracer_and_restores_it(raises):
+    tracer, previous, seen = (lambda frame, event, arg: None), sys.gettrace(), []
+
+    def block():
+        seen.append(sys.gettrace())
+        if raises:
+            raise ArithmeticError("block failed")
+        return len(seen)
+
+    sys.settrace(tracer)
+    try:
+        with pytest.raises(ArithmeticError) if raises else contextlib.nullcontext():
+            assert _fastest(block)[1] == list(range(1, RUNS + 1))
+        restored = sys.gettrace()
+    finally:
+        sys.settrace(previous)
+    assert restored is tracer
+    assert seen == [None] * (1 if raises else RUNS)
 
 
 def test_criterion_1_tightness_equality():
