@@ -22,6 +22,7 @@ from .errors import (
     DegenerateVarianceError,
     GapZeroError,
     WitnessConstructionError,
+    _whole,
 )
 from .moments import (
     FrozenRecord,
@@ -379,15 +380,16 @@ def construct_vanishing_sequence(
     Raises
     ------
     BadParameterError
-        If ``k`` is not an integer >= 2, or a stddev squares past the float
-        range, or the stddevs differ and ``k`` is past the float range or
-        puts the far atoms past it.
+        If ``k`` is not a whole number >= 2 (of any numeric type), or a
+        stddev squares past the float range, or the stddevs differ and ``k``
+        is past the float range or puts the far atoms past it.
     WitnessConstructionError
         If the atoms miss those moments, as when the spread is too small
         against ``m`` for the near points to stay apart.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise BadParameterError(f"k must be an integer >= 2, got {k!r}")
+    k, given = _whole("k", k), k
+    if k < 2:
+        raise BadParameterError(f"k must be an integer >= 2, got {given!r}")
     targets = MomentPair1D.from_scalars(m, sigma_p, m, sigma_q)
     m, sigma_p, sigma_q = float(m), float(sigma_p), float(sigma_q)
     kind = WitnessKind.VANISHING_SEQUENCE

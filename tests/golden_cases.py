@@ -2,10 +2,12 @@
 
 ``<name>.out`` under ``tests/golden/`` holds a case's expected stdout and
 ``<name>.err`` its expected stderr (empty when absent).  ``test_golden``
-runs every case in-process.  Run as a script, this module runs them through
-the installed ``tvbounds`` script, once each under
-``PYTHONPROFILEIMPORTTIME`` to read which modules its command loads as
-well, and exits nonzero if any output or any set of modules differs:
+runs every case in-process.  ``differences`` runs one out of process, under
+``PYTHONPROFILEIMPORTTIME`` to read which modules its command loads as well,
+and names what differs from its pins; ``test_cli`` calls it on every case.
+Run as a script, this module calls it on each case through the installed
+``tvbounds`` script, and exits nonzero if any output or any set of modules
+differs:
 
     python tests/golden_cases.py                  # every case
     python tests/golden_cases.py --without-numpy  # the cases that need no
@@ -136,6 +138,9 @@ COMMAND_MODULES = {
 #: The commands that import numpy; the others, ``verify`` and ``nd-bound``
 #: among them, must give their goldens without it.
 NUMPY_COMMANDS = tuple(c for c, modules in COMMAND_MODULES.items() if "numpy" in modules)
+#: Record-class machinery that would cost a command without numpy more than
+#: the package does.
+HEAVY = ("dataclasses", "inspect")
 
 
 def program_imports(stderr):
@@ -150,30 +155,29 @@ def program_imports(stderr):
     return names[names.index("site") + 1:] if "site" in names else names
 
 
-def run_case(entry, args, env=None):
-    """Run ``args`` through the command line ``entry`` once, under
-    ``PYTHONPROFILEIMPORTTIME``.  Returns its exit code, its stdout and its
-    stderr without the profile's ``import time:`` lines, and the modules it
-    imported, read from those lines."""
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPROFILEIMPORTTIME"] = "1"
+def differences(entry, case, env=None):
+    """Run ``case`` through the command line ``entry`` once, under
+    ``PYTHONPROFILEIMPORTTIME``, and name what differs from its pins: its
+    output (exit code, stdout, and stderr without the profile's ``import
+    time:`` lines), and the set of the package's modules and numpy that it
+    loads, ``HEAVY`` among them for a command without numpy.  Empty where
+    nothing differs."""
+    name, code, args = case
+    env = dict(os.environ if env is None else env, PYTHONPROFILEIMPORTTIME="1")
     proc = subprocess.run([*entry, *args], capture_output=True, text=True, env=env, timeout=120)
     lines = proc.stderr.splitlines(keepends=True)
     stderr = "".join(line for line in lines if not line.startswith("import time:"))
-    return (proc.returncode, proc.stdout, stderr), program_imports(proc.stderr)
-
-
-def loaded_modules(imports):
-    """The package's modules and numpy among ``imports``, sorted."""
-    return sorted(
-        name for name in imports
-        if name in ("tvbounds", "numpy") or name.startswith("tvbounds.")
+    found = [] if (proc.returncode, proc.stdout, stderr) == expected(name, code) else ["output"]
+    watched = ("tvbounds", "numpy", *(() if args[0] in NUMPY_COMMANDS else HEAVY))
+    loaded = sorted(
+        module for module in program_imports(proc.stderr)
+        if module in watched or module.startswith("tvbounds.")
     )
-
-
-def expected_modules(command):
-    """The package's modules and numpy that ``command`` loads, sorted."""
-    return sorted((*BASE_MODULES, *COMMAND_MODULES[command]))
+    # -X importtime prints the gate's failed import of numpy too
+    gated = ("numpy",) if case in WITHOUT_NUMPY else ()
+    if loaded != sorted({*BASE_MODULES, *COMMAND_MODULES[args[0]], *gated}):
+        found.append(f"loads {', '.join(loaded)}")
+    return found
 
 
 def main(argv) -> int:
@@ -184,18 +188,10 @@ def main(argv) -> int:
             return 1
         cases = [case for case in CASES if case[2][0] not in NUMPY_COMMANDS] + WITHOUT_NUMPY
     differ = []
-    for name, code, args in cases:
-        result, imports = run_case(["tvbounds"], args)
-        found = []
-        if result != expected(name, code):
-            found.append("output")
-        loaded = loaded_modules(imports)
-        # -X importtime prints the gate's failed import of numpy too
-        gated = ["numpy"] if (name, code, args) in WITHOUT_NUMPY else []
-        if loaded != sorted({*expected_modules(args[0]), *gated}):
-            found.append(f"loads {', '.join(loaded)}")
+    for case in cases:
+        found = differences(["tvbounds"], case)
         if found:
-            differ.append(f"{name} ({' and '.join(found)})")
+            differ.append(f"{case[0]} ({' and '.join(found)})")
     print(
         f"{len(cases) - len(differ)} of {len(cases)} cases match the goldens "
         "and load their command's modules"

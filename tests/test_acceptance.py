@@ -140,11 +140,16 @@ def test_criterion_2_randomized_tightness_sweep():
     _report("criterion 2 randomized tightness sweep", elapsed, 0.1, failures)
 
 
+#: The LP criteria's pairs: 10 of their own and the 200 of a broad seeded
+#: sweep, which reaches the inputs on which a badly conditioned grid LP
+#: stalls or lands on a wrong vertex.
+LP_CONFIGS = [pair(*x) for x in draws(202403, 10, PLAIN) + draws(42, 200, PLAIN)]
+
+
 def test_criterion_3_lp_attainment():
-    configs = [pair(*x) for x in draws(202403, 10, PLAIN)]
     def block():
         failures = []
-        for pair in configs:
+        for pair in LP_CONFIGS:
             result = minimize_tv_on_grid(pair, GridSpec.default_for(pair, count=121))
             bound = tv_lower_bound_1d(pair)
             if result.status is not OracleStatus.OPTIMAL:
@@ -159,10 +164,9 @@ def test_criterion_3_lp_attainment():
 
 
 def test_criterion_4_lp_soundness_floor():
-    configs = [pair(*x) for x in draws(202403, 10, PLAIN)]
     def block():
         failures = []
-        for pair in configs:
+        for pair in LP_CONFIGS:
             result = minimize_tv_on_grid(
                 pair, GridSpec.default_for(pair, count=121), include_witness_points=False
             )
@@ -202,7 +206,8 @@ def test_criterion_5_ordering_suite():
 
 
 def test_criterion_6_dimension_one_dominance():
-    scalars = draws(202406, 1000, POSITIVE)
+    # the near-unit pairs hold point masses on either side and on both
+    scalars = draws(202406, 1000, POSITIVE) + draws(3, 500, NEAR_UNIT)
 
     def block():
         failures = []

@@ -155,25 +155,6 @@ def test_flag_defaults_are_the_library_defaults():
 # -------------------------------------------------------------------- verify
 
 
-def test_verify_tight_verdict(capsys):
-    code, payload = run_json(
-        capsys, "verify", *PAIR_FLAGS,
-        "--grid-lo", "-6", "--grid-hi", "6", "--grid-n", "121", "--include-witness", "true",
-    )
-    assert code == 0
-    assert payload["verdict"] == "tight"
-    assert payload["oracle"]["status"] == "optimal"
-    assert abs(payload["oracle"]["tv_min"] - payload["tight_bound"]) <= 1e-6
-    p_opt = DiscreteDist(**payload["oracle"]["p_opt"])
-    assert check_moments(p_opt, Moments1D(1.0, 1.0), 1e-7)
-
-
-def test_verify_default_grid(capsys):
-    code, payload = run_json(capsys, "verify", *PAIR_FLAGS)
-    assert code == 0
-    assert payload["verdict"] == "tight"
-
-
 @pytest.mark.parametrize("word, value", [("yes", True), ("no", False), (" TRUE ", True)])
 def test_include_witness_reads_yes_no_and_padded_words(word, value):
     params = parse_args(["verify", *PAIR_FLAGS, "--include-witness", word]).params
@@ -507,23 +488,14 @@ def test_every_negative_spelling_float_reads_is_a_value(capsys, argv, flag):
 
 # The console script's own code: the installed ``tvbounds`` runs this.
 _ENTRY = (sys.executable, "-c", "from tvbounds.cli import main; main()")
-# record-class machinery that costs the 1-D commands more than the package
-HEAVY = ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("command", golden_cases.COMMAND_MODULES)
-def test_each_command_loads_only_its_layers(command):
+@pytest.mark.parametrize("case", golden_cases.CASES, ids=[case[0] for case in golden_cases.CASES])
+def test_each_command_loads_only_its_layers(case):
     import tvbounds
 
-    cases = [case for case in golden_cases.CASES if case[2][0] == command]
     env = dict(os.environ, PYTHONPATH=str(Path(tvbounds.__file__).parents[1]))
-    # every nd-bound case, since a singular covariance too loads no numpy
-    for name, code, argv in cases if command == "nd-bound" else cases[:1]:
-        result, imports = golden_cases.run_case(_ENTRY, argv, env)
-        assert result == golden_cases.expected(name, code), name
-        assert golden_cases.loaded_modules(imports) == golden_cases.expected_modules(command), name
-        if command not in golden_cases.NUMPY_COMMANDS:
-            assert set(HEAVY).isdisjoint(imports), name
+    assert golden_cases.differences(_ENTRY, case, env) == []
 
 
 def test_numpy_is_imported_only_by_its_gate():

@@ -37,7 +37,7 @@ from tvbounds.nd import (
 )
 
 from conftest import ref_moments
-from domain import BOX, NEAR_UNIT, POSITIVE, draws, pair, pairs, sample
+from domain import BOX, POSITIVE, draws, pair, pairs, sample
 
 #: Spreads to 10, any zero side or equal means: the box of means in
 #: [-10, 10] and stddevs 0 or in [1e-6, 5], as axes.
@@ -487,16 +487,6 @@ def test_nd_bound_dimension_one_matches_formula():
     assert bound == pytest.approx(0.2, rel=1e-15)
     # equal stddevs is exactly the equality case of the dominance relation
     assert bound == tv_lower_bound_1d(pair(1, 1, 0, 1))
-
-
-def test_nd_dominated_by_1d():
-    for mp, sp, mq, sq in draws(3, 500, NEAR_UNIT):
-        nd = tv_lower_bound_nd(
-            MomentPairND(
-                MomentsND([mp], [[sp * sp]]), MomentsND([mq], [[sq * sq]])
-            )
-        )
-        assert nd <= tv_lower_bound_1d(pair(mp, sp, mq, sq)) + 1e-12
 
 
 def test_nd_bound_respected_by_moment_matched_cross_pairs():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -326,8 +327,10 @@ def test_ordering_realized_by_witnesses():
 # --------------------------------------------------------- vanishing sequence
 
 
-def test_vanishing_sequence_reference_case():
-    w = construct_vanishing_sequence(0.0, 2.0, 1.0, 10)
+# k is a whole number of any numeric type
+@pytest.mark.parametrize("k", [10, np.int64(10), 10.0], ids=["int", "numpy-int64", "float"])
+def test_vanishing_sequence_reference_case(k):
+    w = construct_vanishing_sequence(0.0, 2.0, 1.0, k)
     assert w.kind is WitnessKind.VANISHING_SEQUENCE
     assert w.claimed_tv == 0.1
     root = math.sqrt(31.0)
