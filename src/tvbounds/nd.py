@@ -54,7 +54,7 @@ def trace_bound(gap_norm_sq: float, trace_p: float, trace_q: float) -> float:
     # wherever |a|^2 / 2 is a normal float, so that a trace sum above about
     # 9e307 leaves a positive bound instead of doubling to inf; traces can
     # only dip below zero by the PSD round-off allowance.  max() keeps a nan
-    # in its first argument, as the clamp of the array form does.
+    # in its first argument, so a nan trace from a direct call reads nan.
     half_gap = 0.5 * gap_norm_sq
     denom = max(trace_p + trace_q, 0.0) + half_gap
     if not math.isfinite(denom):

@@ -1,6 +1,8 @@
-"""Grid LP verifier: formulation, simplex behavior, bound certification."""
+"""Grid LP verifier: formulation, simplex behavior, bound certification.
+The randomized d-dimensional check is in ``tests/test_nd.py``, the refusals
+in ``tests/test_refusals.py``, and the LP's attainment and soundness on
+seeded pairs in acceptance criteria 3 and 4."""
 
-import hashlib
 import math
 import random
 
@@ -11,23 +13,18 @@ from tvbounds import (
     BadParameterError,
     GridSpec,
     LPStandardForm,
-    MomentPairND,
-    MomentsND,
     OracleStatus,
     build_grid,
     check_moments,
-    check_nd_bound_random,
     construct_vanishing_sequence,
     formulate,
     minimize_tv_on_grid,
     solve,
     tv_lower_bound_1d,
-    tv_lower_bound_nd,
     WitnessConstructionError,
 )
 import tvbounds.cli as cli
 import tvbounds.discrete as discrete
-import tvbounds.nd as nd
 import tvbounds.oracle as oracle
 
 from dense_columns import DenseColumns
@@ -509,121 +506,3 @@ def test_optimizers_clamp_and_refuse():
     # mass below -1e-9 on either side, or a total off 1 by more than 1e-9
     assert columns.optimizers({**x, 5: -2e-9}) is None
     assert columns.optimizers({**x, 5: 0.0, 7: 0.5 + 2e-9}) is None
-
-
-# ------------------------------------------------------- d-dimensional check
-
-
-@pytest.mark.parametrize("name", ["d", "atoms", "trials", "seed"])
-@pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
-def test_nd_check_refuses_a_count_that_is_not_a_whole_number(monkeypatch, name, bad):
-    args = dict(d=2, atoms=6, trials=10, seed=0)
-    monkeypatch.setattr(np.random, "default_rng", None)
-    with pytest.raises(BadParameterError) as raised:
-        check_nd_bound_random(**{**args, name: bad})
-    assert type(raised.value) is BadParameterError
-    assert str(raised.value) == f"{name} must be a whole number, got {bad!r}"
-
-
-def test_nd_check_takes_whole_counts_of_any_numeric_type():
-    want = check_nd_bound_random(2, 6, 40, 3)
-    assert check_nd_bound_random(2.0, np.int64(6), np.float64(40.0), 3.0) == want
-
-
-def test_nd_check_refuses_a_batch_past_the_limit_before_drawing(monkeypatch):
-    monkeypatch.setattr(nd, "ND_CHECK_MAX_DRAWS", 2 * 5 * 10)
-    assert check_nd_bound_random(2, 5, 10, 0) == 0
-    # no generator is made, so nothing is drawn or allocated
-    monkeypatch.setattr(np.random, "default_rng", None)
-    with pytest.raises(BadParameterError) as raised:
-        check_nd_bound_random(2, 5, 11, 0)
-    assert type(raised.value) is BadParameterError
-    assert str(raised.value) == (
-        "trials * atoms * d = 11 * 5 * 2 is more than ND_CHECK_MAX_DRAWS = 100; "
-        "run fewer trials per seed"
-    )
-
-
-#: ``ND_CHECK_TOL`` -> the check's counts on the sweep below: each (d, atoms)
-#: row's total over the seeds, in sweep order, and the sha256 of every count.
-_ND_SWEEP_COUNTS = {
-    1e-10: (
-        [0] * 28,
-        "663e95f263c1faa8e2139394d7a0e08b9ad8a4e6d35f6509d3fbf15dfcd62e23",
-    ),
-    -0.05: (
-        [92, 19, 2, 1, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0]
-        + [1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-        "f9ebb708915bd6cb33756b394ef2d4f25e8203aedc54d3227bd4d77a012fd3bd",
-    ),
-    -0.3: (
-        [4012, 3015, 2262, 1757, 1354, 1043, 825, 2850, 2104, 1677, 1197, 977, 755, 589]
-        + [2040, 1522, 1219, 939, 755, 552, 471, 1526, 1100, 882, 726, 565, 496, 355],
-        "037be393bc9b27ea7000caf8e00097e9404645d1a55a34bac4fbce1126335f36",
-    ),
-}
-
-
-@pytest.mark.parametrize("tol", sorted(_ND_SWEEP_COUNTS))
-def test_nd_check_counts_on_a_seeded_sweep(tol, monkeypatch):
-    """The check's decisions on a seeded sweep: ``check_nd_bound_random(d,
-    atoms, 200, seed)`` for d = 1..4, atoms d + 2 to d + 8 and seeds 0..29.
-
-    The counts were taken from the check as it stood when it still formed
-    each trial's covariance matrices and halved the TV, so they pin every
-    decision across the rewrite to one weighted pass and one comparison.
-    At -0.05 a few trials in a thousand sit near the slack, so a change to
-    the arithmetic that moves a decision moves a count."""
-    monkeypatch.setattr(nd, "ND_CHECK_TOL", tol)
-    counts = [
-        [check_nd_bound_random(d, atoms, 200, seed) for seed in range(30)]
-        for d in range(1, 5)
-        for atoms in range(d + 2, d + 9)
-    ]
-    totals, digest = _ND_SWEEP_COUNTS[tol]
-    assert [sum(row) for row in counts] == totals
-    assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
-
-
-def _loop_margins(d, atoms, trials, seed):
-    """tv - bound for every trial, the way one trial at a time works it out:
-    a validated ``MomentsND`` per side and ``tv_lower_bound_nd``, on the
-    draws ``check_nd_bound_random`` makes for the same arguments."""
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(trials, atoms, d))
-    pw = rng.dirichlet(np.ones(atoms), size=trials)
-    qw = rng.dirichlet(np.ones(atoms), size=trials)
-    margins = []
-    for X, p, q in zip(points, pw, qw):
-        tv = 0.5 * float(np.abs(p - q).sum())
-        mean_p, mean_q = p @ X, q @ X
-        cp = (X - mean_p).T @ ((X - mean_p) * p[:, None])
-        cq = (X - mean_q).T @ ((X - mean_q) * q[:, None])
-        pair_nd = MomentPairND(MomentsND(mean_p, cp), MomentsND(mean_q, cq))
-        margins.append(tv - tv_lower_bound_nd(pair_nd))
-    return margins
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("extra_atoms", [2, 4, 8])
-@pytest.mark.parametrize("seed", [5, 77, 2026, 4242])
-def test_nd_check_agrees_with_per_trial_loop(d, extra_atoms, seed, monkeypatch):
-    # the loop draws each side's weights with a call of its own, so equal
-    # counts pin the batch's one draw to the p side first, at any shape
-    atoms, tol = d + extra_atoms, nd.ND_CHECK_TOL
-    for trials in (120, 1):
-        margins = _loop_margins(d, atoms, trials, seed)
-        monkeypatch.setattr(nd, "ND_CHECK_TOL", tol)
-        violations = sum(m < -tol for m in margins)
-        assert check_nd_bound_random(d, atoms, trials, seed) == violations
-        # the lowest margin agrees to 1e-12: no trial sits further below it,
-        # and one sits within 1e-12 of it
-        lowest = min(margins)
-        monkeypatch.setattr(nd, "ND_CHECK_TOL", -(lowest - 1e-12))
-        assert check_nd_bound_random(d, atoms, trials, seed) == 0
-        monkeypatch.setattr(nd, "ND_CHECK_TOL", -(lowest + 1e-12))
-        assert check_nd_bound_random(d, atoms, trials, seed) >= 1
-        # a tolerance of -1 makes every trial a violation, so the counter
-        # is live
-        monkeypatch.setattr(nd, "ND_CHECK_TOL", -1.0)
-        assert check_nd_bound_random(d, atoms, trials, seed) == trials

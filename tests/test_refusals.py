@@ -2,12 +2,15 @@
 exact exception type and the exact message; and each command line that
 prints one, as the one ``error:`` line of exit 1.  Each row and command
 line runs with numpy blocked, as where it is not installed: the numpy gate,
-``nd._numpy``, refuses its two rows, after the randomized check's own
-parameter checks, and no other row needs numpy, so the CI job without
-numpy runs these too.  The two refusals that numpy decides, and those whose
-setup a row cannot hold (a patched module, a nesting too deep to read), are
-tested beside the code they exercise; the refusals that ``cli.py`` raises
-itself are ``REFUSALS`` of ``tests/test_cli.py``."""
+``nd._numpy``, refuses its two rows, and no other row needs numpy, so the
+CI job without numpy runs these too.  The randomized check draws nothing
+without numpy, so its rows show that each of its parameter checks, a whole
+number for each count among them, comes before any draw.  The two
+refusals that numpy decides and a nesting too deep to read are tested in
+``tests/test_nd.py``, and a grid count refused before any grid is
+allocated, whose setup patches a module, in ``tests/test_oracle.py``; the
+refusals that ``cli.py`` raises itself are ``REFUSALS`` of
+``tests/test_cli.py``."""
 
 import math
 import sys
@@ -392,6 +395,15 @@ REFUSALS = {
         "nd-check-atoms-3": ((2, 3, 10, 0), "atoms must be >= d + 2, got 3"),
         "nd-check-trials-0": ((2, 6, 0, 0), "trials must be >= 1, got 0"),
         "nd-check-seed-negative": ((2, 6, 10, -1), "seed must be >= 0, got -1"),
+        # each count in turn not a whole number
+        **{
+            f"nd-check-{name}-{bad!r}": (
+                tuple(bad if i == at else arg for i, arg in enumerate((2, 6, 10, 0))),
+                f"{name} must be a whole number, got {bad!r}",
+            )
+            for at, name in enumerate(("d", "atoms", "trials", "seed"))
+            for bad in (2.5, math.inf, math.nan)
+        },
         # refused before numpy is imported
         "nd-check-batch-past-the-limit": (
             (1, 3, 3_400_000, 0),

@@ -175,7 +175,8 @@ def test_two_point_with_a_point_mass_is_the_tight_witness(x):
     w = construct_two_point(this)
     assert w.kind is WitnessKind.TWO_POINT_SHARED
     assert (w.p_dist, w.q_dist) == (tight.p_dist, tight.q_dist)
-    assert w.claimed_tv == tight.claimed_tv == bound_report(this).two_point_tv
+    assert w.claimed_tv == tight.claimed_tv == tv_lower_bound_1d(this)
+    assert w.claimed_tv == bound_report(this).two_point_tv
 
 
 @given(pairs(BOX, zero=("none", "q")))
