@@ -2,7 +2,8 @@
 and their ordering and invariance properties.  The d-dimensional bound is in
 ``tests/test_nd.py``, the refusals in ``tests/test_refusals.py``, the strict
 orderings on positive stddevs in acceptance criterion 5 and the swap symmetry
-of every report field in ``tests/test_metamorphic.py``."""
+of every report field in ``tests/test_metamorphic.py``; the anchored values'
+swap is also checked here, on stddev ratios up to 1e4."""
 
 import math
 import random
@@ -144,6 +145,13 @@ def test_anchored_examples():
     anchored_p, anchored_q = anchored(pair(1, 2, 0, 1))
     assert anchored_p == pytest.approx(2 / (math.sqrt(20) + 4), rel=1e-15)
     assert anchored_q == pytest.approx(2 / (math.sqrt(20) - 2), rel=1e-15)
+
+
+def test_anchored_swap_symmetry():
+    for mp, sp, mq, sq in draws(11, 50, POSITIVE):
+        fwd = pair(mp, sp, mq, sq)
+        rev = pair(mq, sq, mp, sp)
+        assert anchored(fwd) == anchored(rev)[::-1]
 
 
 def _decimal_reference(a, sp, sq):

@@ -438,6 +438,19 @@ def test_nd_check_takes_whole_counts_of_any_numeric_type(monkeypatch):
     assert check_nd_bound_random(2.0, np.int64(6), np.float64(40.0), 3.0) == want
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nd_check_computes_no_eigenvalues_on_certified_stacks(monkeypatch, d):
+    # the check reads traces of its own draws and forms no covariance
+    # matrix: nothing factors one or computes its eigenvalues, and 1,000
+    # trials at the default tolerance find no violation
+    def refuse(*args, **kwargs):
+        raise AssertionError("the n-d check validated a covariance matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert check_nd_bound_random(d, d + 4, 1000, 70 + d) == 0
+
+
 #: ``ND_CHECK_TOL`` -> the check's counts on the sweep below: each (d, atoms)
 #: row's total over the seeds, in sweep order, and the sha256 of every count.
 _ND_SWEEP_COUNTS = {
@@ -505,16 +518,8 @@ def test_nd_check_agrees_with_per_trial_loop(d, extra_atoms, seed, monkeypatch):
     # the loop draws each side's weights with a call of its own, so equal
     # counts pin the batch's one draw to the p side first, at any shape
     atoms, tol = d + extra_atoms, nd.ND_CHECK_TOL
-    margins = {trials: _loop_margins(d, atoms, trials, seed) for trials in (120, 1)}
-
-    # the check reads traces of its own draws and forms no covariance
-    # matrix: nothing factors one or computes its eigenvalues
-    def refuse(*args, **kwargs):
-        raise AssertionError("the n-d check validated a covariance matrix")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    for trials, loop in margins.items():
+    for trials in (120, 1):
+        loop = _loop_margins(d, atoms, trials, seed)
         monkeypatch.setattr(nd, "ND_CHECK_TOL", tol)
         violations = sum(m < -tol for m in loop)
         assert check_nd_bound_random(d, atoms, trials, seed) == violations
