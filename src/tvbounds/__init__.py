@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "DiscreteDist": ".discrete",
     "MomentSummary": ".discrete",
-    "check_moments": ".discrete",
     "tv_distance": ".discrete",
     "WitnessKind": ".witness",
     "WitnessPair": ".witness",
@@ -41,14 +40,10 @@ _LAZY = {
     "MomentPairND": ".nd",
     "tv_lower_bound_nd": ".nd",
     "GridSpec": ".oracle",
-    "LPStandardForm": ".oracle",
     "OracleResult": ".oracle",
     "OracleStatus": ".oracle",
-    "build_grid": ".oracle",
     "check_nd_bound_random": ".nd",
-    "formulate": ".oracle",
     "minimize_tv_on_grid": ".oracle",
-    "solve": ".oracle",
 }
 
 

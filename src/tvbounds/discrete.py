@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .moments import FrozenRecord, Moments1D
 
-__all__ = ["DiscreteDist", "MomentSummary", "tv_distance", "check_moments"]
+__all__ = ["DiscreteDist", "MomentSummary", "tv_distance"]
 
 #: Relative scale of the tolerance used to identify nearby support points.
 SUPPORT_MERGE_REL = 1e-12

@@ -26,9 +26,6 @@ __all__ = [
     "MomentsND",
     "MomentPairND",
     "tv_lower_bound_nd",
-    "gap_norm_sq",
-    "finite_traces",
-    "trace_bound",
     "check_nd_bound_random",
 ]
 
@@ -47,7 +44,9 @@ ND_CHECK_MAX_DRAWS = 10_000_000
 
 def trace_bound(gap_norm_sq: float, trace_p: float, trace_q: float) -> float:
     """``|a|^2 / (2 (tr Sp + tr Sq) + |a|^2)`` from its three ingredients,
-    and 0 where ``|a|^2`` is 0."""
+    and 0 where ``|a|^2`` is 0.  Its callers, ``tv_lower_bound_nd`` and the
+    ``nd-bound`` command, pass only what ``gap_norm_sq`` and
+    ``finite_traces`` return."""
     if gap_norm_sq == 0.0:
         return 0.0
     # computed as (|a|^2 / 2) / (tr Sp + tr Sq + |a|^2 / 2), the same bits

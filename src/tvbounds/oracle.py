@@ -37,16 +37,7 @@ from .moments import FrozenRecord, MomentPair1D, Moments1D, gap
 from .simplex import SimplexResult, solve_dense
 from .witness import construct_tight_witness
 
-__all__ = [
-    "GridSpec",
-    "LPStandardForm",
-    "OracleStatus",
-    "OracleResult",
-    "build_grid",
-    "formulate",
-    "solve",
-    "minimize_tv_on_grid",
-]
+__all__ = ["GridSpec", "OracleStatus", "OracleResult", "minimize_tv_on_grid"]
 
 #: Moment tolerance the extracted optimizers must certify, in centred units.
 ORACLE_MOMENT_TOL = 1e-7
@@ -108,8 +99,8 @@ class GridSpec(FrozenRecord):
 def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     """Sorted union of the uniform grid and the extra points, deduplicated
     by ``DiscreteDist``'s merge rule at the grid's largest magnitude.
-    An extra point that is not finite raises ``ValueError``, and a grid
-    that merges into fewer than 2 points ``BadParameterError``.
+    The extra points are floats of a ``DiscreteDist``'s support, so finite.
+    A grid that merges into fewer than 2 points raises ``BadParameterError``.
 
     The uniform points are ``lo + i * step``, then ``hi``.  The kept grid is
     ``numpy.linspace(lo, hi, count)``'s, bit for bit: where the step
@@ -118,15 +109,12 @@ def build_grid(spec: GridSpec, extra_points=()) -> list[float]:
     pass in C, is at or below the tolerance; otherwise it would keep them
     all.
     """
-    extras = [float(x) for x in extra_points]
-    if not all(map(math.isfinite, extras)):
-        raise ValueError("extra points must be finite")
     lo, hi, div = spec.lo, spec.hi, spec.count - 1
     step = (hi - lo) / div
     values = [i * step + lo for i in range(div)]
     values.append(hi)
-    if extras:
-        values = sorted(values + extras)
+    if extra_points:
+        values = sorted([*values, *extra_points])
     # the largest magnitude sits at one end of the sorted values
     tol = _merge_tol((values[0], values[-1]))
     if min(map(sub, values[1:], values)) > tol:
@@ -302,7 +290,7 @@ class LPStandardForm(NamedTuple):
     pair: MomentPair1D
 
 
-def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
+def formulate(pair: MomentPair1D, grid: list[float]) -> LPStandardForm:
     """Encode grid-supported TV minimization under exact moment equality.
 
     The variables are three blocks over the sorted grid, which the column
@@ -315,24 +303,17 @@ def formulate(pair: MomentPair1D, grid) -> LPStandardForm:
     ``sum u = 1 - sum min(p, q) = TV(p, q)``, and every feasible point has
     ``w <= min(p, q)`` and so ``sum u >= TV(p, q)``.  The optimum is
     therefore the minimal TV over grid pairs.  Upper bounds such as
-    ``p_i <= 1`` are implied by non-negativity and the mass rows.  A grid of
-    fewer than 2 points raises ``BadParameterError``; a point that is not
-    finite, a row coefficient past the float range, or a centring scale
-    past it (see ``_centring``), ``ValueError``.
+    ``p_i <= 1`` are implied by non-negativity and the mass rows.  The grid
+    is ``build_grid``'s: a sorted list of at least 2 finite floats.  A row
+    coefficient past the float range, or a centring scale past it (see
+    ``_centring``), raises ``ValueError``.
     """
-    x = list(map(float, grid))
-    n = len(x)
-    if n < 2:
-        raise BadParameterError(f"grid needs at least 2 points, got {n}")
-    if not all(map(math.isfinite, x)):
-        raise ValueError("LP coefficients must be finite")
-    x.sort()
     centre, scale = _centring(pair)
     t_p = (pair.p_side.mean - centre) / scale
     t_q = (pair.q_side.mean - centre) / scale
     r_p, r_q = pair.p_side.stddev / scale, pair.q_side.stddev / scale
     rhs = (1.0, t_p, r_p * r_p, 1.0, t_q, r_q * r_q)
-    return LPStandardForm(GridColumns(x, centre, scale, t_p, t_q), rhs, pair)
+    return LPStandardForm(GridColumns(grid, centre, scale, t_p, t_q), rhs, pair)
 
 
 class OracleStatus(enum.Enum):

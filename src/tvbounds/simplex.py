@@ -68,7 +68,8 @@ import math
 from operator import mul
 from typing import NamedTuple
 
-__all__ = ["SimplexResult", "solve_dense"]
+# the kernel's one caller is ``oracle.solve``, so it publishes no name
+__all__: list[str] = []
 
 #: Rows of the basis: a program with fewer rows is padded with empty ones,
 #: each of which keeps its artificial basic at zero, since no pivot touches
@@ -244,24 +245,15 @@ def solve_dense(A, b) -> SimplexResult:
     """Solve ``min c.x  s.t.  A x = b, x >= 0``, the costs ``c`` those of
     the column set ``A``.
 
-    ``A`` has at most ``ROWS`` rows (see the module docstring).
+    ``A`` has at most ``ROWS`` rows (see the module docstring) and ``b``
+    one finite float for each, as the grid oracle's six rows have.
     Deterministic: the same inputs always produce bit-identical results.
     The iteration budget is ``BUDGET_PER_DIMENSION * (2 * rows + columns)``,
     the rows counted once more for their artificials, across both phases,
-    after which the solve reports ``iteration_limit``.  Raises
-    ``ValueError`` on a right-hand side of the wrong length or not finite,
-    or more than ``ROWS`` rows.
+    after which the solve reports ``iteration_limit``.
     """
-    b = [float(v) for v in b]
     m, n = A.shape
-    if len(b) != m:
-        raise ValueError("inconsistent LP dimensions")
-    if m > ROWS:
-        raise ValueError(f"the kernel takes at most {ROWS} rows, got {m}")
-    if not all(map(math.isfinite, b)):
-        raise ValueError("LP coefficients must be finite")
-
-    b += [0.0] * (ROWS - m)
+    b = list(b) + [0.0] * (ROWS - m)
     basis = _Basis(A, b)
     budget = BUDGET_PER_DIMENSION * (2 * m + n)
     status, iterations = basis.run(False, 0, budget)

@@ -23,7 +23,6 @@ from tvbounds import (
     OracleStatus,
     WitnessKind,
     bound_report,
-    check_moments,
     check_nd_bound_random,
     construct_tight_witness,
     construct_vanishing_sequence,
@@ -32,6 +31,7 @@ from tvbounds import (
     tv_lower_bound_1d,
     tv_lower_bound_nd,
 )
+from tvbounds.discrete import check_moments
 
 from conftest import gaussian_tv
 from domain import BOX, NEAR_UNIT, PLAIN, POSITIVE, draws, pair

@@ -14,10 +14,10 @@ from tvbounds import (
     BadParameterError,
     DiscreteDist,
     Moments1D,
-    check_moments,
     tv_distance,
 )
 from tvbounds.cli import SWEEP_MAX_ROWS, _verdict, main, parse_args, run
+from tvbounds.discrete import check_moments
 
 import golden_cases
 from conftest import cli_argv, moments_text, pair_flags

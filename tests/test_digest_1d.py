@@ -38,13 +38,13 @@ from tvbounds import (
     WitnessConstructionError,
     WitnessKind,
     bound_report,
-    check_moments,
     construct_anchored_witness,
     construct_tight_witness,
     construct_two_point,
     construct_vanishing_sequence,
     tv_distance,
 )
+from tvbounds.discrete import check_moments
 
 #: sha256 of the 4,000 pairs' lines, as the 1-D path printed them when the
 #: digest was taken; it changes only with an output bit.

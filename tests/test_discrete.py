@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvbounds import DiscreteDist, Moments1D, check_moments, tv_distance
-from tvbounds.discrete import PROB_SUM_TOL, SUPPORT_MERGE_REL
+from tvbounds import DiscreteDist, Moments1D, tv_distance
+from tvbounds.discrete import PROB_SUM_TOL, SUPPORT_MERGE_REL, check_moments
 
 from conftest import ref_moments
 

@@ -1,12 +1,15 @@
 """The input domain of ``tests/domain.py``: its draws stay inside what the
 caller narrowed, a range outside the table is refused, and README's "Input
-domain" table is the module's.  It imports no numpy, nor does
-``conftest.py``, so it runs where numpy is not installed::
+domain" table is the module's; and README's "Public names" table is the
+package's.  It imports no numpy, nor does ``conftest.py``, so it runs where
+numpy is not installed::
 
     python -m pytest tests/test_domain.py
 """
 
+import importlib
 import math
+import pkgutil
 import random
 import re
 from pathlib import Path
@@ -91,16 +94,37 @@ def test_a_range_outside_the_domain_is_refused(narrow, message):
         pairs(**narrow)
 
 
-def test_the_readme_table_is_the_modules():
+def readme_rows(heading):
+    """The rows of the table under README's ``heading``, as lists of cells,
+    for each row whose first cell is a name in backquotes."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text[text.index("## Input domain"):]
-    rows = {}
+    section = text[text.index(f"## {heading}"):]
+    rows = []
     for line in section[: section.index("\n## ", 1)].splitlines():
         cells = [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
         if cells and cells[0].startswith("`"):
-            rows[cells[0].strip("`")] = cells[1:3]
+            rows.append([cells[0].strip("`"), *cells[1:]])
+    return rows
+
+
+def test_the_readme_table_is_the_modules():
+    rows = {name: cells[:2] for name, *cells in readme_rows("Input domain")}
     assert rows == {
         **{name: [axis.doc, f"10^{axis.lo} to 10^{axis.hi}"] for name, axis in AXES.items()},
         "zero": ["which stddevs are 0", ", ".join(ZERO) + ", even odds"],
         "equal": ["whether mp == mq", f"odds {EQUAL}, or never"],
     }
+
+
+def test_the_public_names_table_is_each_modules_all():
+    import tvbounds
+
+    rows = sorted((name, module.strip("`")) for name, module, _ in readme_rows("Public names"))
+    modules = [info.name for info in pkgutil.iter_modules(tvbounds.__path__)]
+    assert rows == sorted(
+        (name, module)
+        for module in modules
+        for name in importlib.import_module(f"tvbounds.{module}").__all__
+    )
+    # the package's are every module's but the command line's
+    assert sorted(tvbounds.__all__) == [name for name, module in rows if module != "cli"]

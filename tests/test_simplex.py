@@ -15,7 +15,8 @@ import pytest
 
 import tvbounds.oracle as oracle
 import tvbounds.simplex as simplex
-from tvbounds import GridSpec, OracleStatus, build_grid, formulate, solve
+from tvbounds import GridSpec, OracleStatus
+from tvbounds.oracle import build_grid, formulate, solve
 from tvbounds.simplex import solve_dense
 
 from dense_columns import DenseColumns

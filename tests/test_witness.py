@@ -13,7 +13,6 @@ from tvbounds import (
     WitnessConstructionError,
     WitnessKind,
     bound_report,
-    check_moments,
     construct_anchored_witness,
     construct_tight_witness,
     construct_two_point,
@@ -21,6 +20,7 @@ from tvbounds import (
     tv_distance,
     tv_lower_bound_1d,
 )
+from tvbounds.discrete import check_moments
 
 from conftest import ref_moments, ref_tv
 from domain import BOX, POSITIVE, draws, pair, pairs
