@@ -128,3 +128,32 @@ def test_the_public_names_table_is_each_modules_all():
     )
     # the package's are every module's but the command line's
     assert sorted(tvbounds.__all__) == [name for name, module in rows if module != "cli"]
+
+
+def library_changes():
+    """README's library-changes note, as ``(name, modules)`` for each name
+    that left ``__all__``: the module that defines it first, then each
+    module that also binds it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    note = text[text.index("Library changes:"): text.index("With them went")]
+    moved = []
+    for bullet in note.split("\n- ")[1:]:
+        names, places = bullet.split(":", 1)
+        modules = re.findall(r"`tvbounds\.(\w+)[.`]", places)
+        moved += [(name, modules) for name in re.findall(r"`(\w+)`", names)]
+    return moved
+
+
+MOVED = library_changes()
+
+
+@pytest.mark.parametrize("name, modules", MOVED, ids=[name for name, _ in MOVED])
+def test_a_name_that_left_all_still_resolves_in_its_modules(name, modules):
+    import tvbounds
+
+    assert name not in tvbounds.__all__
+    home = importlib.import_module(f"tvbounds.{modules[0]}")
+    assert name not in home.__all__
+    assert getattr(home, name).__module__ == home.__name__
+    for module in modules[1:]:
+        assert getattr(importlib.import_module(f"tvbounds.{module}"), name) is getattr(home, name)

@@ -23,6 +23,7 @@ import tvbounds.discrete as discrete
 import tvbounds.oracle as oracle
 from tvbounds.discrete import check_moments
 from tvbounds.oracle import LPStandardForm, build_grid, formulate, solve
+from tvbounds.simplex import solve_dense
 
 from dense_columns import DenseColumns
 from domain import PLAIN, draws, pair, sample
@@ -242,6 +243,42 @@ def test_solve_reports_numeric_failure_on_unbounded_program():
         pair=pair(0, 1, 0, 1),
     )
     assert solve(lp).status is OracleStatus.NUMERIC_FAILURE
+
+
+# ``formulate`` and ``solve_dense`` check nothing of what the oracle hands
+# them: the grid is build_grid's sorted, finite list of at least 2 floats,
+# and the program has formulate's 6 rows and 6 finite right-hand sides.
+@pytest.mark.parametrize(
+    "moments, seeded",
+    [
+        ((1, 1, 0, 1), True),
+        ((1, 1, 0, 1), False),
+        ((0.5, 0, -2, 0), True),
+        ((3, 0, 1, 2), True),
+        ((0, 1, 0, 2), True),
+        ((1e150, 1e149, -1e150, 1e148), True),
+        ((1e-3, 1e-4, 0, 2e-4), True),
+        ((1e4 + 1, 0.5, 1e4, 0.25), True),
+    ],
+    ids=["unit", "unit-plain", "point-masses", "one-point-mass", "equal-means", "huge", "small", "offset"],
+)
+def test_the_oracle_hands_the_kernel_a_sorted_grid_and_six_finite_rows(
+    monkeypatch, moments, seeded
+):
+    calls = []
+
+    def spy(columns, rhs):
+        calls.append((columns, rhs))
+        return solve_dense(columns, rhs)
+
+    monkeypatch.setattr(oracle, "solve_dense", spy)
+    minimize_tv_on_grid(pair(*moments), include_witness_points=seeded)
+    (columns, rhs), = calls
+    grid = columns.grid
+    assert len(grid) >= 2 and all(type(x) is float and math.isfinite(x) for x in grid)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert columns.shape == (6, 3 * len(grid))
+    assert len(rhs) == 6 and all(map(math.isfinite, rhs))
 
 
 def _witness_grid_lp(this):
